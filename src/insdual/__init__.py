@@ -16,7 +16,6 @@ from .howard import (
     complementarity_extrema,
     growth_margins,
     solve_backward,
-    solve_time_step,
 )
 from .model import (
     ModelParams,
@@ -31,28 +30,12 @@ from .policy import (
     PathEscapeError,
     PolicyPath,
     UnreachableWealthError,
-    discrete_wealth,
     evolve_path,
     find_initial_state,
     sde_residual,
     wealth_row,
 )
-from .scheme import (
-    ControlSet,
-    OperatorTables,
-    admissible_control,
-    apply_jump_drift_row,
-    build_tables,
-    jump_target,
-    make_control_set,
-    minimize_over_controls,
-    obstacle_apply,
-    obstacle_values,
-    operator_values,
-    scheme_residual,
-    solve_policy_system,
-    source_term,
-)
+from .scheme import ControlSet, make_control_set
 from .simulate import ClaimSchedule, integrate_primal, poisson_schedule
 
 __version__ = "0.1.0"
@@ -70,7 +53,6 @@ __all__ = [
     "complementarity_extrema",
     "growth_margins",
     "solve_backward",
-    "solve_time_step",
     "ModelParams",
     "compactify",
     "conjugate_utility",
@@ -81,25 +63,12 @@ __all__ = [
     "PathEscapeError",
     "PolicyPath",
     "UnreachableWealthError",
-    "discrete_wealth",
     "evolve_path",
     "find_initial_state",
     "sde_residual",
     "wealth_row",
     "ControlSet",
-    "OperatorTables",
-    "admissible_control",
-    "apply_jump_drift_row",
-    "build_tables",
-    "jump_target",
     "make_control_set",
-    "minimize_over_controls",
-    "obstacle_apply",
-    "obstacle_values",
-    "operator_values",
-    "scheme_residual",
-    "solve_policy_system",
-    "source_term",
     "ClaimSchedule",
     "integrate_primal",
     "poisson_schedule",

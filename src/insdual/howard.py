@@ -102,7 +102,6 @@ def solve_time_step(
     tol: float = 1e-9,
     max_iter: int = 200,
     tables: OperatorTables | None = None,
-    use_obstacle: bool = True,
     time_index: int | None = None,
 ):
     """One backward layer: returns (v, control_row, region_row, diagnostics).
@@ -125,11 +124,8 @@ def solve_time_step(
         values = operator_values(v, grid, params, tables)
         kstar = np.argmin(values, axis=0)
         stationary = v_next - v + ht * values[kstar, ar]
-        if use_obstacle:
-            region = stationary > obstacle_values(v, grid)
-            region[0] = False
-        else:
-            region = np.zeros(m, dtype=bool)
+        # the first node has no obstacle row: its obstacle value is +inf
+        region = stationary > obstacle_values(v, grid)
         sig = kstar.tobytes() + region.tobytes()
         if sig == prev_sig:
             # evaluating again would reproduce v bit for bit

@@ -1,7 +1,7 @@
 """Path reconstruction from a converged dual surface.
 
 The optimal primal quantities are read off the dual surface through its
-state derivative. ``discrete_wealth`` turns a backward difference of the
+state derivative. ``wealth_row`` turns a backward difference of the
 surface into wealth units, undoing both the compactification chain rule
 and the time discounting of the stored surface. The path itself follows
 the dual state forward: a density factor accumulates the chosen control's
@@ -39,7 +39,6 @@ __all__ = [
     "PolicyPath",
     "UnreachableWealthError",
     "PathEscapeError",
-    "discrete_wealth",
     "wealth_row",
     "find_initial_state",
     "evolve_path",
@@ -103,36 +102,12 @@ def wealth_row(solution: DiscreteSolution, i: int):
     return x
 
 
-def discrete_wealth(solution: DiscreteSolution, i: int, j: int):
-    """Wealth at one (layer, node); see wealth_row for the construction."""
-    grid = solution.grid
-    if not 0 <= j < grid.n_nodes:
-        raise IndexError(f"policy: node index {j} outside the stored mesh")
-    s = grid.states
-    v = solution.surface[i]
-    if not 0 <= i < grid.n_steps:
-        raise IndexError(
-            f"policy: wealth defined on layers 0..{grid.n_steps - 1}, got {i}"
-        )
-    undiscount = np.exp(solution.params.r * grid.times[i])
-    if j == 0:
-        return float(
-            -((1.0 - s[0]) ** 2) * (v[1] - v[0]) / (s[1] - s[0]) * undiscount
-        )
-    return float(
-        -((1.0 - s[j]) ** 2) * (v[j] - v[j - 1]) / (s[j] - s[j - 1]) * undiscount
-    )
-
-
-def find_initial_state(solution: DiscreteSolution, x: float, interpolate: bool = False):
+def find_initial_state(solution: DiscreteSolution, x: float):
     """Node of the starting layer whose implied wealth is nearest to x.
 
     Returns (j_init, y_init) with y_init the uncompactified node state.
-    With ``interpolate`` the returned y_init is moved off-node between the
-    nearest node and the neighbour whose wealth brackets x (useful on a
-    locally refined mesh, where a node hit may not exist); the index part
-    stays the nearest node. Raises UnreachableWealthError when x falls
-    outside the attainable range of the starting layer.
+    Raises UnreachableWealthError when x falls outside the attainable
+    range of the starting layer.
     """
     if x < 0.0:
         raise ValueError(f"policy: starting wealth must be nonnegative, got {x}")
@@ -144,15 +119,7 @@ def find_initial_state(solution: DiscreteSolution, x: float, interpolate: bool =
             f"[{lo:.6g}, {hi:.6g}] of the starting layer"
         )
     j_init = int(np.argmin(np.abs(row - x)))
-    y_init = expand(float(solution.grid.states[j_init]))
-    if interpolate and row[j_init] != x:
-        for jn in (j_init + 1, j_init - 1):
-            if 0 <= jn < row.size and (row[j_init] - x) * (row[jn] - x) < 0.0:
-                frac = float((row[j_init] - x) / (row[j_init] - row[jn]))
-                yn = expand(float(solution.grid.states[jn]))
-                y_init = y_init + frac * (yn - y_init)
-                break
-    return j_init, y_init
+    return j_init, expand(float(solution.grid.states[j_init]))
 
 
 def _snap_claims(claim_times, h_t: float, n_steps: int):
@@ -169,14 +136,11 @@ def _snap_claims(claim_times, h_t: float, n_steps: int):
     return flags
 
 
-def evolve_path(
-    solution: DiscreteSolution, claims, x: float, interpolate_start: bool = False
-) -> PolicyPath:
+def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
     """Forward reconstruction of the controlled path starting from wealth x.
 
     ``claims`` is anything with a ``times`` attribute (a ClaimSchedule) or
-    a bare sequence of claim times. ``interpolate_start`` is forwarded to
-    find_initial_state.
+    a bare sequence of claim times.
     """
     grid = solution.grid
     params = solution.params
@@ -187,7 +151,7 @@ def evolve_path(
     claim_times = getattr(claims, "times", claims)
     flags = _snap_claims(claim_times, ht, n)
 
-    j_init, y_init = find_initial_state(solution, x, interpolate=interpolate_start)
+    j_init, y_init = find_initial_state(solution, x)
 
     density = np.ones(n)
     regulator = np.ones(n)

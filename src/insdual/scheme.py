@@ -5,45 +5,33 @@ One backward time step solves, node by node on the compact state mesh,
     min( v_next[j] - v[j] + h_t * min_rho (A(rho) v + l(rho))[j],
          (B v)[j] ) = 0
 
-where, for a candidate intensity multiplier rho > 0, the stationary part
-collects, inside one factor of the arrival intensity pi,
+where, for a candidate intensity multiplier rho > 0, A(rho) collects,
+inside one factor of the arrival intensity pi, the claim-jump difference
+v[at jump(rho, s_j)] - v[j] and the upwinded drift (1 - rho) * s_j *
+(1 - s_j) * Dv, plus the discount absorption r * v[j]; l(rho) is the
+running income rate in compact coordinates, and B is the one-sided
+monotonicity (obstacle) operator, which has no row at the first node.
 
-  * the claim-jump difference   v[at jump(rho, s_j)] - v[j],
-  * the upwinded drift          (1 - rho) * s_j * (1 - s_j) * Dv
-    (forward difference when the drift coefficient is positive, backward
-    when negative, so every off-diagonal coefficient stays nonnegative),
+The jump value is interpolated linearly between the two bracketing mesh
+nodes (snapping to the nearest node wastes up to half a cell of jump
+distance while the drift compensator stays exact, which bends the solved
+surface well below the true one). The drift takes the forward difference
+where its coefficient is positive and the backward one where negative;
+the last node's forward difference uses the ghost v[m] := v[m-2], and a
+negative drift at the first node is dropped. Every off-diagonal
+coefficient is then nonnegative and every row of A(rho) sums to r, so
+I - h_t * A(rho) is strictly diagonally dominant whenever h_t * r < 1.
 
-plus the discount absorption r * v[j],
+A candidate is admissible at a node only if its jump target stays inside
+the state hull (a clamped projection would discard most of the jump
+difference and make extreme candidates look spuriously cheap) and, at
+the first node, its drift is nonnegative. rho = 1 is admissible at every
+node, so the restricted search is never empty.
 
-l(rho) is the running income rate written in compact coordinates, and B
-is the one-sided monotonicity (obstacle) operator, which has no row at
-the first interior node.
-
-The value at the jump target is credited by linear interpolation between
-the two bracketing mesh nodes (snapping to the nearest node instead
-wastes up to half a cell of jump distance while the drift compensator
-stays exact, which hands candidates near rho = 1 a spurious first-order
-discount and bends the solved surface well below the true one). The
-convex weights keep every off-diagonal coefficient nonnegative, so the
-scheme stays monotone. Bracketing indices and weights are computed once
-per (control, node) pair and cached in OperatorTables.
-
-The last interior node has no upper neighbour; its forward difference
-substitutes the ghost value v[m] := v[m-2] over the mirrored spacing.
-At the first interior node a negative drift has no lower neighbour and
-its contribution is dropped, which keeps the row monotone.
-
-The candidate search at each node is restricted to controls the mesh can
-represent: the jump target must not leave the state hull (a clamped
-projection silently discards the dominant part of the jump difference,
-letting extreme candidates look spuriously cheap and draining the edge
-values), and a negative drift is only admitted where the lower neighbour
-exists. The identity control rho = 1 is admissible at every node, so the
-restricted search is never empty.
-
-With these conventions the implicit matrix I - h_t * A(rho) has positive
-diagonal, nonpositive off-diagonals and row sums 1 - h_t * r, hence is
-strictly diagonally dominant whenever h_t * r < 1.
+OperatorTables holds every row of every A(rho), and below them the rows
+of B, once, in a fixed-width row store: evaluating all candidates is one
+sparse product, and the policy system of a sweep gathers one row per
+node from the same store.
 """
 
 from __future__ import annotations
@@ -62,11 +50,6 @@ __all__ = [
     "make_control_set",
     "jump_target",
     "source_term",
-    "admissible_control",
-    "apply_jump_drift_row",
-    "obstacle_apply",
-    "minimize_over_controls",
-    "scheme_residual",
     "OperatorTables",
     "build_tables",
     "operator_values",
@@ -138,200 +121,107 @@ def source_term(params: ModelParams, state, rho):
     return state / (1.0 - state) * surplus
 
 
-def admissible_control(grid: Grid, j: int, rho: float) -> bool:
-    """Whether the candidate search at node j may consider this control.
-
-    Requires the jump target to stay inside the state hull and, at the
-    first node, a nonnegative drift (there is no lower neighbour for the
-    backward difference). rho = 1 passes at every node.
-    """
-    s = grid.states
-    if not 0 <= j < s.size:
-        raise IndexError(f"scheme: node index {j} outside the stored mesh")
-    target = jump_target(s[j], rho)
-    if not s[0] <= target <= s[-1]:
-        return False
-    return not (j == 0 and rho > 1.0)
-
-
-def apply_jump_drift_row(v, grid: Grid, j: int, rho: float, params: ModelParams):
-    """Stationary operator row at node j for one control.
-
-    Returns pi * (v at jump target - v[j] + upwinded drift difference)
-    plus the discount absorption r * v[j], the jump value interpolated
-    between the bracketing nodes (targets outside the hull, which only an
-    inadmissible candidate produces, credit the hull end). Linear in v
-    for fixed (j, rho).
-    """
-    s = grid.states
-    m = s.size
-    if not 0 <= j < m:
-        raise IndexError(f"scheme: node index {j} outside the stored mesh")
-    if rho <= 0.0:
-        raise ValueError(f"scheme: control must be positive, got {rho}")
-    tgt = min(max(jump_target(s[j], rho), s[0]), s[-1])
-    lo = int(np.searchsorted(s, tgt, side="right")) - 1
-    if lo >= m - 1:
-        credit = v[m - 1]
-    else:
-        frac = (tgt - s[lo]) / (s[lo + 1] - s[lo])
-        credit = (1.0 - frac) * v[lo] + frac * v[lo + 1]
-    b = (1.0 - rho) * (1.0 - s[j]) * s[j]
-    if b > 0.0:
-        if j == m - 1:
-            dv = (v[m - 2] - v[m - 1]) / (s[m - 1] - s[m - 2])
-        else:
-            dv = (v[j + 1] - v[j]) / (s[j + 1] - s[j])
-    elif b < 0.0 and j >= 1:
-        dv = (v[j] - v[j - 1]) / (s[j] - s[j - 1])
-    else:
-        dv = 0.0
-    return params.pi_intensity * (credit - v[j] + b * dv) + params.r * v[j]
-
-
-def obstacle_apply(v, grid: Grid, j: int):
-    """One-sided monotonicity expression (v[j-1] - v[j]) / (s_j - s_{j-1}).
-
-    Nonnegative wherever the surface is nonincreasing. The operator has
-    no row at the first interior node.
-    """
-    if j < 1:
-        raise ValueError("scheme: the obstacle operator has no row at the first node")
-    s = grid.states
-    if j >= s.size:
-        raise IndexError(f"scheme: node index {j} outside the stored mesh")
-    return (v[j - 1] - v[j]) / (s[j] - s[j - 1])
-
-
-def minimize_over_controls(
-    v_next, v, grid: Grid, j: int, params: ModelParams, controls: ControlSet
-):
-    """Best admissible candidate at node j and its h_t-scaled stationary value.
-
-    Scans every candidate passing admissible_control, returning
-    (rho_star, h_t * (A(rho_star) v + l(rho_star))[j]); exact ties
-    resolve to the smallest candidate. ``v_next`` is accepted for
-    signature symmetry with the time-coupled residual; the minimized
-    quantity is the stationary part only.
-    """
-    cand = controls.candidates
-    if cand.size == 0:
-        raise ValueError("scheme: empty control set")
-    best_rho, best_val = None, np.inf
-    for rho in cand:
-        if not admissible_control(grid, j, rho):
-            continue
-        val = apply_jump_drift_row(v, grid, j, rho, params) + source_term(
-            params, grid.states[j], rho
-        )
-        if val < best_val:
-            best_rho, best_val = float(rho), val
-    if best_rho is None:
-        raise ValueError(f"scheme: no admissible candidate at node {j}")
-    return best_rho, grid.h_t * float(best_val)
-
-
-def scheme_residual(
-    surface, grid: Grid, i: int, j: int, params: ModelParams, controls: ControlSet
-):
-    """Pointwise complementarity residual of a solved surface.
-
-    min of the time-coupled stationary part and the obstacle expression;
-    at the first interior node only the stationary part exists. Both
-    arguments vanish to solver tolerance on a converged surface. The
-    terminal layer carries data, not equations, so i must be < n_steps.
-    """
-    if not 0 <= i < grid.n_steps:
-        raise IndexError(
-            f"scheme: residual defined for time layers 0..{grid.n_steps - 1}, got {i}"
-        )
-    v = surface[i]
-    v_next = surface[i + 1]
-    _, hmin = minimize_over_controls(v_next, v, grid, j, params, controls)
-    pde = v_next[j] - v[j] + hmin
-    if j == 0:
-        return pde
-    return min(pde, obstacle_apply(v, grid, j))
-
-
-# ---------------------------------------------------------------------------
-# vectorized tables used by the policy-iteration solver
-
-
 @dataclass(frozen=True)
 class OperatorTables:
-    """Per (control, node) coefficients cached for one grid and model."""
+    """Every stationary operator row for one grid, model and control ladder.
+
+    Row k*m + j of (cols, weights) is row j of A(rho_k); row K*m + j is
+    the obstacle row of node j (empty at j = 0). Slot 0 of every row is
+    its diagonal, so I - h_t A(rho) differs from -h_t A(rho) in slot 0
+    only; unused slots carry explicit zeros on the diagonal column.
+    """
 
     controls: np.ndarray  # (K,)
-    jump_lo: np.ndarray  # (K, m) lower bracketing node of the jump target
-    jump_hi: np.ndarray  # (K, m) upper bracketing node (== lo at the top)
-    jump_frac: np.ndarray  # (K, m) weight on jump_hi, in [0, 1)
-    drift: np.ndarray  # (K, m) signed drift coefficient
-    drift_pos: np.ndarray  # (K, m) positive part
-    drift_neg: np.ndarray  # (K, m) negative part (<= 0)
+    cols: np.ndarray  # ((K+1)*m, WIDTH) column index per slot
+    weights: np.ndarray  # ((K+1)*m, WIDTH) coefficient per slot
     source: np.ndarray  # (K, m) running income rate
-    admissible: np.ndarray  # (K, m) admissible_control per pair
-    h_plus: np.ndarray  # (m,) forward spacings, mirrored in the last slot
-    h_minus: np.ndarray  # (m,) backward spacings, first slot unused
+    admissible: np.ndarray  # (K, m) whether the candidate search may use the pair
+
+
+# slots: diagonal, the two nodes bracketing the jump target, upwind neighbour
+WIDTH = 4
 
 
 def build_tables(grid: Grid, params: ModelParams, controls: ControlSet) -> OperatorTables:
+    # fills the store slot by slot in place: whole (K, m, WIDTH)
+    # temporaries would double the transient memory of a large ladder
     s = grid.states
     m = s.size
     rho = controls.candidates[:, None]
-    target = rho * s[None, :] / (1.0 + s[None, :] * (rho - 1.0))
-    drift = (1.0 - rho) * ((1.0 - s) * s)[None, :]
-    admissible = (target >= s[0]) & (target <= s[-1])
+    K = rho.shape[0]
+    pi = params.pi_intensity
+    node = np.arange(m)
+    gap = np.diff(s)
+    cols = np.empty(((K + 1) * m, WIDTH), dtype=np.int32)
+    weights = np.zeros(((K + 1) * m, WIDTH))
+    op_cols = cols[: K * m].reshape(K, m, WIDTH)
+    op_weights = weights[: K * m].reshape(K, m, WIDTH)
+    op_cols[..., 0] = node
+
+    work = jump_target(s, rho)
+    admissible = (work >= s[0]) & (work <= s[-1])
     admissible[:, 0] &= controls.candidates <= 1.0
-    tgt = np.clip(target, s[0], s[-1])
-    jump_lo = np.clip(np.searchsorted(s, tgt, side="right") - 1, 0, m - 1)
-    jump_hi = np.minimum(jump_lo + 1, m - 1)
-    span = np.where(jump_hi > jump_lo, s[jump_hi] - s[jump_lo], 1.0)
-    jump_frac = np.where(jump_hi > jump_lo, (tgt - s[jump_lo]) / span, 0.0)
-    surplus = params.alpha - params.beta + np.maximum(
-        params.beta - rho * params.delta * params.pi_intensity, 0.0
-    )
-    source = (s / (1.0 - s))[None, :] * surplus
-    h_plus = np.empty_like(s)
-    h_plus[:-1] = np.diff(s)
-    h_plus[-1] = s[-1] - s[-2]
-    h_minus = np.empty_like(s)
-    h_minus[1:] = np.diff(s)
-    h_minus[0] = h_plus[0]
+    # inadmissible targets are credited at the hull end; a target on the
+    # top node takes the full weight of the upper bracket
+    np.clip(work, s[0], s[-1], out=work)
+    lo = np.searchsorted(s, work, side="right")
+    lo -= 1
+    np.minimum(lo, m - 2, out=lo)
+    op_cols[..., 1] = lo
+    op_cols[..., 2] = op_cols[..., 1] + 1
+    work -= s[lo]
+    work /= gap[lo]
+    np.multiply(pi, work, out=op_weights[..., 2])
+    np.subtract(pi, op_weights[..., 2], out=op_weights[..., 1])
+
+    # upwind neighbour: j + 1 (the ghost's mirror m - 2 at the top) or
+    # j - 1 (none at the first node)
+    np.multiply(1.0 - rho, (1.0 - s) * s, out=work)
+    down = work < 0.0
+    op_cols[..., 3] = np.append(node[1:], m - 2)
+    np.copyto(op_cols[..., 3], np.maximum(node - 1, 0), where=down)
+    np.abs(work, out=work)
+    np.divide(work, np.append(gap, gap[-1]), out=work, where=~down)
+    np.divide(work, np.append(np.inf, gap), out=work, where=down)
+    np.multiply(pi, work, out=op_weights[..., 3])
+    np.subtract(params.r - pi, op_weights[..., 3], out=op_weights[..., 0])
+
+    cols[K * m :] = node[:, None]
+    cols[K * m + 1 :, 1] = node[:-1]
+    weights[K * m + 1 :, 0] = -1.0 / gap
+    weights[K * m + 1 :, 1] = 1.0 / gap
     return OperatorTables(
         controls=controls.candidates,
-        jump_lo=jump_lo,
-        jump_hi=jump_hi,
-        jump_frac=jump_frac,
-        drift=drift,
-        drift_pos=np.maximum(drift, 0.0),
-        drift_neg=np.minimum(drift, 0.0),
-        source=source,
+        cols=cols,
+        weights=weights,
+        source=source_term(params, s, rho),
         admissible=admissible,
-        h_plus=h_plus,
-        h_minus=h_minus,
     )
 
 
 def operator_values(v, grid: Grid, params: ModelParams, tables: OperatorTables):
     """(K, m) array of (A(rho) v + l(rho))[j] for every candidate and node.
 
-    Inadmissible (candidate, node) pairs are reported as +inf so they
-    never win the minimization.
+    Evaluated as A(v - v[-1]) + r * v[-1], which is exact algebra because
+    every row of A sums to r: on a flat block that reaches the top node
+    the candidates then differ by their income rate alone, so exact ties
+    resolve to the smallest candidate. Inadmissible (candidate, node)
+    pairs are reported as +inf so they never win the minimization.
     """
-    dplus = np.empty_like(v)
-    dplus[:-1] = (v[1:] - v[:-1]) / tables.h_plus[:-1]
-    dplus[-1] = (v[-2] - v[-1]) / tables.h_plus[-1]
-    dminus = np.zeros_like(v)
-    dminus[1:] = (v[1:] - v[:-1]) / tables.h_minus[1:]
-    credit = (1.0 - tables.jump_frac) * v[tables.jump_lo] + tables.jump_frac * v[tables.jump_hi]
-    out = (
-        params.pi_intensity
-        * (credit - v[None, :] + tables.drift_pos * dplus[None, :]
-           + tables.drift_neg * dminus[None, :])
-        + params.r * v[None, :]
-        + tables.source
+    n = tables.source.size
+    stacked = sparse.csr_matrix(
+        (
+            tables.weights[:n].ravel(),
+            tables.cols[:n].ravel(),
+            np.arange(0, n * WIDTH + 1, WIDTH, dtype=np.int32),
+        ),
+        shape=(n, v.size),
+        copy=False,
     )
+    top = v[-1]
+    out = (stacked @ (v - top)).reshape(tables.source.shape)
+    out += params.r * top
+    out += tables.source
     out[~tables.admissible] = np.inf
     return out
 
@@ -359,8 +249,6 @@ def solve_policy_system(
     to the later time layer). The first node must never sit in ``region``
     so the system stays nonsingular.
     """
-    s = grid.states
-    m = s.size
     ht = grid.h_t
     if ht * params.r >= 1.0:
         raise ValueError(
@@ -369,56 +257,17 @@ def solve_policy_system(
         )
     if region[0]:
         raise ValueError("scheme: the first node has no obstacle row")
-    ar = np.arange(m)
-    b = tables.drift[kstar, ar]
-    jlo = tables.jump_lo[kstar, ar]
-    jhi = tables.jump_hi[kstar, ar]
-    jfr = tables.jump_frac[kstar, ar]
-    src = tables.source[kstar, ar]
+    K, m = tables.source.shape
+    node = np.arange(m)
     pde = ~np.asarray(region, dtype=bool)
-    pi = params.pi_intensity
-
-    rows, cols, vals = [], [], []
-
-    idx = np.where(pde)[0]
-    rows.append(idx)
-    cols.append(idx)
-    vals.append(np.full(idx.size, 1.0 - ht * params.r + ht * pi))
-    rows.append(idx)
-    cols.append(jlo[idx])
-    vals.append(-ht * pi * (1.0 - jfr[idx]))
-    rows.append(idx)
-    cols.append(jhi[idx])
-    vals.append(-ht * pi * jfr[idx])
-
-    up = np.where(pde & (b > 0.0))[0]
-    ucol = np.where(up == m - 1, m - 2, up + 1)
-    rows.append(up)
-    cols.append(up)
-    vals.append(ht * pi * b[up] / tables.h_plus[up])
-    rows.append(up)
-    cols.append(ucol)
-    vals.append(-ht * pi * b[up] / tables.h_plus[up])
-
-    dn = np.where(pde & (b < 0.0) & (ar > 0))[0]
-    rows.append(dn)
-    cols.append(dn)
-    vals.append(-ht * pi * b[dn] / tables.h_minus[dn])
-    rows.append(dn)
-    cols.append(dn - 1)
-    vals.append(ht * pi * b[dn] / tables.h_minus[dn])
-
-    obs = np.where(~pde)[0]
-    rows.append(obs)
-    cols.append(obs)
-    vals.append(-1.0 / tables.h_minus[obs])
-    rows.append(obs)
-    cols.append(obs - 1)
-    vals.append(1.0 / tables.h_minus[obs])
-
-    matrix = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+    rows = np.where(pde, kstar * m + node, K * m + node)
+    # -h_t A(rho) plus the identity on continuation rows, -B on obstacle
+    # rows: positive diagonal and nonpositive off-diagonals throughout
+    weights = tables.weights[rows] * np.where(pde, -ht, -1.0)[:, None]
+    weights[:, 0] += pde
+    matrix = sparse.csr_matrix(
+        (weights.ravel(), tables.cols[rows].ravel(), np.arange(0, m * WIDTH + 1, WIDTH)),
         shape=(m, m),
-    ).tocsr()
-    rhs = np.where(pde, v_next + ht * src, 0.0)
+    )
+    rhs = np.where(pde, v_next + ht * tables.source[kstar, node], 0.0)
     return spsolve(matrix, rhs)

@@ -15,7 +15,6 @@ from insdual import (
     build_uniform,
     complementarity_extrema,
     conjugate_utility,
-    discrete_wealth,
     evolve_path,
     expand,
     growth_margins,
@@ -23,6 +22,7 @@ from insdual import (
     sde_residual,
     solve_backward,
     terminal_condition,
+    wealth_row,
 )
 from insdual.cli import RunConfig, run
 from tests.test_howard import enumerate_toy_layer, toy_problem
@@ -58,7 +58,7 @@ def test_1_cheap_reinsurance_analytic_oracle(cheap_params):
     # backward difference behind the wealth map carries an O(h) bias, so
     # reconstruction accuracy is measured as constancy along the path
     j_mid = int(np.argmin(np.abs(grid.states - 0.5)))
-    x = discrete_wealth(solution, 0, j_mid)
+    x = wealth_row(solution, 0)[j_mid]
     path = evolve_path(solution, [0.4, 0.8], x)
     assert float(np.max(np.abs(path.theta))) <= 0.02
     assert float(np.max(np.abs(path.wealth - x))) <= 0.02

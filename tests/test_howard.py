@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 
@@ -7,10 +8,8 @@ import pytest
 from insdual import (
     ControlSet,
     Grid,
+    REGION_OBSTACLE,
     HowardNonconvergence,
-    ModelParams,
-    admissible_control,
-    apply_jump_drift_row,
     build_uniform,
     complementarity_extrema,
     conjugate_utility,
@@ -18,11 +17,12 @@ from insdual import (
     growth_margins,
     make_control_set,
     solve_backward,
-    solve_time_step,
-    source_term,
     terminal_condition,
 )
+from insdual.howard import solve_time_step
+from insdual.scheme import source_term
 from tests.test_model import make_params
+from tests.test_scheme import admissible_oracle, stationary_oracle
 
 
 def toy_problem():
@@ -40,23 +40,21 @@ def enumerate_toy_layer(grid, params, controls, v_next, tol=1e-9):
     """Every admissible (control, region) assignment, solved densely.
 
     For each assignment the affine system is recovered by probing the
-    pointwise row evaluators with unit vectors and solved with plain
-    dense algebra, then screened against the discrete complementarity
+    scalar row oracle with unit vectors and solved with plain dense
+    algebra, then screened against the discrete complementarity
     conditions. Returns the list of surviving layer vectors.
     """
     m = grid.n_nodes
     ht = grid.h_t
-    s = grid.states
-    cand = controls.candidates
+    s = list(grid.states)
+    cand = [float(c) for c in controls.candidates]
     adm = [
-        [k for k in range(cand.size) if admissible_control(grid, j, float(cand[k]))]
+        [k for k in range(len(cand)) if admissible_oracle(s, j, cand[k])]
         for j in range(m)
     ]
 
     def stationary(v, j, k):
-        return apply_jump_drift_row(v, grid, j, float(cand[k]), params) + source_term(
-            params, float(s[j]), float(cand[k])
-        )
+        return stationary_oracle(v, s, j, cand[k], params)
 
     survivors = []
     for kvec in itertools.product(*adm):
@@ -102,15 +100,18 @@ def enumerate_toy_layer(grid, params, controls, v_next, tol=1e-9):
 
 class TestSingleStep:
     def test_undiscounted_singleton_is_explicit_euler(self):
-        # one identity candidate, no obstacle, r = 0: the policy system
-        # collapses to the identity matrix and the layer is exactly
-        # v_next + h_t * source
-        p = make_params(alpha=2.0, beta=1.5, r=0.0)
+        # one identity candidate, r = 0: the policy system collapses to
+        # the identity matrix and the layer is exactly v_next + h_t *
+        # source. alpha < beta makes the source negative, so the layer
+        # stays decreasing and the obstacle cannot bind
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            p = make_params(alpha=1.5, beta=2.0, r=0.0)
         g = build_uniform(10, 40, 1.0)
         cs = ControlSet(np.array([1.0]))
         v_next = terminal_condition(p, g.states)
         v, rho_row, region_row, diag = solve_time_step(
-            g.states * 0 + v_next, g, p, cs, use_obstacle=False, time_index=9
+            g.states * 0 + v_next, g, p, cs, time_index=9
         )
         expected = v_next + g.h_t * source_term(p, g.states, 1.0)
         np.testing.assert_allclose(v, expected, rtol=1e-14)
@@ -196,6 +197,18 @@ class TestBackwardSweep:
         np.testing.assert_array_equal(a.surface, b.surface)
         np.testing.assert_array_equal(a.control, b.control)
         np.testing.assert_array_equal(a.region, b.region)
+
+    def test_flat_obstacle_blocks_report_the_kink(self, dear_params):
+        # at alpha = 5 the obstacle set is a flat block reaching the top
+        # node; on it every candidate from the kink up scores the same
+        # income rate against a zero stencil, and that exact tie must
+        # resolve to the smallest of them, the kink
+        p = dataclasses.replace(dear_params, alpha=5.0)
+        sol = solve_backward(build_uniform(20, 40, p.T), p, make_control_set(p))
+        below_top = sol.region[:, :-1] == REGION_OBSTACLE
+        assert below_top.any()
+        kink = p.beta / (p.delta * p.pi_intensity)
+        np.testing.assert_array_equal(sol.control[:, :-1][below_top], kink)
 
     def test_cheap_howard_stops_fast(self, cheap_solution):
         for d in cheap_solution.diagnostics:

@@ -10,10 +10,10 @@ from insdual import (
     conjugate_utility,
     expand,
     inverse_marginal,
-    jump_target,
     terminal_condition,
     utility,
 )
+from insdual.scheme import jump_target
 
 
 def make_params(**over):

@@ -8,7 +8,6 @@ from insdual import (
     Grid,
     PathEscapeError,
     UnreachableWealthError,
-    discrete_wealth,
     evolve_path,
     find_initial_state,
     project,
@@ -43,7 +42,7 @@ class TestDiscreteWealth:
         rows = np.ones((3, 5))
         sol = make_solution([0.0, 0.5, 1.0], np.linspace(0.2, 0.8, 5), rows, 1.0, p)
         assert np.all(wealth_row(sol, 0) == 0.0)
-        assert discrete_wealth(sol, 1, 3) == 0.0
+        assert wealth_row(sol, 1)[3] == 0.0
 
     def test_hand_computed_backward_difference(self):
         p = make_params(r=0.1)
@@ -52,7 +51,7 @@ class TestDiscreteWealth:
         sol = make_solution([0.0, 0.5, 1.0], states, rows, 1.0, p)
         # node 1: -(1 - 0.5)^2 * (2 - 3) / 0.25 * e^{0.05}
         expected = 0.25 * 4.0 * np.exp(0.1 * 0.5)
-        assert discrete_wealth(sol, 1, 1) == pytest.approx(expected, rel=1e-14)
+        assert wealth_row(sol, 1)[1] == pytest.approx(expected, rel=1e-14)
 
     def test_first_node_uses_forward_difference(self):
         p = make_params(r=0.0)
@@ -60,13 +59,20 @@ class TestDiscreteWealth:
         rows = np.array([[5.0, 3.0, 2.0]] * 2)
         sol = make_solution([0.0, 1.0], states, rows, 1.0, p)
         expected = -((1.0 - 0.2) ** 2) * (3.0 - 5.0) / 0.2
-        assert discrete_wealth(sol, 0, 0) == pytest.approx(expected, rel=1e-14)
+        assert wealth_row(sol, 0)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_row_matches_scalar(self, cheap_solution):
+        g = cheap_solution.grid
+        s = g.states
         for i in (0, 25, 49):
             row = wealth_row(cheap_solution, i)
+            v = cheap_solution.surface[i]
+            undiscount = np.exp(cheap_solution.params.r * g.times[i])
             for j in (0, 1, 49, 98):
-                assert row[j] == discrete_wealth(cheap_solution, i, j)
+                lo = max(j - 1, 0)
+                slope = (v[lo + 1] - v[lo]) / (s[lo + 1] - s[lo])
+                expected = -((1.0 - s[j]) ** 2) * slope * undiscount
+                assert row[j] == pytest.approx(expected, rel=1e-14)
 
     def test_decreasing_surface_gives_nonnegative_wealth(self, cheap_solution):
         assert np.all(wealth_row(cheap_solution, 0) >= 0.0)
@@ -76,31 +82,25 @@ class TestDiscreteWealth:
         # carries an O(h) bias, so first-order agreement is the contract
         g = cheap_solution.grid
         j = int(np.argmin(np.abs(g.states - 0.5)))
-        w = discrete_wealth(cheap_solution, 0, j)
+        w = wealth_row(cheap_solution, 0)[j]
         spacing = float(g.states[j] - g.states[j - 1])
         assert abs(w - 1.0) <= 3.0 * spacing
 
     def test_terminal_layer_has_no_wealth(self, cheap_solution):
         with pytest.raises(IndexError, match="layers"):
             wealth_row(cheap_solution, cheap_solution.grid.n_steps)
-        with pytest.raises(IndexError, match="layers"):
-            discrete_wealth(cheap_solution, cheap_solution.grid.n_steps, 0)
-
-    def test_bad_node_rejected(self, cheap_solution):
-        with pytest.raises(IndexError, match="node"):
-            discrete_wealth(cheap_solution, 0, cheap_solution.grid.n_nodes)
 
 
 class TestFindInitialState:
     def test_exact_hit(self, cheap_solution):
-        x = discrete_wealth(cheap_solution, 0, 30)
+        x = wealth_row(cheap_solution, 0)[30]
         j, y = find_initial_state(cheap_solution, x)
         assert j == 30
         assert y == expand(float(cheap_solution.grid.states[30]))
 
     def test_midpoint_start(self, cheap_solution):
         j, y = find_initial_state(
-            cheap_solution, discrete_wealth(cheap_solution, 0, 49)
+            cheap_solution, wealth_row(cheap_solution, 0)[49]
         )
         assert cheap_solution.grid.states[j] == 0.5
         assert y == 1.0
@@ -113,49 +113,31 @@ class TestFindInitialState:
         with pytest.raises(ValueError, match="nonnegative"):
             find_initial_state(cheap_solution, -0.5)
 
-    def test_interpolated_start_brackets(self, cheap_solution):
-        row = wealth_row(cheap_solution, 0)
-        x = 0.5 * (row[49] + row[50])
-        j, y = find_initial_state(cheap_solution, x, interpolate=True)
-        assert j in (49, 50)
-        y_lo = expand(float(cheap_solution.grid.states[49]))
-        y_hi = expand(float(cheap_solution.grid.states[50]))
-        assert min(y_lo, y_hi) < y < max(y_lo, y_hi)
-        # linear inversion of the bracketing wealths
-        frac = float((row[j] - x) / (row[j] - row[99 - j if j == 50 else j + 1]))
-        assert 0.0 < frac < 1.0
-
-    def test_interpolated_exact_hit_stays_on_node(self, cheap_solution):
-        x = discrete_wealth(cheap_solution, 0, 30)
-        j, y = find_initial_state(cheap_solution, x, interpolate=True)
-        assert j == 30
-        assert y == expand(float(cheap_solution.grid.states[30]))
-
 
 class TestClaimSnapping:
     def test_on_grid_times(self, cheap_solution):
         path = evolve_path(
             cheap_solution, [0.3, 0.7],
-            discrete_wealth(cheap_solution, 0, 49),
+            wealth_row(cheap_solution, 0)[49],
         )
         assert list(np.flatnonzero(path.claim_flag)) == [15, 35]
 
     def test_early_claim_floors_to_first_step(self, cheap_solution):
         path = evolve_path(
-            cheap_solution, [1e-9], discrete_wealth(cheap_solution, 0, 49)
+            cheap_solution, [1e-9], wealth_row(cheap_solution, 0)[49]
         )
         assert path.claim_flag[1] == 1
 
     def test_late_claim_dropped(self, cheap_solution):
         path = evolve_path(
-            cheap_solution, [0.999], discrete_wealth(cheap_solution, 0, 49)
+            cheap_solution, [0.999], wealth_row(cheap_solution, 0)[49]
         )
         assert path.claim_flag.sum() == 0
 
 
 @pytest.fixture(scope="module")
 def cheap_path(cheap_solution):
-    x = discrete_wealth(cheap_solution, 0, 49)
+    x = wealth_row(cheap_solution, 0)[49]
     schedule = ClaimSchedule(times=np.array([0.3, 0.7]), mark=1.0)
     return evolve_path(cheap_solution, schedule, x), x
 
@@ -212,7 +194,8 @@ class TestDearPath:
 
     def test_density_closed_form_without_claims(self, dear_refined_solution):
         sol = dear_refined_solution
-        x = discrete_wealth(sol, 0, int(np.argmin(np.abs(wealth_row(sol, 0) - 1.0))))
+        row = wealth_row(sol, 0)
+        x = row[int(np.argmin(np.abs(row - 1.0)))]
         path = evolve_path(sol, [], x)
         assert np.all(path.claim_flag == 0)
         d, y = 1.0, path.y_init
@@ -234,7 +217,7 @@ class TestRegulation:
         bad = 1.0 + 0.5 * states
         rows = np.vstack([good] + [bad] * 4)
         sol = make_solution(np.linspace(0.0, 1.0, 5), states, rows, 1.0, p)
-        x = discrete_wealth(sol, 0, 3)
+        x = wealth_row(sol, 0)[3]
         with pytest.raises(PathEscapeError, match="lowest node"):
             evolve_path(sol, [], x)
 
@@ -247,7 +230,7 @@ class TestRegulation:
         n = 15
         rows = np.vstack([row] * (n + 1))
         sol = make_solution(np.linspace(0.0, 1.0, n + 1), states, rows, 0.01, p)
-        x = discrete_wealth(sol, 0, 5)
+        x = wealth_row(sol, 0)[5]
         with pytest.raises(PathEscapeError, match="hull"):
             evolve_path(sol, [1.0 / n], x)
 
@@ -261,7 +244,7 @@ class TestRegulation:
         n = 8
         rows = np.vstack([row] * (n + 1))
         sol = make_solution(np.linspace(0.0, 1.0, n + 1), states, rows, 0.5, p)
-        x = discrete_wealth(sol, 0, 3)
+        x = wealth_row(sol, 0)[3]
         path = evolve_path(sol, [], x)
         assert np.all(path.wealth >= 0.0)
         assert np.all(np.diff(path.regulator) <= 0.0)

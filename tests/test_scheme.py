@@ -1,26 +1,23 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from insdual import (
     ControlSet,
     Grid,
-    ModelParams,
-    admissible_control,
-    apply_jump_drift_row,
-    build_tables,
     build_uniform,
     conjugate_utility,
     expand,
-    jump_target,
     make_control_set,
-    minimize_over_controls,
-    obstacle_apply,
+    scheme,
+    terminal_condition,
+)
+from insdual.scheme import (
+    build_tables,
     obstacle_values,
     operator_values,
-    scheme_residual,
     solve_policy_system,
     source_term,
-    terminal_condition,
 )
 from tests.test_model import make_params
 
@@ -57,6 +54,38 @@ def row_oracle(v, s, j, rho, params):
     else:
         dv = 0.0
     return params.pi_intensity * (credit - v[j] + b * dv) + params.r * v[j]
+
+
+def admissible_oracle(s, j, rho):
+    """Scalar admissibility rule: the jump target stays inside the hull,
+    and the first node admits no negative drift (it has no lower neighbour)."""
+    tgt = rho * s[j] / (1.0 + s[j] * (rho - 1.0))
+    return s[0] <= tgt <= s[-1] and not (j == 0 and rho > 1.0)
+
+
+def stationary_oracle(v, s, j, rho, params):
+    """Scalar (A(rho) v + l(rho))[j]."""
+    return row_oracle(v, s, j, rho, params) + source_term(params, s[j], rho)
+
+
+def stored_row(tables, v, k, j):
+    """Row j of block k of the stacked store applied to v (k = K: obstacle)."""
+    r = k * v.size + j
+    return float(tables.weights[r] @ v[tables.cols[r]])
+
+
+def best_candidates(v, grid, params, controls):
+    """The solver's argmin: per node, the winning candidate and its value."""
+    vals = operator_values(v, grid, params, build_tables(grid, params, controls))
+    k = np.argmin(vals, axis=0)
+    return controls.candidates[k], vals[k, np.arange(v.size)]
+
+
+def complementarity_row(surface, grid, i, params, tables):
+    """Pointwise complementarity residual of layer i of a surface."""
+    v = surface[i]
+    pde = surface[i + 1] - v + grid.h_t * operator_values(v, grid, params, tables).min(axis=0)
+    return np.minimum(pde, obstacle_values(v, grid))
 
 
 class TestControlSet:
@@ -114,46 +143,44 @@ class TestSourceTerm:
 class TestAdmissibility:
     def test_identity_everywhere(self):
         g = build_uniform(10, 100, 1.0)
-        assert all(admissible_control(g, j, 1.0) for j in range(g.n_nodes))
+        tables = build_tables(g, make_params(), ControlSet(np.array([1.0])))
+        assert tables.admissible.all()
 
     def test_first_node_only_identity(self):
         # rho > 1 fails the drift rule there, rho < 1 sends the jump
         # target below the hull: the first node cannot retain risk
         g = build_uniform(10, 100, 1.0)
-        assert admissible_control(g, 0, 1.0)
-        assert not admissible_control(g, 0, 1.0001)
-        assert not admissible_control(g, 0, 0.999)
+        cs = ControlSet(np.array([0.999, 1.0, 1.0001]))
+        tables = build_tables(g, make_params(), cs)
+        assert tables.admissible[:, 0].tolist() == [False, True, False]
 
     def test_hull_containment(self):
         g = build_uniform(10, 100, 1.0)
-        top = g.n_nodes - 1
-        assert not admissible_control(g, top, 1000.0)
-        assert not admissible_control(g, 0, 1e-3)
-        assert admissible_control(g, 50, 1.5)
-
-    def test_index_error(self):
-        g = build_uniform(10, 100, 1.0)
-        with pytest.raises(IndexError):
-            admissible_control(g, g.n_nodes, 1.0)
+        cs = ControlSet(np.array([1e-3, 1.5, 1000.0]))
+        admissible = build_tables(g, make_params(), cs).admissible
+        assert not admissible[2, g.n_nodes - 1]
+        assert not admissible[0, 0]
+        assert admissible[1, 50]
 
 
 class TestOperatorRow:
     def test_identity_control_is_pure_discount(self):
         g = build_uniform(10, 100, 1.0)
         p = make_params()
+        tables = build_tables(g, p, ControlSet(np.array([1.0])))
         rng = np.random.default_rng(3)
         v = rng.uniform(0.5, 2.0, g.n_nodes)
         for j in (0, 17, 98):
-            assert apply_jump_drift_row(v, g, j, 1.0, p) == pytest.approx(
-                p.r * v[j], rel=1e-13
-            )
+            assert stored_row(tables, v, 0, j) == pytest.approx(p.r * v[j], rel=1e-13)
 
     def test_constant_row_is_discounted_constant(self):
         g = build_uniform(10, 50, 1.0)
         p = make_params()
-        v = np.full(g.n_nodes, 3.7)
-        for j, rho in ((5, 0.8), (20, 1.3), (40, 2.0)):
-            assert apply_jump_drift_row(v, g, j, rho, p) == pytest.approx(
+        cs = ControlSet(np.array([0.8, 1.3, 2.0]))
+        vals = operator_values(np.full(g.n_nodes, 3.7), g, p, build_tables(g, p, cs))
+        for j, k in ((5, 0), (20, 1), (40, 2)):
+            rho = cs.candidates[k]
+            assert vals[k, j] - source_term(p, g.states[j], rho) == pytest.approx(
                 p.r * 3.7, rel=1e-13
             )
 
@@ -161,60 +188,60 @@ class TestOperatorRow:
         g = Grid(times=np.array([0.0, 0.5, 1.0]),
                  states=np.array([1, 2, 3, 4, 5]) / 6.0)
         p = dear_params()
+        tables = build_tables(g, p, ControlSet(np.array([2.0])))
         v = g.states.copy()
         s = list(g.states)
         for j in range(5):
-            got = apply_jump_drift_row(v, g, j, 2.0, p)
+            got = stored_row(tables, v, 0, j)
             assert got == pytest.approx(row_oracle(v, s, j, 2.0, p), rel=1e-13)
 
     def test_matches_oracle_on_random_rows(self):
         g = build_uniform(4, 37, 1.0)
         p = dear_params()
+        cs = ControlSet(np.array([0.4, 0.93, 1.0, 1.075, 1.8, 6.0]))
+        tables = build_tables(g, p, cs)
         rng = np.random.default_rng(11)
         v = np.sort(rng.uniform(0.1, 9.0, g.n_nodes))[::-1].copy()
         s = list(g.states)
-        for rho in (0.4, 0.93, 1.0, 1.075, 1.8, 6.0):
+        for k, rho in enumerate(cs.candidates):
             for j in (0, 1, 17, 34, 35):
-                got = apply_jump_drift_row(v, g, j, rho, p)
+                got = stored_row(tables, v, k, j)
                 assert got == pytest.approx(row_oracle(v, s, j, rho, p), rel=1e-12)
-
-    def test_rejects(self):
-        g = build_uniform(4, 10, 1.0)
-        v = np.ones(g.n_nodes)
-        with pytest.raises(ValueError, match="positive"):
-            apply_jump_drift_row(v, g, 2, 0.0, make_params())
-        with pytest.raises(IndexError):
-            apply_jump_drift_row(v, g, 9, 1.0, make_params())
 
 
 class TestObstacle:
     def test_constant_row(self):
         g = build_uniform(4, 20, 1.0)
-        assert obstacle_apply(np.ones(g.n_nodes), g, 5) == 0.0
+        assert obstacle_values(np.ones(g.n_nodes), g)[5] == 0.0
 
     def test_decreasing_row_positive(self):
         g = build_uniform(4, 20, 1.0)
-        v = 1.0 / g.states
-        assert obstacle_apply(v, g, 7) > 0.0
+        assert obstacle_values(1.0 / g.states, g)[7] > 0.0
 
     def test_linear_row_is_minus_one(self):
         g = build_uniform(4, 100, 1.0)
-        v = g.states.copy()
-        assert obstacle_apply(v, g, 30) == pytest.approx(-1.0)
+        assert obstacle_values(g.states.copy(), g)[30] == pytest.approx(-1.0)
 
     def test_no_row_at_first_node(self):
         g = build_uniform(4, 20, 1.0)
-        with pytest.raises(ValueError, match="first node"):
-            obstacle_apply(np.ones(g.n_nodes), g, 0)
+        p = make_params()
+        tables = build_tables(g, p, ControlSet(np.array([1.0])))
+        assert obstacle_values(np.ones(g.n_nodes), g)[0] == np.inf
+        assert not tables.weights[g.n_nodes].any()
 
     def test_vectorized_matches_scalar(self):
+        # the stacked obstacle rows sit below the K operator blocks
         g = build_uniform(4, 20, 1.0)
+        p = make_params()
+        cs = ControlSet(np.array([0.5, 1.0]))
+        tables = build_tables(g, p, cs)
         rng = np.random.default_rng(5)
         v = rng.uniform(0.0, 1.0, g.n_nodes)
         out = obstacle_values(v, g)
         assert out[0] == np.inf
         for j in range(1, g.n_nodes):
-            assert out[j] == pytest.approx(obstacle_apply(v, g, j), rel=1e-14)
+            got = stored_row(tables, v, cs.candidates.size, j)
+            assert out[j] == pytest.approx(got, rel=1e-14)
 
 
 class TestMinimize:
@@ -223,10 +250,10 @@ class TestMinimize:
         p = dear_params()
         cs = ControlSet(np.array([1.0]))
         v = 1.0 / g.states
-        rho, val = minimize_over_controls(v, v, g, 12, p, cs)
-        assert rho == 1.0
-        expected = g.h_t * (p.r * v[12] + source_term(p, g.states[12], 1.0))
-        assert val == pytest.approx(expected, rel=1e-13)
+        rho, val = best_candidates(v, g, p, cs)
+        assert rho[12] == 1.0
+        expected = p.r * v[12] + source_term(p, g.states[12], 1.0)
+        assert val[12] == pytest.approx(expected, rel=1e-13)
 
     def test_exhaustive_scan_oracle(self):
         g = build_uniform(5, 21, 1.0)
@@ -236,17 +263,17 @@ class TestMinimize:
         v = np.sort(rng.uniform(0.2, 8.0, g.n_nodes))[::-1].copy()
         cs = ControlSet(np.sort(np.append(np.geomspace(0.05, 20.0, 50), 1.0)))
         s = list(g.states)
+        rho_got, val_got = best_candidates(v, g, p, cs)
         for j in range(g.n_nodes):
             best_rho, best_val = None, np.inf
             for rho in cs.candidates:
-                if not admissible_control(g, j, rho):
+                if not admissible_oracle(s, j, rho):
                     continue
-                val = row_oracle(v, s, j, rho, p) + source_term(p, s[j], rho)
+                val = stationary_oracle(v, s, j, rho, p)
                 if val < best_val:
                     best_rho, best_val = rho, val
-            rho_got, val_got = minimize_over_controls(v, v, g, j, p, cs)
-            assert rho_got == best_rho
-            assert val_got == pytest.approx(g.h_t * best_val, rel=1e-12)
+            assert rho_got[j] == best_rho
+            assert val_got[j] == pytest.approx(best_val, rel=1e-12)
 
     def test_never_beaten_by_identity(self):
         g = build_uniform(10, 40, 1.0)
@@ -254,22 +281,19 @@ class TestMinimize:
         cs = make_control_set(p, count=41)
         rng = np.random.default_rng(7)
         v = np.sort(rng.uniform(0.1, 5.0, g.n_nodes))[::-1].copy()
+        s = list(g.states)
+        _, val = best_candidates(v, g, p, cs)
         for j in (0, 3, 20, g.n_nodes - 1):
-            _, val = minimize_over_controls(v, v, g, j, p, cs)
-            identity = g.h_t * (
-                apply_jump_drift_row(v, g, j, 1.0, p)
-                + source_term(p, g.states[j], 1.0)
-            )
-            assert val <= identity + 1e-14
+            identity = stationary_oracle(v, s, j, 1.0, p)
+            assert val[j] <= identity + 1e-13 * abs(identity)
 
     def test_cheap_convex_row_minimized_by_identity(self):
         g = build_uniform(10, 100, 1.0)
         p = make_params()
         v = conjugate_utility(p, expand(g.states))
-        cs = make_control_set(p)
+        rho, _ = best_candidates(v, g, p, make_control_set(p))
         for j in (10, 49, 80):
-            rho, _ = minimize_over_controls(v, v, g, j, p, cs)
-            assert rho == 1.0
+            assert rho[j] == 1.0
 
     def test_tie_takes_smallest(self):
         # constant row, cheap params: every rho >= 1 scores r*c exactly,
@@ -278,9 +302,23 @@ class TestMinimize:
         p = make_params()
         v = np.full(g.n_nodes, 2.0)
         cs = ControlSet(np.array([0.5, 1.0, 1.5, 2.0]))
-        rho, val = minimize_over_controls(v, v, g, 25, p, cs)
-        assert rho == 1.0
-        assert val == pytest.approx(g.h_t * p.r * 2.0, rel=1e-13)
+        rho, val = best_candidates(v, g, p, cs)
+        assert rho[25] == 1.0
+        assert val[25] == pytest.approx(p.r * 2.0, rel=1e-13)
+
+    @pytest.mark.parametrize("c", [3.7, 1.0 / 3.0, 123.456])
+    def test_constant_rows_tie_exactly(self, c):
+        # on a constant row every admissible rho >= 1 must score the same
+        # bits at every node, so the argmin takes rho = 1 everywhere
+        g = build_uniform(10, 50, 1.0)
+        p = make_params()
+        cs = ControlSet(np.array([0.5, 1.0, 1.5, 2.0]))
+        tables = build_tables(g, p, cs)
+        vals = operator_values(np.full(g.n_nodes, c), g, p, tables)
+        for j in range(g.n_nodes):
+            kept = vals[1:, j][tables.admissible[1:, j]]
+            assert np.all(kept == kept[0])
+        np.testing.assert_array_equal(cs.candidates[np.argmin(vals, axis=0)], 1.0)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -296,11 +334,11 @@ class TestVectorizedTables:
         rng = np.random.default_rng(2)
         v = np.sort(rng.uniform(0.2, 4.0, g.n_nodes))[::-1].copy()
         vals = operator_values(v, g, p, tables)
+        s = list(g.states)
         for k, rho in enumerate(cs.candidates):
             for j in range(g.n_nodes):
-                if admissible_control(g, j, float(rho)):
-                    expected = apply_jump_drift_row(v, g, j, float(rho), p) \
-                        + source_term(p, g.states[j], float(rho))
+                if admissible_oracle(s, j, rho):
+                    expected = stationary_oracle(v, s, j, rho, p)
                     assert vals[k, j] == pytest.approx(expected, rel=1e-12)
                 else:
                     assert vals[k, j] == np.inf
@@ -310,25 +348,42 @@ class TestVectorizedTables:
         p = dear_params()
         cs = make_control_set(p, count=21)
         tables = build_tables(g, p, cs)
+        s = list(g.states)
         for k, rho in enumerate(cs.candidates):
             for j in range(g.n_nodes):
-                assert tables.admissible[k, j] == admissible_control(g, j, float(rho))
+                assert tables.admissible[k, j] == admissible_oracle(s, j, rho)
 
     def test_interpolation_weights_convex(self):
+        # convex jump weights and upwinding leave every admissible stacked
+        # row with nonnegative off-diagonal entries summing, with the
+        # diagonal, to the discount r
         g = build_uniform(5, 33, 1.0)
         p = dear_params()
         tables = build_tables(g, p, make_control_set(p, count=21))
-        assert np.all(tables.jump_frac >= 0.0)
-        assert np.all(tables.jump_frac < 1.0)
-        assert np.all(tables.jump_hi >= tables.jump_lo)
+        K, m = tables.source.shape
+        assert 0 <= tables.cols.min() and tables.cols.max() < m
+        admissible = tables.admissible.ravel()
+        weights = tables.weights[: K * m][admissible]
+        cols = tables.cols[: K * m][admissible]
+        node = np.tile(np.arange(m), K)[admissible]
+        assert np.all(weights[cols != node[:, None]] >= 0.0)
+        scale = np.abs(weights).max(axis=1)
+        assert np.all(np.abs(weights.sum(axis=1) - p.r) <= 1e-12 * scale)
 
     def test_identity_control_self_credit(self):
+        # rho = 1 jumps onto the node itself and has no drift, so A(1)
+        # reduces to the discount r on the diagonal
         g = build_uniform(5, 33, 1.0)
         p = make_params()
-        cs = ControlSet(np.array([1.0]))
-        tables = build_tables(g, p, cs)
-        np.testing.assert_array_equal(tables.jump_lo[0], np.arange(g.n_nodes))
-        np.testing.assert_array_equal(tables.jump_frac[0], 0.0)
+        tables = build_tables(g, p, ControlSet(np.array([1.0])))
+        m = g.n_nodes
+        dense = np.zeros((m, m))
+        np.add.at(
+            dense,
+            (np.repeat(np.arange(m), tables.cols.shape[1]), tables.cols[:m].ravel()),
+            tables.weights[:m].ravel(),
+        )
+        np.testing.assert_allclose(dense, p.r * np.eye(m), rtol=0.0, atol=1e-14)
 
 
 class TestPolicySystem:
@@ -350,8 +405,8 @@ class TestPolicySystem:
 
     def test_solution_satisfies_assigned_rows(self):
         # the solved row must make every continuation equation vanish
-        # under the *pointwise* row evaluator, and copy its lower
-        # neighbour on obstacle rows
+        # under the scalar row oracle, and copy its lower neighbour on
+        # obstacle rows
         g = build_uniform(4, 20, 1.0)
         p = dear_params()
         cs = ControlSet(np.array([0.7, 1.0, 1.3]))
@@ -365,16 +420,43 @@ class TestPolicySystem:
         region = np.zeros(g.n_nodes, dtype=bool)
         region[[4, 5, 13]] = True
         v = solve_policy_system(v_next, g, p, tables, kstar, region)
+        s = list(g.states)
         for j in range(g.n_nodes):
             if region[j]:
                 assert v[j] == pytest.approx(v[j - 1], rel=1e-12)
             else:
                 rho = float(cs.candidates[kstar[j]])
-                res = v_next[j] - v[j] + g.h_t * (
-                    apply_jump_drift_row(v, g, j, rho, p)
-                    + source_term(p, g.states[j], rho)
-                )
+                res = v_next[j] - v[j] + g.h_t * stationary_oracle(v, s, j, rho, p)
                 assert res == pytest.approx(0.0, abs=1e-12)
+
+    def test_policy_matrix_is_monotone(self, monkeypatch):
+        # positive diagonal, nonpositive off-diagonals, and continuation
+        # rows summing to 1 - h_t * r (obstacle rows sum to 0)
+        g = build_uniform(5, 33, 1.0)
+        p = dear_params()
+        tables = build_tables(g, p, make_control_set(p, count=21))
+        m = g.n_nodes
+        seen = []
+
+        def capture(matrix, rhs):
+            seen.append(matrix.toarray())
+            return spsolve(matrix, rhs)
+
+        monkeypatch.setattr(scheme, "spsolve", capture)
+        rng = np.random.default_rng(4)
+        kstar = np.array(
+            [rng.choice(np.flatnonzero(tables.admissible[:, j])) for j in range(m)]
+        )
+        region = np.zeros(m, dtype=bool)
+        region[[3, 4, 20, m - 1]] = True
+        solve_policy_system(np.linspace(2.0, 1.0, m), g, p, tables, kstar, region)
+        (matrix,) = seen
+        diag = np.diag(matrix)
+        assert np.all(diag > 0.0)
+        assert np.all(matrix - np.diag(diag) <= 0.0)
+        scale = np.abs(matrix).max(axis=1)
+        sums = np.where(region, 0.0, 1.0 - g.h_t * p.r)
+        assert np.all(np.abs(matrix.sum(axis=1) - sums) <= 1e-12 * scale)
 
     def test_rejects_large_time_step(self):
         g = build_uniform(1, 10, 25.0)  # h_t = 25 with r = 0.05
@@ -405,11 +487,11 @@ class TestSchemeResidual:
     def test_converged_solution_residuals(self, cheap_solution):
         g = cheap_solution.grid
         p = cheap_solution.params
-        cs = cheap_solution.controls
+        tables = build_tables(g, p, cheap_solution.controls)
         for i in (0, 25, 49):
+            res = complementarity_row(cheap_solution.surface, g, i, p, tables)
             for j in (0, 1, 49, 97, 98):
-                res = scheme_residual(cheap_solution.surface, g, i, j, p, cs)
-                assert abs(res) <= 1e-9
+                assert abs(res[j]) <= 1e-9
 
     def test_analytic_surface_consistency_rate(self):
         # residual of the exact cheap-reinsurance surface shrinks at
@@ -418,12 +500,12 @@ class TestSchemeResidual:
         res = []
         for nt, ns in ((25, 50), (50, 100), (100, 200)):
             g = build_uniform(nt, ns, p.T)
-            cs = make_control_set(p)
+            tables = build_tables(g, p, make_control_set(p))
             surface = np.exp(-p.r * g.times)[:, None] * conjugate_utility(
                 p, expand(g.states)
             )[None, :]
             j = int(np.where(np.isclose(g.states, 0.5))[0][0])
-            res.append(abs(scheme_residual(surface, g, 0, j, p, cs)))
+            res.append(abs(complementarity_row(surface, g, 0, p, tables)[j]))
         assert res[0] > res[1] > res[2]
         assert res[0] / res[1] >= 1.4
         assert res[1] / res[2] >= 1.4
@@ -431,27 +513,19 @@ class TestSchemeResidual:
     def test_increasing_surface_violates(self):
         g = build_uniform(4, 30, 1.0)
         p = make_params()
-        cs = make_control_set(p, count=11)
+        tables = build_tables(g, p, make_control_set(p, count=11))
         surface = np.tile(g.states * 2.0, (g.n_steps + 1, 1))
-        assert scheme_residual(surface, g, 1, 10, p, cs) < 0.0
+        assert complementarity_row(surface, g, 1, p, tables)[10] < 0.0
 
     def test_first_node_has_no_obstacle_arm(self):
         g = build_uniform(4, 30, 1.0)
         p = make_params()
-        cs = ControlSet(np.array([1.0]))
+        tables = build_tables(g, p, ControlSet(np.array([1.0])))
         surface = np.tile(terminal_condition(p, g.states), (g.n_steps + 1, 1))
         v = surface[1]
         expected = surface[2][0] - v[0] + g.h_t * (
             p.r * v[0] + source_term(p, g.states[0], 1.0)
         )
-        assert scheme_residual(surface, g, 1, 0, p, cs) == pytest.approx(
+        assert complementarity_row(surface, g, 1, p, tables)[0] == pytest.approx(
             expected, rel=1e-12
         )
-
-    def test_terminal_layer_rejected(self):
-        g = build_uniform(4, 30, 1.0)
-        p = make_params()
-        cs = ControlSet(np.array([1.0]))
-        surface = np.zeros((5, g.n_nodes)) + 1.0
-        with pytest.raises(IndexError, match="time layers"):
-            scheme_residual(surface, g, 4, 3, p, cs)
