@@ -22,7 +22,7 @@ import configparser
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -57,72 +57,50 @@ class ConfigError(ValueError):
     """Configuration file or flag rejected before any computation."""
 
 
+def _key(section: str, default):
+    """A RunConfig field read from the key of its own name in [section]."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one run needs, mirroring the INI sections key by key."""
+    """Everything one run needs, declared once.
 
-    # [model]
-    eta: float = 0.5
-    alpha: float = 2.1
-    beta: float = 2.15
-    r: float = 0.05
-    delta: float = 1.0
-    intensity: float = 2.0
-    horizon: float = 1.0
-    # [grid]
-    n_time: int = 50
-    n_state: int = 100
-    refine: bool = True
-    refine_halfwidth: int = 2
-    refine_step: float = 1.0 / 4000.0
-    # [controls]
-    control_low: float = 1e-3
-    control_high: float = 1e3
-    control_count: int = 101
-    # [solver]
-    tol: float = 1e-9
-    max_iter: int = 200
-    # [experiment]; the starting wealth is this package's choice, not a
-    # published value: 1.0 lands the starting node mid-mesh under the
-    # default parameters.
-    x0: float = 1.0
-    claim_times: tuple = (0.4, 0.8)
-    claim_mark: float | None = None
-    seed: int | None = None
-    # [output]
-    out_dir: str = "out"
+    Each field is the INI key of its own name in the section its metadata
+    names; its annotation is the kind the key is parsed as.
+    """
+
+    eta: float = _key("model", 0.5)
+    alpha: float = _key("model", 2.1)
+    beta: float = _key("model", 2.15)
+    r: float = _key("model", 0.05)
+    delta: float = _key("model", 1.0)
+    intensity: float = _key("model", 2.0)
+    horizon: float = _key("model", 1.0)
+    n_time: int = _key("grid", 50)
+    n_state: int = _key("grid", 100)
+    refine: bool = _key("grid", True)
+    refine_halfwidth: int = _key("grid", 2)
+    refine_step: float = _key("grid", 1.0 / 4000.0)
+    control_low: float = _key("controls", 1e-3)
+    control_high: float = _key("controls", 1e3)
+    control_count: int = _key("controls", 101)
+    tol: float = _key("solver", 1e-9)
+    max_iter: int = _key("solver", 200)
+    # the starting wealth is this package's choice, not a published value:
+    # 1.0 lands the starting node mid-mesh under the default parameters
+    x0: float = _key("experiment", 1.0)
+    claim_times: tuple = _key("experiment", (0.4, 0.8))
+    claim_mark: float | None = _key("experiment", None)
+    seed: int | None = _key("experiment", None)
+    out_dir: str = _key("output", "out")
 
 
-_SCHEMA = {
-    "model": {
-        "eta": float,
-        "alpha": float,
-        "beta": float,
-        "r": float,
-        "delta": float,
-        "intensity": float,
-        "horizon": float,
-    },
-    "grid": {
-        "n_time": int,
-        "n_state": int,
-        "refine": bool,
-        "refine_halfwidth": int,
-        "refine_step": float,
-    },
-    "controls": {
-        "control_low": float,
-        "control_high": float,
-        "control_count": int,
-    },
-    "solver": {"tol": float, "max_iter": int},
-    "experiment": {
-        "x0": float,
-        "claim_times": tuple,
-        "claim_mark": float,
-        "seed": int,
-    },
-    "output": {"out_dir": str},
+# (section, key) -> kind; annotations are strings under postponed evaluation
+_KINDS = {"float": float, "int": int, "bool": bool, "tuple": tuple, "str": str}
+_KEYS = {
+    (f.metadata["section"], f.name): _KINDS[f.type.removesuffix(" | None")]
+    for f in fields(RunConfig)
 }
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
@@ -155,16 +133,17 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cli: cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"cli: malformed config file {path}: {exc}") from None
+    sections = {section for section, _ in _KEYS}
     overrides = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ConfigError(f"cli: unknown section [{section}] in {path}")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _KEYS:
                 raise ConfigError(
                     f"cli: unknown key '{key}' in section [{section}] of {path}"
                 )
-            overrides[key] = _convert(section, key, _SCHEMA[section][key], raw)
+            overrides[key] = _convert(section, key, _KEYS[section, key], raw)
     return RunConfig(**overrides)
 
 
@@ -191,55 +170,35 @@ def _claim_schedule(config: RunConfig, params: ModelParams) -> ClaimSchedule:
     )
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _cells(values):
+    """Artifact text of a float array, row-major: 17 significant digits."""
+    return list(map("{:.17g}".format, np.ravel(values).tolist()))
 
 
-def _write_surface(path, solution):
+def _write_table(path, columns, header=None, sep=","):
+    """Write equal-length columns of text cells as rows, newline "\\n"."""
+    with open(path, "w", newline="\n") as f:
+        if header is not None:
+            f.write(header + "\n")
+        f.writelines(sep.join(row) + "\n" for row in zip(*columns))
+
+
+def _surface_columns(solution):
+    """Columns of surface.csv; the terminal layer has no control or region."""
     grid = solution.grid
-    n = grid.n_steps
-    with open(path, "w", newline="\n") as f:
-        f.write("t,state,value,rho,region\n")
-        for i in range(n + 1):
-            t = _fmt(grid.times[i])
-            for j in range(grid.n_nodes):
-                row = [t, _fmt(grid.states[j]), _fmt(solution.surface[i, j])]
-                if i < n:
-                    label = (
-                        "jump"
-                        if solution.region[i, j] == REGION_OBSTACLE
-                        else "no-jump"
-                    )
-                    row += [_fmt(solution.control[i, j]), label]
-                else:
-                    row += ["", ""]
-                f.write(",".join(row) + "\n")
-
-
-def _write_path(path, policy_path):
-    with open(path, "w", newline="\n") as f:
-        f.write("t,theta,wealth,density,regulator,dual_state,claim\n")
-        for i in range(policy_path.times.size):
-            f.write(
-                ",".join(
-                    [
-                        _fmt(policy_path.times[i]),
-                        _fmt(policy_path.theta[i]),
-                        _fmt(policy_path.wealth[i]),
-                        _fmt(policy_path.density[i]),
-                        _fmt(policy_path.regulator[i]),
-                        _fmt(policy_path.dual_state[i]),
-                        str(int(policy_path.claim_flag[i])),
-                    ]
-                )
-                + "\n"
-            )
-
-
-def _write_series(path, xs, ys):
-    with open(path, "w", newline="\n") as f:
-        for x, y in zip(xs, ys):
-            f.write(f"{_fmt(x)} {_fmt(y)}\n")
+    m = grid.n_nodes
+    blank = [""] * m
+    return [
+        [t for t in _cells(grid.times) for _ in range(m)],
+        _cells(grid.states) * (grid.n_steps + 1),
+        _cells(solution.surface),
+        _cells(solution.control) + blank,
+        [
+            "jump" if region == REGION_OBSTACLE else "no-jump"
+            for region in solution.region.ravel().tolist()
+        ]
+        + blank,
+    ]
 
 
 def _control_sensitivity(solution, config: RunConfig):
@@ -359,10 +318,20 @@ def run(config: RunConfig, out_dir=None) -> dict:
     }
 
     os.makedirs(out, exist_ok=True)
-    _write_surface(os.path.join(out, "surface.csv"), solution)
-    _write_path(os.path.join(out, "path.csv"), path)
-    _write_series(os.path.join(out, "strategy.dat"), path.times, path.theta)
-    _write_series(os.path.join(out, "wealth.dat"), path.times, path.wealth)
+    _write_table(
+        os.path.join(out, "surface.csv"),
+        _surface_columns(solution),
+        header="t,state,value,rho,region",
+    )
+    t, theta, wealth = _cells(path.times), _cells(path.theta), _cells(path.wealth)
+    _write_table(
+        os.path.join(out, "path.csv"),
+        [t, theta, wealth, _cells(path.density), _cells(path.regulator),
+         _cells(path.dual_state), [str(c) for c in path.claim_flag.tolist()]],
+        header="t,theta,wealth,density,regulator,dual_state,claim",
+    )
+    _write_table(os.path.join(out, "strategy.dat"), [t, theta], sep=" ")
+    _write_table(os.path.join(out, "wealth.dat"), [t, wealth], sep=" ")
     with open(os.path.join(out, "diagnostics.json"), "w", newline="\n") as f:
         json.dump(diagnostics, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -405,20 +374,13 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config) if args.config else RunConfig()
-        overrides = {}
-        if args.out is not None:
-            overrides["out_dir"] = args.out
+        flags = {"out_dir": args.out, "seed": args.seed, "tol": args.tol}
+        overrides = {key: value for key, value in flags.items() if value is not None}
         if args.no_refine:
             overrides["refine"] = False
-        if args.seed is not None:
-            overrides["seed"] = args.seed
         if args.grid is not None:
             overrides["n_time"], overrides["n_state"] = _parse_grid_flag(args.grid)
-        if args.tol is not None:
-            overrides["tol"] = args.tol
-        if overrides:
-            config = replace(config, **overrides)
-        diagnostics = run(config)
+        diagnostics = run(replace(config, **overrides))
     except HowardNonconvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

@@ -20,15 +20,12 @@ __all__ = ["Grid", "build_uniform", "refine_around", "project"]
 class Grid:
     """Uniform time mesh paired with a strictly increasing state mesh.
 
-    times       t_0 = 0 < t_1 < ... < t_N = horizon, equally spaced
-    states      interior state nodes, strictly increasing inside (0, 1)
-    refinement  optional (center_index, halfwidth, fine_step) descriptor
-                recording how the state mesh was locally refined
+    times   t_0 = 0 < t_1 < ... < t_N = horizon, equally spaced
+    states  interior state nodes, strictly increasing inside (0, 1)
     """
 
     times: np.ndarray
     states: np.ndarray
-    refinement: tuple | None = None
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
@@ -122,11 +119,7 @@ def refine_around(grid: Grid, center_index: int, halfwidth: int, fine_step: floa
     merged = np.sort(np.concatenate([s, np.asarray(new_nodes, dtype=float)]))
     keep = np.ones(merged.size, dtype=bool)
     keep[1:] = np.diff(merged) > fine_step * 1e-6
-    return Grid(
-        times=grid.times,
-        states=merged[keep],
-        refinement=(center_index, halfwidth, fine_step),
-    )
+    return Grid(times=grid.times, states=merged[keep])
 
 
 def project(grid: Grid, state):

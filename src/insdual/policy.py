@@ -13,8 +13,8 @@ Per step i >= 1 the evolution is
 
   1. project the previous dual state onto the mesh -> node j_i,
   2. read the layer-i control rho at node j_i,
-  3. density *= exp(-pi * h_t * (rho - 1)) and *= rho if a claim landed
-     in this step,
+  3. density *= exp(-pi * h_t * (rho - 1)) and *= rho if a claim acts
+     at this step,
   4. dual state = y_init * density * regulator; project it (node j''_i)
      and project the jumped state rho * Y_{i-1} (node j'_i),
   5. while wealth at node j''_i is negative, step j''_i down one node and
@@ -22,7 +22,9 @@ Per step i >= 1 the evolution is
   6. coverage theta_i = (wealth(j_i) - wealth(j'_i)) / delta and
      wealth_i = wealth(j''_i).
 
-Claim times are snapped to the nearest grid time before the loop.
+Claims act at the steps ``simulate.claim_steps`` gives them, and
+``sde_residual`` checks the wealth path against
+``simulate.wealth_increments``: the rules ``integrate_primal`` uses.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 from .grid import project
 from .howard import DiscreteSolution
 from .model import compactify, expand
+from .simulate import claim_steps, wealth_increments
 
 __all__ = [
     "PolicyPath",
@@ -122,20 +125,6 @@ def find_initial_state(solution: DiscreteSolution, x: float):
     return j_init, expand(float(solution.grid.states[j_init]))
 
 
-def _snap_claims(claim_times, h_t: float, n_steps: int):
-    """Indicator of a claim per step index, claims snapped to grid times.
-
-    A claim snapping to index 0 acts at the first step; claims snapping
-    past the last reconstructed layer never enter the path.
-    """
-    flags = np.zeros(n_steps, dtype=np.uint8)
-    for t in np.atleast_1d(np.asarray(claim_times, dtype=float)):
-        idx = max(int(round(t / h_t)), 1)
-        if idx <= n_steps - 1:
-            flags[idx] = 1
-    return flags
-
-
 def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
     """Forward reconstruction of the controlled path starting from wealth x.
 
@@ -148,8 +137,7 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
     ht = grid.h_t
     s = grid.states
 
-    claim_times = getattr(claims, "times", claims)
-    flags = _snap_claims(claim_times, ht, n)
+    flags = claim_steps(claims, ht, n)
 
     j_init, y_init = find_initial_state(solution, x)
 
@@ -162,20 +150,14 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
     theta = np.empty(n)
     wealth = np.empty(n)
 
-    rows = {0: wealth_row(solution, 0)}
-
-    def row(i):
-        if i not in rows:
-            rows[i] = wealth_row(solution, i)
-        return rows[i]
-
     dual_state[0] = y_init * density[0] * regulator[0]
     state_index[0] = j_init
     rho0 = float(solution.control[0][j_init])
     jump_state_index[0] = project(grid, compactify(rho0 * dual_state[0]))
     regulated_state_index[0] = j_init
-    theta[0] = (row(0)[j_init] - row(0)[jump_state_index[0]]) / params.delta
-    wealth[0] = row(0)[j_init]
+    w = wealth_row(solution, 0)
+    theta[0] = (w[j_init] - w[jump_state_index[0]]) / params.delta
+    wealth[0] = w[j_init]
 
     escapes = 0
     for i in range(1, n):
@@ -192,7 +174,7 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
         jpp = project(grid, target)
         unregulated = jpp
 
-        w = row(i)
+        w = wealth_row(solution, i)
         while w[jpp] < 0.0:
             if jpp == 0:
                 raise PathEscapeError(
@@ -237,13 +219,11 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
 def sde_residual(path: PolicyPath, params) -> float:
     """Largest one-step defect of the wealth path against its own dynamics.
 
-    Compares every wealth increment with the drift alpha - beta*(1-theta)
-    held over the step minus the insured claim loss theta * delta when a
-    claim landed in the step.
+    Compares every wealth increment with ``wealth_increments`` under the
+    path's retention and claim steps, each claim of size delta; a path
+    with no step has no defect.
     """
-    dt = np.diff(path.times)
-    dx = np.diff(path.wealth)
-    theta = path.theta[1:]
-    drift = (params.alpha - params.beta * (1.0 - theta)) * dt
-    loss = theta * params.delta * path.claim_flag[1:]
-    return float(np.max(np.abs(dx - drift + loss)))
+    inc = wealth_increments(
+        path.theta, path.claim_flag, np.diff(path.times), params, params.delta
+    )
+    return float(np.max(np.abs(np.diff(path.wealth) - inc), initial=0.0))

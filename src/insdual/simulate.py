@@ -1,9 +1,9 @@
-"""Claim schedules and forward (primal) wealth integration.
+"""Claim schedules, the claim-step and wealth-increment rules, primal wealth.
 
-Used both to feed experiments and as the independent side of the
-reconstruction cross-check: a wealth path produced by the dual solver
-should be reproducible, step by step, by the explicit Euler accumulation
-below under the same strategy and claims.
+The path reconstruction and the forward (primal) Euler accumulation both
+place claims with ``claim_steps`` and step wealth with
+``wealth_increments``, so ``integrate_primal`` reproduces a reconstructed
+wealth path up to exactly that path's ``sde_residual``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import numpy as np
 
 from .model import ModelParams
 
-__all__ = ["ClaimSchedule", "poisson_schedule", "integrate_primal"]
+__all__ = ["ClaimSchedule", "poisson_schedule", "claim_steps", "wealth_increments",
+           "integrate_primal"]
 
 
 @dataclass(frozen=True)
@@ -45,12 +46,6 @@ class ClaimSchedule:
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
 
-    def write_csv(self, path):
-        with open(path, "w", newline="\n") as f:
-            f.write("time,mark\n")
-            for t in self.times:
-                f.write(f"{t:.17g},{self.mark:.17g}\n")
-
 
 def poisson_schedule(
     intensity: float, horizon: float, seed: int, mark: float = 1.0
@@ -75,31 +70,50 @@ def poisson_schedule(
     )
 
 
-def integrate_primal(theta_path, params: ModelParams, claims, x: float, h_t=None):
+def claim_steps(claims, h_t: float, n_steps: int):
+    """Indicator of a claim per step index 0 .. n_steps - 1.
+
+    A claim at time t acts at the nearest grid step round(t / h_t), halves
+    to even; one nearest to step 0 acts at step 1, and one past the last
+    step n_steps - 1 is dropped. ``claims`` is a ClaimSchedule or a bare
+    sequence of claim times.
+    """
+    times = np.asarray(getattr(claims, "times", claims), dtype=float).reshape(-1)
+    if np.isnan(times).any():
+        raise ValueError("simulate: claim times must not be NaN")
+    steps = np.maximum(np.rint(times / h_t), 1.0)
+    flags = np.zeros(n_steps, dtype=np.uint8)
+    flags[steps[steps < n_steps].astype(np.int64)] = 1
+    return flags
+
+
+def wealth_increments(theta, claim_flag, dt, params: ModelParams, mark: float):
+    """Wealth change over each step (t_{i-1}, t_i], i = 1 .. n - 1.
+
+    The drift alpha - beta * (1 - theta_i) over the step dt (a scalar or
+    one per step), minus theta_i * mark when a claim acts at step i; theta
+    and claim_flag are indexed by step 0 .. n - 1.
+    """
+    theta = np.asarray(theta, dtype=float)[1:]
+    drift = (params.alpha - params.beta * (1.0 - theta)) * dt
+    return drift - theta * mark * claim_flag[1:]
+
+
+def integrate_primal(theta_path, params: ModelParams, claims, x: float):
     """Euler wealth accumulation under a given strategy and claim schedule.
 
     theta_path[i] is the claim fraction retained over (t_{i-1}, t_i], on
-    the uniform mesh t_i = i * h_t (theta_path[0] is unused); by default
-    h_t = params.T / len(theta_path), matching a reconstructed path that
-    stops one step short of the horizon. A claim in (t_{i-1}, t_i] acts
-    at t_i with the schedule's mark. No positivity is enforced, so a bad
-    strategy shows up as negative wealth rather than an error.
+    the uniform mesh t_i = i * h_t with h_t = params.T / len(theta_path),
+    matching a reconstructed path that stops one step short of the horizon
+    (theta_path[0] is unused). Claims act at the steps ``claim_steps``
+    gives them, with the schedule's mark (params.delta for bare times). No
+    positivity is enforced, so a bad strategy shows up as negative wealth
+    rather than an error.
     """
     theta = np.asarray(theta_path, dtype=float)
     if theta.ndim != 1 or theta.size < 1:
         raise ValueError("simulate: theta_path must be a nonempty 1-d sequence")
-    h = params.T / theta.size if h_t is None else float(h_t)
-    if h <= 0.0:
-        raise ValueError(f"simulate: step must be positive, got {h}")
-    claim_times = np.atleast_1d(
-        np.asarray(getattr(claims, "times", claims), dtype=float)
-    )
+    h = params.T / theta.size
     mark = float(getattr(claims, "mark", params.delta))
-    hit = np.zeros(theta.size, dtype=float)
-    for t in claim_times:
-        idx = int(np.ceil(t / h - 1e-9))
-        if 1 <= idx <= theta.size - 1:
-            hit[idx] = 1.0
-    inc = (params.alpha - params.beta * (1.0 - theta)) * h - theta * mark * hit
-    inc[0] = 0.0
-    return x + np.cumsum(inc)
+    inc = wealth_increments(theta, claim_steps(claims, h, theta.size), h, params, mark)
+    return x + np.cumsum(np.concatenate(([0.0], inc)))

@@ -254,6 +254,14 @@ class TestMain:
         assert diag["grid"]["n_steps"] == 8
         assert diag["grid"]["n_nodes"] == 29
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_one_step_mesh(self, tmp_path):
+        # a single time step leaves the path no increment to check
+        out = tmp_path / "o"
+        code = main(["--grid", "1,20", "--no-refine", "--out", str(out)])
+        assert code == 0
+        assert '"sde_residual": 0.0' in (out / "diagnostics.json").read_text()
+
     def test_module_entry_point(self, cheap_ini, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "insdual.cli", "--help"],

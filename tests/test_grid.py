@@ -65,7 +65,6 @@ class TestRefineAround:
         np.testing.assert_allclose(np.diff(inside), 1 / 4000, rtol=1e-9)
         # original nodes all retained
         assert np.all(np.isin(g.states, f.states))
-        assert f.refinement == (40, 2, 1 / 4000)
 
     def test_node_counting(self):
         # coarse-outside + fine-inside - shared coarse nodes

@@ -15,6 +15,7 @@ from insdual import (
     wealth_row,
 )
 from insdual.model import compactify, expand
+from insdual.simulate import claim_steps, poisson_schedule
 from tests.test_model import make_params
 
 
@@ -133,6 +134,16 @@ class TestClaimSnapping:
             cheap_solution, [0.999], wealth_row(cheap_solution, 0)[49]
         )
         assert path.claim_flag.sum() == 0
+
+    def test_flags_follow_the_shared_rule(self, cheap_solution):
+        # the path places claims exactly where the primal side does
+        schedule = poisson_schedule(20.0, 1.0, seed=2001)
+        g = cheap_solution.grid
+        path = evolve_path(cheap_solution, schedule, wealth_row(cheap_solution, 0)[49])
+        np.testing.assert_array_equal(
+            path.claim_flag, claim_steps(schedule, g.h_t, g.n_steps)
+        )
+        assert path.claim_flag.sum() > 5
 
 
 @pytest.fixture(scope="module")

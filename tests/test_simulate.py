@@ -3,7 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from insdual import ClaimSchedule, integrate_primal, poisson_schedule, sde_residual
+from insdual import (
+    ClaimSchedule,
+    evolve_path,
+    integrate_primal,
+    poisson_schedule,
+    sde_residual,
+)
 from tests.test_model import make_params
 
 
@@ -32,12 +38,6 @@ class TestClaimSchedule:
     def test_empty_schedule_allowed(self):
         s = ClaimSchedule(times=np.array([]), mark=1.0)
         assert s.times.size == 0
-
-    def test_write_csv_bytes(self, tmp_path):
-        s = ClaimSchedule(times=np.array([0.25, 0.75]), mark=1.5)
-        out = tmp_path / "claims.csv"
-        s.write_csv(out)
-        assert out.read_bytes() == b"time,mark\n0.25,1.5\n0.75,1.5\n"
 
 
 class TestPoissonSchedule:
@@ -118,16 +118,27 @@ class TestIntegratePrimal:
             integrate_primal(np.array([]), p, [], 1.0)
         with pytest.raises(ValueError, match="nonempty"):
             integrate_primal(np.ones((3, 3)), p, [], 1.0)
-        with pytest.raises(ValueError, match="step"):
-            integrate_primal(np.ones(5), p, [], 1.0, h_t=0.0)
+        with pytest.raises(ValueError, match="NaN"):
+            integrate_primal(np.ones(5), p, [0.5, np.nan], 1.0)
 
+    def test_single_step_is_the_start(self):
+        out = integrate_primal(np.ones(1), make_params(), [0.5], 2.5)
+        np.testing.assert_array_equal(out, [2.5])
+
+    @pytest.mark.parametrize(
+        "claims",
+        ["two_claims", ClaimSchedule(times=np.array([0.405, 0.733]), mark=1.0)],
+        ids=["on-grid", "off-grid"],
+    )
     def test_reproduces_reconstructed_increments(
-        self, dear_path, dear_params, two_claims
+        self, request, dear_refined_solution, dear_params, claims
     ):
-        # the dual reconstruction and the forward accumulation must agree
-        # step by step up to exactly the reported dynamics defect
-        out = integrate_primal(
-            dear_path.theta, dear_params, two_claims, float(dear_path.wealth[0])
-        )
-        gap = float(np.max(np.abs(np.diff(out) - np.diff(dear_path.wealth))))
-        assert gap == pytest.approx(sde_residual(dear_path, dear_params), abs=1e-12)
+        # the dual reconstruction and the forward accumulation see the same
+        # claims and must agree step by step up to exactly the reported
+        # dynamics defect, on grid times and between them
+        if isinstance(claims, str):
+            claims = request.getfixturevalue(claims)
+        path = evolve_path(dear_refined_solution, claims, x=1.0)
+        out = integrate_primal(path.theta, dear_params, claims, float(path.wealth[0]))
+        gap = float(np.max(np.abs(np.diff(out) - np.diff(path.wealth))))
+        assert gap == pytest.approx(sde_residual(path, dear_params), abs=1e-12)
