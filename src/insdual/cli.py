@@ -91,6 +91,7 @@ class RunConfig:
     # 1.0 lands the starting node mid-mesh under the default parameters
     x0: float = _key("experiment", 1.0)
     claim_times: tuple = _key("experiment", (0.4, 0.8))
+    # None or delta itself: any other mark is rejected before the solve
     claim_mark: float | None = _key("experiment", None)
     seed: int | None = _key("experiment", None)
     out_dir: str = _key("output", "out")
@@ -160,13 +161,19 @@ def _model_params(config: RunConfig) -> ModelParams:
 
 
 def _claim_schedule(config: RunConfig, params: ModelParams) -> ClaimSchedule:
-    mark = params.delta if config.claim_mark is None else config.claim_mark
+    # the surface is solved for claims of size delta, and the path and its
+    # residual apply that size, so no other mark can be honoured
+    if config.claim_mark is not None and config.claim_mark != params.delta:
+        raise ConfigError(
+            f"cli: claim_mark = {config.claim_mark} differs from delta = "
+            f"{params.delta}; the solved surface assumes claims of size delta"
+        )
     if config.seed is not None:
         return poisson_schedule(
-            params.pi_intensity, params.T, config.seed, mark=mark
+            params.pi_intensity, params.T, config.seed, mark=params.delta
         )
     return ClaimSchedule(
-        times=np.asarray(config.claim_times, dtype=float), mark=mark
+        times=np.asarray(config.claim_times, dtype=float), mark=params.delta
     )
 
 
@@ -188,11 +195,14 @@ def _surface_columns(solution):
     grid = solution.grid
     m = grid.n_nodes
     blank = [""] * m
+    # the control column holds only ladder candidates: format each once
+    rho, index = np.unique(solution.control, return_inverse=True)
+    rho = _cells(rho)
     return [
         [t for t in _cells(grid.times) for _ in range(m)],
         _cells(grid.states) * (grid.n_steps + 1),
         _cells(solution.surface),
-        _cells(solution.control) + blank,
+        [rho[k] for k in index.ravel().tolist()] + blank,
         [
             "jump" if region == REGION_OBSTACLE else "no-jump"
             for region in solution.region.ravel().tolist()
@@ -259,6 +269,7 @@ def run(config: RunConfig, out_dir=None) -> dict:
         high=config.control_high,
         count=config.control_count,
     )
+    claims = _claim_schedule(config, params)
     coarse_grid = build_uniform(config.n_time, config.n_state, params.T)
     coarse = solve_backward(
         coarse_grid, params, controls, tol=config.tol, max_iter=config.max_iter
@@ -274,7 +285,6 @@ def run(config: RunConfig, out_dir=None) -> dict:
     else:
         solution = coarse
 
-    claims = _claim_schedule(config, params)
     path = evolve_path(solution, claims, config.x0)
 
     lowest, largest = complementarity_extrema(solution)

@@ -18,6 +18,11 @@ the evaluated row is an exact fixed point of its own improvement and the
 complementarity conditions hold to linear-solver precision. A sup-norm
 change at or below ``tol`` that persists without the pair stabilizing is
 accepted after a few sweeps and flagged in the step diagnostics.
+
+Each layer also records its complementarity extrema at the returned
+row, read off the improvement pass that ended the layer (one more pass
+is evaluated only after a soft stop), so the solution's residuals need
+no second evaluation of the operator.
 """
 
 from __future__ import annotations
@@ -68,11 +73,20 @@ class HowardNonconvergence(RuntimeError):
 
 @dataclass
 class StepDiagnostics:
+    """How one layer ended, and its complementarity at the returned row.
+
+    lowest_argument is the smallest value either argument of the
+    pointwise minimum takes on the layer, largest_minimum the largest
+    value of the minimum itself (see complementarity_extrema).
+    """
+
     time_index: int | None
     iterations: int
     final_change: float
     policy_stable: bool
     change_history: tuple = ()
+    lowest_argument: float = np.nan
+    largest_minimum: float = np.nan
 
 
 @dataclass
@@ -112,25 +126,21 @@ def solve_time_step(
     """
     if tables is None:
         tables = build_tables(grid, params, controls)
-    m = grid.n_nodes
-    ht = grid.h_t
-    ar = np.arange(m)
     v_next = np.asarray(v_next, dtype=float)
     v = v_next.copy()
     prev_sig = None
     changes: list[float] = []
     soft = 0
     for it in range(1, max_iter + 1):
-        values = operator_values(v, grid, params, tables)
-        kstar = np.argmin(values, axis=0)
-        stationary = v_next - v + ht * values[kstar, ar]
+        kstar, stationary, obstacle = _improve(v, v_next, grid, params, tables)
         # the first node has no obstacle row: its obstacle value is +inf
-        region = stationary > obstacle_values(v, grid)
+        region = stationary > obstacle
         sig = kstar.tobytes() + region.tobytes()
         if sig == prev_sig:
             # evaluating again would reproduce v bit for bit
             diag = StepDiagnostics(
-                time_index, it, changes[-1] if changes else 0.0, True, tuple(changes)
+                time_index, it, changes[-1] if changes else 0.0, True, tuple(changes),
+                *_extrema(stationary, obstacle),
             )
             return v, tables.controls[kstar], region, diag
         v_new = solve_policy_system(v_next, grid, params, tables, kstar, region)
@@ -148,8 +158,12 @@ def solve_time_step(
         prev_sig = sig
         soft = soft + 1 if change <= tol else 0
         if change == 0.0 or soft >= _SOFT_STOP_SWEEPS:
+            if change != 0.0:
+                # the last pass saw the previous iterate, not the returned one
+                _, stationary, obstacle = _improve(v, v_next, grid, params, tables)
             diag = StepDiagnostics(
-                time_index, it, change, change == 0.0, tuple(changes)
+                time_index, it, change, change == 0.0, tuple(changes),
+                *_extrema(stationary, obstacle),
             )
             return v, tables.controls[kstar], region, diag
     raise HowardNonconvergence(
@@ -158,6 +172,27 @@ def solve_time_step(
         time_index,
         changes,
         v,
+    )
+
+
+def _improve(v, v_next, grid: Grid, params: ModelParams, tables: OperatorTables):
+    """One improvement pass at the iterate v.
+
+    Returns the minimizing candidate per node and the two arguments of
+    the pointwise minimum: the stationary part at that candidate and the
+    obstacle expression.
+    """
+    values = operator_values(v, grid, params, tables)
+    kstar = np.argmin(values, axis=0)
+    stationary = v_next - v + grid.h_t * values[kstar, np.arange(v.size)]
+    return kstar, stationary, obstacle_values(v, grid)
+
+
+def _extrema(stationary, obstacle):
+    """(lowest argument, largest minimum) of one layer's complementarity."""
+    return (
+        float(min(stationary.min(), obstacle[1:].min())),
+        float(np.minimum(stationary, obstacle).max()),
     )
 
 
@@ -214,25 +249,15 @@ def complementarity_extrema(solution: DiscreteSolution):
     Returns (lowest_argument, largest_minimum): the smallest value either
     argument of the pointwise minimum takes anywhere, and the largest
     value the minimum itself takes. A converged surface keeps both within
-    a few linear-solver epsilons of zero.
+    a few linear-solver epsilons of zero. Both are reduced from the
+    per-layer values that solve_time_step recorded at each returned row,
+    with no new evaluation of the operator.
     """
-    grid = solution.grid
-    params = solution.params
-    tables = build_tables(grid, params, solution.controls)
-    ht = grid.h_t
-    lowest = np.inf
-    largest = -np.inf
-    for i in range(grid.n_steps):
-        v = solution.surface[i]
-        stationary = (
-            solution.surface[i + 1]
-            - v
-            + ht * operator_values(v, grid, params, tables).min(axis=0)
-        )
-        obstacle = obstacle_values(v, grid)
-        lowest = min(lowest, stationary.min(), obstacle[1:].min())
-        largest = max(largest, np.minimum(stationary, obstacle).max())
-    return float(lowest), float(largest)
+    diags = solution.diagnostics
+    return (
+        min(d.lowest_argument for d in diags),
+        max(d.largest_minimum for d in diags),
+    )
 
 
 def growth_margins(solution: DiscreteSolution, band=(0.05, 0.95)):

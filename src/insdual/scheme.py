@@ -10,7 +10,8 @@ inside one factor of the arrival intensity pi, the claim-jump difference
 v[at jump(rho, s_j)] - v[j] and the upwinded drift (1 - rho) * s_j *
 (1 - s_j) * Dv, plus the discount absorption r * v[j]; l(rho) is the
 running income rate in compact coordinates, and B is the one-sided
-monotonicity (obstacle) operator, which has no row at the first node.
+monotonicity (obstacle) operator (v[j-1] - v[j]) / (s_j - s_{j-1}),
+which has no row at the first node.
 
 The jump value is interpolated linearly between the two bracketing mesh
 nodes (snapping to the nearest node wastes up to half a cell of jump
@@ -28,15 +29,24 @@ difference and make extreme candidates look spuriously cheap) and, at
 the first node, its drift is nonnegative. rho = 1 is admissible at every
 node, so the restricted search is never empty.
 
-OperatorTables holds every row of every A(rho), and below them the rows
-of B, once, in a fixed-width row store: evaluating all candidates is one
-sparse product, and the policy system of a sweep gathers one row per
-node from the same store.
+OperatorTables holds every row of every A(rho) once, K*m rows in a
+fixed-width row store under one CSR matrix built once per store:
+evaluating all candidates is one sparse product, and the policy system
+of a sweep gathers one row per continuation node from the same store.
+
+The policy system eliminates its obstacle unknowns. An obstacle node
+only copies its lower neighbour, so it equals its anchor, the largest
+continuation node at or below it (the first node is always one), and
+the column of every obstacle node folds onto its anchor's. The folded
+continuation block keeps nonpositive off-diagonals and row sums
+1 - h_t * r, so it is strictly diagonally dominant and SuperLU solves it
+in natural order, with no fill-reducing column permutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -125,17 +135,32 @@ def source_term(params: ModelParams, state, rho):
 class OperatorTables:
     """Every stationary operator row for one grid, model and control ladder.
 
-    Row k*m + j of (cols, weights) is row j of A(rho_k); row K*m + j is
-    the obstacle row of node j (empty at j = 0). Slot 0 of every row is
-    its diagonal, so I - h_t A(rho) differs from -h_t A(rho) in slot 0
-    only; unused slots carry explicit zeros on the diagonal column.
+    Row k*m + j of (cols, weights), K*m rows in all, is row j of
+    A(rho_k); the obstacle operator has no stored rows. Slot 0 of every
+    row is its diagonal, so I - h_t A(rho) differs from -h_t A(rho) in
+    slot 0 only; unused slots carry explicit zeros on the diagonal column.
+    ``matrix`` is the (K*m, m) CSR matrix over the same two arrays.
     """
 
     controls: np.ndarray  # (K,)
-    cols: np.ndarray  # ((K+1)*m, WIDTH) column index per slot
-    weights: np.ndarray  # ((K+1)*m, WIDTH) coefficient per slot
+    cols: np.ndarray  # (K*m, WIDTH) column index per slot
+    weights: np.ndarray  # (K*m, WIDTH) coefficient per slot
     source: np.ndarray  # (K, m) running income rate
     admissible: np.ndarray  # (K, m) whether the candidate search may use the pair
+
+    @cached_property
+    def matrix(self):
+        """CSR matrix sharing cols and weights (no copy), made on first use."""
+        n = self.cols.shape[0]
+        return sparse.csr_matrix(
+            (
+                self.weights.ravel(),
+                self.cols.ravel(),
+                np.arange(0, n * WIDTH + 1, WIDTH, dtype=np.int32),
+            ),
+            shape=(n, self.source.shape[1]),
+            copy=False,
+        )
 
 
 # slots: diagonal, the two nodes bracketing the jump target, upwind neighbour
@@ -152,10 +177,10 @@ def build_tables(grid: Grid, params: ModelParams, controls: ControlSet) -> Opera
     pi = params.pi_intensity
     node = np.arange(m)
     gap = np.diff(s)
-    cols = np.empty(((K + 1) * m, WIDTH), dtype=np.int32)
-    weights = np.zeros(((K + 1) * m, WIDTH))
-    op_cols = cols[: K * m].reshape(K, m, WIDTH)
-    op_weights = weights[: K * m].reshape(K, m, WIDTH)
+    cols = np.empty((K * m, WIDTH), dtype=np.int32)
+    weights = np.zeros((K * m, WIDTH))
+    op_cols = cols.reshape(K, m, WIDTH)
+    op_weights = weights.reshape(K, m, WIDTH)
     op_cols[..., 0] = node
 
     work = jump_target(s, rho)
@@ -185,11 +210,6 @@ def build_tables(grid: Grid, params: ModelParams, controls: ControlSet) -> Opera
     np.divide(work, np.append(np.inf, gap), out=work, where=down)
     np.multiply(pi, work, out=op_weights[..., 3])
     np.subtract(params.r - pi, op_weights[..., 3], out=op_weights[..., 0])
-
-    cols[K * m :] = node[:, None]
-    cols[K * m + 1 :, 1] = node[:-1]
-    weights[K * m + 1 :, 0] = -1.0 / gap
-    weights[K * m + 1 :, 1] = 1.0 / gap
     return OperatorTables(
         controls=controls.candidates,
         cols=cols,
@@ -208,18 +228,8 @@ def operator_values(v, grid: Grid, params: ModelParams, tables: OperatorTables):
     resolve to the smallest candidate. Inadmissible (candidate, node)
     pairs are reported as +inf so they never win the minimization.
     """
-    n = tables.source.size
-    stacked = sparse.csr_matrix(
-        (
-            tables.weights[:n].ravel(),
-            tables.cols[:n].ravel(),
-            np.arange(0, n * WIDTH + 1, WIDTH, dtype=np.int32),
-        ),
-        shape=(n, v.size),
-        copy=False,
-    )
     top = v[-1]
-    out = (stacked @ (v - top)).reshape(tables.source.shape)
+    out = (tables.matrix @ (v - top)).reshape(tables.source.shape)
     out += params.r * top
     out += tables.source
     out[~tables.admissible] = np.inf
@@ -248,6 +258,11 @@ def solve_policy_system(
     rows inside impose the obstacle equality v[j] = v[j-1] (no coupling
     to the later time layer). The first node must never sit in ``region``
     so the system stays nonsingular.
+
+    The obstacle equalities are eliminated: every node reads its value
+    off its anchor, the largest continuation node at or below it, so only
+    the continuation rows are solved, with their columns folded onto the
+    anchors, and obstacle nodes come back as exact copies of the anchor.
     """
     ht = grid.h_t
     if ht * params.r >= 1.0:
@@ -257,17 +272,21 @@ def solve_policy_system(
         )
     if region[0]:
         raise ValueError("scheme: the first node has no obstacle row")
-    K, m = tables.source.shape
-    node = np.arange(m)
+    m = tables.source.shape[1]
     pde = ~np.asarray(region, dtype=bool)
-    rows = np.where(pde, kstar * m + node, K * m + node)
-    # -h_t A(rho) plus the identity on continuation rows, -B on obstacle
-    # rows: positive diagonal and nonpositive off-diagonals throughout
-    weights = tables.weights[rows] * np.where(pde, -ht, -1.0)[:, None]
-    weights[:, 0] += pde
+    # the anchor's position among the continuation nodes, for every node
+    fold = np.cumsum(pde) - 1
+    keep = np.flatnonzero(pde)
+    n = keep.size
+    k = kstar[keep]
+    rows = k * m + keep
+    # I - h_t A(rho): positive diagonal, nonpositive off-diagonals, and
+    # folding columns moves weight within a row, so row sums stay 1 - h_t r
+    weights = tables.weights[rows] * -ht
+    weights[:, 0] += 1.0
     matrix = sparse.csr_matrix(
-        (weights.ravel(), tables.cols[rows].ravel(), np.arange(0, m * WIDTH + 1, WIDTH)),
-        shape=(m, m),
+        (weights.ravel(), fold[tables.cols[rows]].ravel(), np.arange(0, n * WIDTH + 1, WIDTH)),
+        shape=(n, n),
     )
-    rhs = np.where(pde, v_next + ht * tables.source[kstar, node], 0.0)
-    return spsolve(matrix, rhs)
+    rhs = v_next[keep] + ht * tables.source[k, keep]
+    return spsolve(matrix, rhs, permc_spec="NATURAL")[fold]

@@ -35,6 +35,8 @@ class ClaimSchedule:
         times = np.array(self.times, dtype=float)
         if times.ndim != 1:
             raise ValueError("simulate: claim times must be a one-dimensional array")
+        if np.isnan(times).any():
+            raise ValueError("simulate: claim times must not be NaN")
         if np.any(times <= 0.0):
             raise ValueError("simulate: claim times must be strictly positive")
         if times.size > 1 and np.any(np.diff(times) <= 0.0):

@@ -5,6 +5,7 @@ uniform meshes and the dearer Table-style case run once and feed the
 module tests and the acceptance suite alike.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -65,6 +66,15 @@ def dear_refined_solution(dear_params, dear_coarse_solution):
         dear_coarse_solution.grid, j0, halfwidth=2, fine_step=1.0 / 4000.0
     )
     return solve_backward(fine_grid, dear_params, make_control_set(dear_params))
+
+
+@pytest.fixture(scope="session")
+def obstacle_regime_solution(dear_params):
+    # alpha = 5 on the default ladder puts about half of the nodes in the
+    # obstacle set, in flat blocks reaching the top node
+    params = dataclasses.replace(dear_params, alpha=5.0)
+    grid = build_uniform(200, 400, params.T)
+    return solve_backward(grid, params, make_control_set(params))
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from insdual import cli, howard, scheme
 from insdual.cli import ConfigError, RunConfig, load_config, main, run
 
 CHEAP_INI = """\
@@ -121,6 +122,22 @@ class TestLoadConfig:
             load_config(tmp_path / "absent.ini")
 
 
+def count_calls(monkeypatch, *names):
+    """Count calls of package functions, under every module name that holds them."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(scheme, name, None) or getattr(howard, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in (scheme, howard, cli):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
 @pytest.fixture(scope="module")
 def cheap_run_config():
     return RunConfig(
@@ -184,12 +201,43 @@ class TestRun:
             assert len(rows) == 10
             assert all(len(r.split(" ")) == 2 for r in rows)
 
+    def test_control_column_matches_per_cell_format(self, obstacle_regime_solution):
+        # the distinct candidates are formatted once; the column must read
+        # exactly as formatting every cell would
+        sol = obstacle_regime_solution
+        rho = cli._surface_columns(sol)[3]
+        assert rho == cli._cells(sol.control) + [""] * sol.grid.n_nodes
+
     def test_byte_identical_reruns(self, cheap_run_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run(cheap_run_config, out_dir=str(a))
         run(cheap_run_config, out_dir=str(b))
         for name in ("surface.csv", "path.csv", "diagnostics.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestWorkCount:
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_tables_built_once_per_operator(self, tmp_path, monkeypatch):
+        # two solves and the two ladders of the control sensitivity each
+        # build one store; every Howard sweep evaluates the operator once,
+        # a soft-stopped layer once more, and the sensitivity twice
+        counts = count_calls(monkeypatch, "build_tables", "operator_values")
+        solutions = []
+        real_solve = howard.solve_backward
+
+        def solve(*args, **kwargs):
+            solutions.append(real_solve(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(cli, "solve_backward", solve)
+        run(RunConfig(n_time=10, n_state=40, control_count=21), out_dir=str(tmp_path))
+        assert len(solutions) == 2
+        diags = [d for sol in solutions for d in sol.diagnostics]
+        sweeps = sum(d.iterations for d in diags)
+        soft = sum(not d.policy_stable for d in diags)
+        assert counts["build_tables"] == 4
+        assert counts["operator_values"] <= sweeps + soft + 2
 
 
 class TestMain:
@@ -261,6 +309,32 @@ class TestMain:
         code = main(["--grid", "1,20", "--no-refine", "--out", str(out)])
         assert code == 0
         assert '"sde_residual": 0.0' in (out / "diagnostics.json").read_text()
+
+    @pytest.mark.parametrize(
+        "experiment",
+        [
+            "claim_times = 0.8, 0.4",
+            "claim_times = 0.4, nan",
+            "claim_times = 0.3, 0.7\nclaim_mark = 0.8",
+        ],
+        ids=["unsorted", "nan", "mark"],
+    )
+    def test_claims_rejected_before_any_solve(
+        self, experiment, tmp_path, monkeypatch, capsys
+    ):
+        calls = count_calls(monkeypatch, "solve_backward")
+        bad = tmp_path / "claims.ini"
+        bad.write_text(CHEAP_INI.replace("claim_times = 0.3, 0.7", experiment))
+        code = main(["--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "claim" in capsys.readouterr().err
+        assert calls["solve_backward"] == 0
+        assert not (tmp_path / "o").exists()
+
+    def test_claim_mark_equal_to_delta_accepted(self, tmp_path):
+        ini = tmp_path / "mark.ini"
+        ini.write_text(CHEAP_INI + "claim_mark = 1.0\n")
+        assert main(["--config", str(ini), "--out", str(tmp_path / "o")]) == 0
 
     def test_module_entry_point(self, cheap_ini, tmp_path):
         proc = subprocess.run(

@@ -19,10 +19,11 @@ from insdual import (
     solve_backward,
     terminal_condition,
 )
+from insdual import howard
 from insdual.howard import solve_time_step
-from insdual.scheme import source_term
+from insdual.scheme import build_tables, source_term
 from tests.test_model import make_params
-from tests.test_scheme import admissible_oracle, stationary_oracle
+from tests.test_scheme import admissible_oracle, complementarity_row, stationary_oracle
 
 
 def toy_problem():
@@ -210,6 +211,23 @@ class TestBackwardSweep:
         kink = p.beta / (p.delta * p.pi_intensity)
         np.testing.assert_array_equal(sol.control[:, :-1][below_top], kink)
 
+    def test_obstacle_nodes_copy_their_lower_neighbour(self, obstacle_regime_solution):
+        # an obstacle node imposes v[j] = v[j-1]; the policy system must
+        # return it as an exact copy, not a rounded one
+        sol = obstacle_regime_solution
+        i, j = np.nonzero(sol.region == REGION_OBSTACLE)
+        assert i.size > sol.region.size // 4
+        np.testing.assert_array_equal(sol.surface[i, j], sol.surface[i, j - 1])
+
+    def test_obstacle_blocks_report_the_kink_on_the_fine_mesh(
+        self, obstacle_regime_solution
+    ):
+        sol = obstacle_regime_solution
+        p = sol.params
+        below_top = sol.region[:, :-1] == REGION_OBSTACLE
+        kink = p.beta / (p.delta * p.pi_intensity)
+        np.testing.assert_array_equal(sol.control[:, :-1][below_top], kink)
+
     def test_cheap_howard_stops_fast(self, cheap_solution):
         for d in cheap_solution.diagnostics:
             assert d.iterations <= 3
@@ -241,6 +259,34 @@ class TestDiagnostics:
         lowest, largest = complementarity_extrema(dear_coarse_solution)
         assert lowest >= -1e-9
         assert largest <= 1e-9
+
+    @pytest.mark.parametrize(
+        "name", ["cheap_solution", "dear_coarse_solution", "obstacle_regime_solution"]
+    )
+    def test_complementarity_extrema_recomputed(self, name, request):
+        # the extrema recorded during the solve must equal, bit for bit, a
+        # fresh evaluation of every layer of the returned surface
+        sol = request.getfixturevalue(name)
+        g = sol.grid
+        tables = build_tables(g, sol.params, sol.controls)
+        rows = [
+            complementarity_row(sol.surface, g, i, sol.params, tables)
+            for i in range(g.n_steps)
+        ]
+        expected = (min(r.min() for r in rows), max(r.max() for r in rows))
+        assert complementarity_extrema(sol) == expected
+
+    def test_soft_stop_records_the_returned_row(self, dear_params, monkeypatch):
+        # a soft stop returns the row its last pass did not see: the
+        # extrema must still describe the returned row
+        monkeypatch.setattr(howard, "_SOFT_STOP_SWEEPS", 1)
+        g = build_uniform(10, 40, dear_params.T)
+        sol = solve_backward(g, dear_params, make_control_set(dear_params), tol=1e9)
+        assert not any(d.policy_stable for d in sol.diagnostics)
+        tables = build_tables(g, sol.params, sol.controls)
+        for i, d in enumerate(sol.diagnostics):
+            row = complementarity_row(sol.surface, g, i, sol.params, tables)
+            assert (d.lowest_argument, d.largest_minimum) == (row.min(), row.max())
 
     def test_growth_margins_cheap(self, cheap_solution):
         below, above = growth_margins(cheap_solution)

@@ -69,7 +69,7 @@ def stationary_oracle(v, s, j, rho, params):
 
 
 def stored_row(tables, v, k, j):
-    """Row j of block k of the stacked store applied to v (k = K: obstacle)."""
+    """Row j of block k of the stacked store applied to v."""
     r = k * v.size + j
     return float(tables.weights[r] @ v[tables.cols[r]])
 
@@ -224,24 +224,21 @@ class TestObstacle:
 
     def test_no_row_at_first_node(self):
         g = build_uniform(4, 20, 1.0)
-        p = make_params()
-        tables = build_tables(g, p, ControlSet(np.array([1.0])))
-        assert obstacle_values(np.ones(g.n_nodes), g)[0] == np.inf
-        assert not tables.weights[g.n_nodes].any()
+        rng = np.random.default_rng(6)
+        out = obstacle_values(rng.uniform(0.0, 1.0, g.n_nodes), g)
+        assert out[0] == np.inf
+        assert np.all(np.isfinite(out[1:]))
 
     def test_vectorized_matches_scalar(self):
-        # the stacked obstacle rows sit below the K operator blocks
         g = build_uniform(4, 20, 1.0)
-        p = make_params()
-        cs = ControlSet(np.array([0.5, 1.0]))
-        tables = build_tables(g, p, cs)
         rng = np.random.default_rng(5)
         v = rng.uniform(0.0, 1.0, g.n_nodes)
+        s = list(g.states)
         out = obstacle_values(v, g)
         assert out[0] == np.inf
         for j in range(1, g.n_nodes):
-            got = stored_row(tables, v, cs.candidates.size, j)
-            assert out[j] == pytest.approx(got, rel=1e-14)
+            expected = (v[j - 1] - v[j]) / (s[j] - s[j - 1])
+            assert out[j] == pytest.approx(expected, rel=1e-14)
 
 
 class TestMinimize:
@@ -430,17 +427,19 @@ class TestPolicySystem:
                 assert res == pytest.approx(0.0, abs=1e-12)
 
     def test_policy_matrix_is_monotone(self, monkeypatch):
-        # positive diagonal, nonpositive off-diagonals, and continuation
-        # rows summing to 1 - h_t * r (obstacle rows sum to 0)
+        # the obstacle nodes are eliminated: the solved matrix holds the
+        # continuation rows only, with positive diagonal, nonpositive
+        # off-diagonals, rows summing to 1 - h_t * r and strict diagonal
+        # dominance, so the natural ordering is safe
         g = build_uniform(5, 33, 1.0)
         p = dear_params()
         tables = build_tables(g, p, make_control_set(p, count=21))
         m = g.n_nodes
         seen = []
 
-        def capture(matrix, rhs):
-            seen.append(matrix.toarray())
-            return spsolve(matrix, rhs)
+        def capture(matrix, rhs, permc_spec=None):
+            seen.append((matrix.toarray(), permc_spec))
+            return spsolve(matrix, rhs, permc_spec=permc_spec)
 
         monkeypatch.setattr(scheme, "spsolve", capture)
         rng = np.random.default_rng(4)
@@ -450,13 +449,50 @@ class TestPolicySystem:
         region = np.zeros(m, dtype=bool)
         region[[3, 4, 20, m - 1]] = True
         solve_policy_system(np.linspace(2.0, 1.0, m), g, p, tables, kstar, region)
-        (matrix,) = seen
+        ((matrix, permc_spec),) = seen
+        assert permc_spec == "NATURAL"
+        assert matrix.shape == (m - 4, m - 4)
         diag = np.diag(matrix)
+        off = matrix - np.diag(diag)
         assert np.all(diag > 0.0)
-        assert np.all(matrix - np.diag(diag) <= 0.0)
+        assert np.all(off <= 0.0)
         scale = np.abs(matrix).max(axis=1)
-        sums = np.where(region, 0.0, 1.0 - g.h_t * p.r)
-        assert np.all(np.abs(matrix.sum(axis=1) - sums) <= 1e-12 * scale)
+        assert np.all(np.abs(matrix.sum(axis=1) - (1.0 - g.h_t * p.r)) <= 1e-12 * scale)
+        assert np.all(diag > -off.sum(axis=1))
+
+    def test_reduced_solve_matches_full_mixed_system(self):
+        # the full m x m mixed system, continuation rows probed from the
+        # scalar row oracle and obstacle rows v[j] - v[j-1] = 0, solved
+        # densely
+        g = build_uniform(5, 33, 1.0)
+        p = dear_params()
+        cs = make_control_set(p, count=21)
+        tables = build_tables(g, p, cs)
+        m = g.n_nodes
+        s = list(g.states)
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            kstar = np.array(
+                [rng.choice(np.flatnonzero(tables.admissible[:, j])) for j in range(m)]
+            )
+            region = rng.random(m) < 0.3
+            region[0] = False
+            v_next = np.sort(rng.uniform(0.5, 6.0, m))[::-1].copy()
+            full = np.zeros((m, m))
+            rhs = np.zeros(m)
+            for j in range(m):
+                if region[j]:
+                    full[j, j], full[j, j - 1] = 1.0, -1.0
+                    continue
+                rho = float(cs.candidates[kstar[j]])
+                row = [row_oracle(e, s, j, rho, p) for e in np.eye(m)]
+                full[j] = np.eye(m)[j] - g.h_t * np.array(row)
+                rhs[j] = v_next[j] + g.h_t * source_term(p, s[j], rho)
+            expected = np.linalg.solve(full, rhs)
+            got = solve_policy_system(v_next, g, p, tables, kstar, region)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+            anchor = np.maximum.accumulate(np.where(region, 0, np.arange(m)))
+            np.testing.assert_array_equal(got, got[anchor])
 
     def test_rejects_large_time_step(self):
         g = build_uniform(1, 10, 25.0)  # h_t = 25 with r = 0.05
