@@ -228,9 +228,8 @@ def _control_sensitivity(solution, config: RunConfig):
         count=config.control_count,
     )
     v0 = solution.surface[0]
-    base_tables = build_tables(grid, params, solution.controls)
     wide_tables = build_tables(grid, params, wide)
-    base_vals = operator_values(v0, grid, params, base_tables)
+    base_vals = operator_values(v0, grid, params, solution.tables)
     wide_vals = operator_values(v0, grid, params, wide_tables)
     base_k = np.argmin(base_vals, axis=0)
     wide_k = np.argmin(wide_vals, axis=0)

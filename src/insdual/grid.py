@@ -9,7 +9,9 @@ extreme nodes, so jump targets always land on a stored column.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +63,11 @@ class Grid:
     @property
     def n_nodes(self) -> int:
         return self.states.size
+
+    @cached_property
+    def state_tuple(self) -> tuple:
+        """The states as Python floats, made on first use (scalar projection)."""
+        return tuple(self.states.tolist())
 
 
 def build_uniform(n_time: int, n_state: int, horizon: float) -> Grid:
@@ -125,12 +132,24 @@ def refine_around(grid: Grid, center_index: int, halfwidth: int, fine_step: floa
 def project(grid: Grid, state):
     """Index of the stored node nearest to ``state``.
 
-    Ties break toward the lower index; values outside the node hull clamp
-    to the first or last node. Accepts scalars or arrays.
+    Ties break toward the lower index; values outside the node hull,
+    +-inf included, clamp to the first or last node, and NaN gives the
+    last node. A float (Python or numpy) is resolved by bisection over
+    ``grid.state_tuple`` with no array work; anything else goes through
+    numpy and an array comes back for an array. Both give the same index.
     """
+    if isinstance(state, float):
+        nodes = grid.state_tuple
+        if not state <= nodes[-1]:
+            return len(nodes) - 1
+        hi = bisect_left(nodes, state)
+        if hi == 0:
+            return 0
+        return hi - 1 if abs(nodes[hi - 1] - state) <= abs(nodes[hi] - state) else hi
     s = grid.states
     x = np.asarray(state, dtype=float)
     hi = np.clip(np.searchsorted(s, x, side="left"), 0, s.size - 1)
-    lo = np.maximum(hi - 1, 0)
+    # above the hull (or NaN) both neighbours are the last node
+    lo = np.where(x <= s[-1], np.maximum(hi - 1, 0), hi)
     pick = np.where(np.abs(s[lo] - x) <= np.abs(s[hi] - x), lo, hi)
     return int(pick) if pick.ndim == 0 else pick

@@ -97,6 +97,8 @@ class DiscreteSolution:
     control      (n_steps, m) minimizing candidate per non-terminal node
     region       (n_steps, m), REGION_CONTINUATION or REGION_OBSTACLE
     diagnostics  one StepDiagnostics per time layer, in time order
+    tables       the operator store the sweep evaluated (None when the
+                 solution was not made by solve_backward)
     """
 
     grid: Grid
@@ -106,6 +108,7 @@ class DiscreteSolution:
     control: np.ndarray
     region: np.ndarray
     diagnostics: list = field(default_factory=list)
+    tables: OperatorTables | None = None
 
 
 def solve_time_step(
@@ -240,6 +243,7 @@ def solve_backward(
         control=control,
         region=region,
         diagnostics=diags,
+        tables=tables,
     )
 
 

@@ -120,7 +120,14 @@ def inverse_marginal(params: ModelParams, y):
 
 
 def compactify(y):
-    """Map the dual state y in (0, inf) to y / (1 + y) in (0, 1)."""
+    """Map the dual state y in (0, inf) to y / (1 + y) in (0, 1).
+
+    A float is mapped with Python arithmetic, to the same bits.
+    """
+    if isinstance(y, float):
+        if y <= 0.0:
+            raise ValueError("model: compactify requires y > 0")
+        return float(y / (1.0 + y))
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0.0):
         raise ValueError("model: compactify requires y > 0")

@@ -1,13 +1,13 @@
 """Path reconstruction from a converged dual surface.
 
 The optimal primal quantities are read off the dual surface through its
-state derivative. ``wealth_row`` turns a backward difference of the
+state derivative. The wealth read-off turns a backward difference of the
 surface into wealth units, undoing both the compactification chain rule
-and the time discounting of the stored surface. The path itself follows
-the dual state forward: a density factor accumulates the chosen control's
-compensator between claims and its multiplicative kick at claims, while a
-nonincreasing regulator factor caps the state whenever the implied wealth
-would go negative.
+and the time discounting of the stored surface; ``wealth_row`` gives one
+layer of it. The path itself follows the dual state forward: a density
+factor accumulates the chosen control's compensator between claims and
+its multiplicative kick at claims, while a nonincreasing regulator factor
+caps the state whenever the implied wealth would go negative.
 
 Per step i >= 1 the evolution is
 
@@ -21,6 +21,13 @@ Per step i >= 1 the evolution is
      shrink the regulator so the dual state sits on that node,
   6. coverage theta_i = (wealth(j_i) - wealth(j'_i)) / delta and
      wealth_i = wealth(j''_i).
+
+A path reads off the wealth of every layer once, as one (n_steps, m)
+table, before its first step, and then does a fixed amount of Python
+float work per step: projections bisect the grid's states, the control
+and the wealth are single table entries, and only the growth factor
+still goes through numpy (np.exp, whose last bit math.exp need not
+match). The rules and the bits are those of the steps above.
 
 Claims act at the steps ``simulate.claim_steps`` gives them, and
 ``sde_residual`` checks the wealth path against
@@ -83,8 +90,8 @@ class PolicyPath:
     j_init: int
 
 
-def wealth_row(solution: DiscreteSolution, i: int):
-    """Wealth implied by the surface at every node of time layer i.
+def _wealth_rows(solution: DiscreteSolution, layers: slice):
+    """Wealth read-off of a slice of time layers, one row per layer.
 
     Backward difference of the stored surface scaled by (1 - s)**2 (the
     compactification chain rule) and by exp(r * t_i) (undoing the stored
@@ -92,17 +99,45 @@ def wealth_row(solution: DiscreteSolution, i: int):
     forward difference.
     """
     grid = solution.grid
-    if not 0 <= i < grid.n_steps:
-        raise IndexError(
-            f"policy: wealth defined on layers 0..{grid.n_steps - 1}, got {i}"
-        )
     s = grid.states
-    v = solution.surface[i]
-    undiscount = np.exp(solution.params.r * grid.times[i])
+    v = solution.surface[layers]
+    undiscount = np.exp(solution.params.r * grid.times[layers])[:, None]
     x = np.empty_like(v)
-    x[1:] = -((1.0 - s[1:]) ** 2) * (v[1:] - v[:-1]) / (s[1:] - s[:-1]) * undiscount
-    x[0] = -((1.0 - s[0]) ** 2) * (v[1] - v[0]) / (s[1] - s[0]) * undiscount
+    # the differences are scaled in place, in the order of the per-row form
+    # -(1 - s)**2 * dv / ds * undiscount, so every entry keeps its bits
+    dv = x[:, 1:]
+    np.subtract(v[:, 1:], v[:, :-1], out=dv)
+    x[:, :1] = -((1.0 - s[0]) ** 2) * dv[:, :1] / (s[1] - s[0]) * undiscount
+    dv *= -((1.0 - s[1:]) ** 2)
+    dv /= s[1:] - s[:-1]
+    dv *= undiscount
     return x
+
+
+def wealth_row(solution: DiscreteSolution, i: int):
+    """Wealth implied by the surface at every node of time layer i.
+
+    The row of layer i of the one read-off formula (see ``_wealth_rows``),
+    which evolve_path evaluates for all layers at once.
+    """
+    n = solution.grid.n_steps
+    if not 0 <= i < n:
+        raise IndexError(f"policy: wealth defined on layers 0..{n - 1}, got {i}")
+    return _wealth_rows(solution, slice(i, i + 1))[0]
+
+
+def _initial_state(solution: DiscreteSolution, row, x: float):
+    """find_initial_state given the wealth row of layer 0."""
+    if x < 0.0:
+        raise ValueError(f"policy: starting wealth must be nonnegative, got {x}")
+    lo, hi = float(row.min()), float(row.max())
+    if not lo <= x <= hi:
+        raise UnreachableWealthError(
+            f"policy: starting wealth {x} outside the attainable range "
+            f"[{lo:.6g}, {hi:.6g}] of the starting layer"
+        )
+    j_init = int(np.argmin(np.abs(row - x)))
+    return j_init, expand(float(solution.grid.states[j_init]))
 
 
 def find_initial_state(solution: DiscreteSolution, x: float):
@@ -112,17 +147,7 @@ def find_initial_state(solution: DiscreteSolution, x: float):
     Raises UnreachableWealthError when x falls outside the attainable
     range of the starting layer.
     """
-    if x < 0.0:
-        raise ValueError(f"policy: starting wealth must be nonnegative, got {x}")
-    row = wealth_row(solution, 0)
-    lo, hi = float(row.min()), float(row.max())
-    if not lo <= x <= hi:
-        raise UnreachableWealthError(
-            f"policy: starting wealth {x} outside the attainable range "
-            f"[{lo:.6g}, {hi:.6g}] of the starting layer"
-        )
-    j_init = int(np.argmin(np.abs(row - x)))
-    return j_init, expand(float(solution.grid.states[j_init]))
+    return _initial_state(solution, wealth_row(solution, 0), x)
 
 
 def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
@@ -135,81 +160,85 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
     params = solution.params
     n = grid.n_steps
     ht = grid.h_t
-    s = grid.states
+    nodes = grid.state_tuple
+    control = solution.control
+    delta = params.delta
+    decay = -params.pi_intensity * ht
 
     flags = claim_steps(claims, ht, n)
+    claim_at = flags.tolist()
 
-    j_init, y_init = find_initial_state(solution, x)
+    table = _wealth_rows(solution, slice(0, n))
+    w = table.item
+    j_init, y_init = _initial_state(solution, table[0], x)
 
-    density = np.ones(n)
-    regulator = np.ones(n)
-    dual_state = np.empty(n)
-    state_index = np.empty(n, dtype=np.int64)
-    jump_state_index = np.empty(n, dtype=np.int64)
-    regulated_state_index = np.empty(n, dtype=np.int64)
-    theta = np.empty(n)
-    wealth = np.empty(n)
-
-    dual_state[0] = y_init * density[0] * regulator[0]
-    state_index[0] = j_init
-    rho0 = float(solution.control[0][j_init])
-    jump_state_index[0] = project(grid, compactify(rho0 * dual_state[0]))
-    regulated_state_index[0] = j_init
-    w = wealth_row(solution, 0)
-    theta[0] = (w[j_init] - w[jump_state_index[0]]) / params.delta
-    wealth[0] = w[j_init]
+    d = 1.0
+    reg = 1.0
+    y = y_init * d * reg
+    rho = control.item(0, j_init)
+    jp = project(grid, compactify(rho * y))
+    density = [d]
+    regulator = [reg]
+    dual_state = [y]
+    state_index = [j_init]
+    jump_state_index = [jp]
+    regulated_state_index = [j_init]
+    theta = [(w(0, j_init) - w(0, jp)) / delta]
+    wealth = [w(0, j_init)]
 
     escapes = 0
     for i in range(1, n):
-        target_prev = compactify(dual_state[i - 1])
-        j_i = project(grid, target_prev)
-        rho = float(solution.control[i][j_i])
-        growth = np.exp(-params.pi_intensity * ht * (rho - 1.0))
-        density[i] = density[i - 1] * growth * (rho if flags[i] else 1.0)
-        regulator[i] = regulator[i - 1]
-        dual_state[i] = y_init * density[i] * regulator[i]
+        y_prev = y
+        j_i = project(grid, compactify(y_prev))
+        rho = control.item(i, j_i)
+        growth = np.exp(decay * (rho - 1.0))
+        d = d * growth * (rho if claim_at[i] else 1.0)
+        y = y_init * d * reg
 
-        jp = project(grid, compactify(rho * dual_state[i - 1]))
-        target = compactify(dual_state[i])
+        jp = project(grid, compactify(rho * y_prev))
+        target = compactify(y)
         jpp = project(grid, target)
         unregulated = jpp
 
-        w = wealth_row(solution, i)
-        while w[jpp] < 0.0:
+        while w(i, jpp) < 0.0:
             if jpp == 0:
                 raise PathEscapeError(
                     f"policy: wealth regulation hit the lowest node at step {i} "
-                    f"(dual state {dual_state[i]:.6g})"
+                    f"(dual state {y:.6g})"
                 )
             jpp -= 1
         if jpp != unregulated:
             # regulator shrinks so the dual state sits on the chosen node
-            regulator[i] = expand(float(s[jpp])) / (y_init * density[i])
-            dual_state[i] = y_init * density[i] * regulator[i]
+            reg = expand(nodes[jpp]) / (y_init * d)
+            y = y_init * d * reg
 
-        state_index[i] = j_i
-        jump_state_index[i] = jp
-        regulated_state_index[i] = jpp
-        theta[i] = (w[j_i] - w[jp]) / params.delta
-        wealth[i] = w[jpp]
+        density.append(d)
+        regulator.append(reg)
+        dual_state.append(y)
+        state_index.append(j_i)
+        jump_state_index.append(jp)
+        regulated_state_index.append(jpp)
+        theta.append((w(i, j_i) - w(i, jp)) / delta)
+        wealth.append(w(i, jpp))
 
-        escapes = escapes + 1 if (target < s[0] or target > s[-1]) else 0
+        escapes = escapes + 1 if (target < nodes[0] or target > nodes[-1]) else 0
         if escapes >= _MAX_HULL_ESCAPES:
             raise PathEscapeError(
                 f"policy: dual state left the mesh hull for {escapes} consecutive "
-                f"steps (step {i}, state {target:.6g} outside [{s[0]}, {s[-1]}])"
+                f"steps (step {i}, state {target:.6g} outside "
+                f"[{nodes[0]}, {nodes[-1]}])"
             )
 
     return PolicyPath(
         times=grid.times[:n].copy(),
-        density=density,
-        regulator=regulator,
-        dual_state=dual_state,
-        state_index=state_index,
-        jump_state_index=jump_state_index,
-        regulated_state_index=regulated_state_index,
-        theta=theta,
-        wealth=wealth,
+        density=np.array(density, dtype=float),
+        regulator=np.array(regulator, dtype=float),
+        dual_state=np.array(dual_state, dtype=float),
+        state_index=np.array(state_index, dtype=np.int64),
+        jump_state_index=np.array(jump_state_index, dtype=np.int64),
+        regulated_state_index=np.array(regulated_state_index, dtype=np.int64),
+        theta=np.array(theta, dtype=float),
+        wealth=np.array(wealth, dtype=float),
         claim_flag=flags,
         y_init=y_init,
         j_init=j_init,

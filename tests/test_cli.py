@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from insdual import cli, howard, scheme
+from insdual import cli, grid, howard, policy, scheme
 from insdual.cli import ConfigError, RunConfig, load_config, main, run
 
 CHEAP_INI = """\
@@ -122,17 +122,22 @@ class TestLoadConfig:
             load_config(tmp_path / "absent.ini")
 
 
+COUNTED_MODULES = (scheme, howard, grid, policy, cli)
+
+
 def count_calls(monkeypatch, *names):
     """Count calls of package functions, under every module name that holds them."""
     counts = dict.fromkeys(names, 0)
     for name in names:
-        real = getattr(scheme, name, None) or getattr(howard, name)
+        real = next(
+            getattr(m, name) for m in COUNTED_MODULES if hasattr(m, name)
+        )
 
         def counted(*args, _name=name, _real=real, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
 
-        for module in (scheme, howard, cli):
+        for module in COUNTED_MODULES:
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counted)
     return counts
@@ -219,9 +224,10 @@ class TestRun:
 class TestWorkCount:
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_tables_built_once_per_operator(self, tmp_path, monkeypatch):
-        # two solves and the two ladders of the control sensitivity each
-        # build one store; every Howard sweep evaluates the operator once,
-        # a soft-stopped layer once more, and the sensitivity twice
+        # the two solves each build one store and the control sensitivity
+        # one for its wide ladder (the base ladder reuses the refined
+        # solve's); every Howard sweep evaluates the operator once, a
+        # soft-stopped layer once more, and the sensitivity twice
         counts = count_calls(monkeypatch, "build_tables", "operator_values")
         solutions = []
         real_solve = howard.solve_backward
@@ -236,8 +242,18 @@ class TestWorkCount:
         diags = [d for sol in solutions for d in sol.diagnostics]
         sweeps = sum(d.iterations for d in diags)
         soft = sum(not d.policy_stable for d in diags)
-        assert counts["build_tables"] == 4
+        assert counts["build_tables"] == 3
         assert counts["operator_values"] <= sweeps + soft + 2
+
+    def test_one_wealth_table_per_path(
+        self, dear_refined_solution, two_claims, monkeypatch
+    ):
+        # the wealth read-off runs once for every layer together, and a
+        # step projects at most three states: previous, jumped and new
+        counts = count_calls(monkeypatch, "_wealth_rows", "project")
+        policy.evolve_path(dear_refined_solution, two_claims, 1.0)
+        assert counts["_wealth_rows"] == 1
+        assert counts["project"] <= 3 * dear_refined_solution.grid.n_steps
 
 
 class TestMain:

@@ -106,6 +106,16 @@ class TestProject:
         assert project(g, 0.9999) == g.n_nodes - 1
         assert project(g, 1e-6) == 0
 
+    def test_infinities_clamp_to_the_extreme_nodes(self):
+        g = build_uniform(10, 100, 1.0)
+        last = g.n_nodes - 1
+        assert project(g, np.inf) == last
+        assert project(g, float("inf")) == last
+        assert project(g, -np.inf) == 0
+        np.testing.assert_array_equal(
+            project(g, np.array([np.inf, -np.inf, 2.0, -1.0])), [last, 0, last, 0]
+        )
+
     def test_vectorized(self):
         g = build_uniform(10, 100, 1.0)
         out = project(g, np.array([0.123, 0.125, 0.9999]))

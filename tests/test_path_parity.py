@@ -1,0 +1,316 @@
+"""Path reconstruction against the per-step scalar oracle it replaced.
+
+``oracle_evolve_path`` is the reconstruction loop as it stood before
+``evolve_path`` moved to one wealth table per path and float arithmetic
+per step: it rebuilds the wealth row of every layer and works on numpy
+arrays and 0-d values throughout. Its projection and compactification go
+through the array branches of ``grid.project`` and ``model.compactify``,
+so the parity tests also pin the float branches the package now takes.
+Every array of the path must agree bit for bit, and a failing
+reconstruction must fail with the same exception and message.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from insdual import build_uniform, evolve_path, refine_around
+from insdual import grid as grid_module
+from insdual import model as model_module
+from insdual import policy
+from insdual.howard import DiscreteSolution
+from insdual.model import expand
+from insdual.policy import (
+    _MAX_HULL_ESCAPES,
+    PathEscapeError,
+    PolicyPath,
+    UnreachableWealthError,
+)
+from insdual.simulate import claim_steps, poisson_schedule
+from tests.test_model import make_params
+from tests.test_policy import make_solution
+
+
+def project(grid, state):
+    return grid_module.project(grid, np.asarray(state, dtype=float))
+
+
+def compactify(y):
+    return model_module.compactify(np.asarray(y, dtype=float))
+
+
+def oracle_wealth_row(solution: DiscreteSolution, i: int):
+    grid = solution.grid
+    if not 0 <= i < grid.n_steps:
+        raise IndexError(
+            f"policy: wealth defined on layers 0..{grid.n_steps - 1}, got {i}"
+        )
+    s = grid.states
+    v = solution.surface[i]
+    undiscount = np.exp(solution.params.r * grid.times[i])
+    x = np.empty_like(v)
+    x[1:] = -((1.0 - s[1:]) ** 2) * (v[1:] - v[:-1]) / (s[1:] - s[:-1]) * undiscount
+    x[0] = -((1.0 - s[0]) ** 2) * (v[1] - v[0]) / (s[1] - s[0]) * undiscount
+    return x
+
+
+def oracle_find_initial_state(solution: DiscreteSolution, x: float):
+    if x < 0.0:
+        raise ValueError(f"policy: starting wealth must be nonnegative, got {x}")
+    row = oracle_wealth_row(solution, 0)
+    lo, hi = float(row.min()), float(row.max())
+    if not lo <= x <= hi:
+        raise UnreachableWealthError(
+            f"policy: starting wealth {x} outside the attainable range "
+            f"[{lo:.6g}, {hi:.6g}] of the starting layer"
+        )
+    j_init = int(np.argmin(np.abs(row - x)))
+    return j_init, expand(float(solution.grid.states[j_init]))
+
+
+def oracle_evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
+    grid = solution.grid
+    params = solution.params
+    n = grid.n_steps
+    ht = grid.h_t
+    s = grid.states
+
+    flags = claim_steps(claims, ht, n)
+
+    j_init, y_init = oracle_find_initial_state(solution, x)
+
+    density = np.ones(n)
+    regulator = np.ones(n)
+    dual_state = np.empty(n)
+    state_index = np.empty(n, dtype=np.int64)
+    jump_state_index = np.empty(n, dtype=np.int64)
+    regulated_state_index = np.empty(n, dtype=np.int64)
+    theta = np.empty(n)
+    wealth = np.empty(n)
+
+    dual_state[0] = y_init * density[0] * regulator[0]
+    state_index[0] = j_init
+    rho0 = float(solution.control[0][j_init])
+    jump_state_index[0] = project(grid, compactify(rho0 * dual_state[0]))
+    regulated_state_index[0] = j_init
+    w = oracle_wealth_row(solution, 0)
+    theta[0] = (w[j_init] - w[jump_state_index[0]]) / params.delta
+    wealth[0] = w[j_init]
+
+    escapes = 0
+    for i in range(1, n):
+        target_prev = compactify(dual_state[i - 1])
+        j_i = project(grid, target_prev)
+        rho = float(solution.control[i][j_i])
+        growth = np.exp(-params.pi_intensity * ht * (rho - 1.0))
+        density[i] = density[i - 1] * growth * (rho if flags[i] else 1.0)
+        regulator[i] = regulator[i - 1]
+        dual_state[i] = y_init * density[i] * regulator[i]
+
+        jp = project(grid, compactify(rho * dual_state[i - 1]))
+        target = compactify(dual_state[i])
+        jpp = project(grid, target)
+        unregulated = jpp
+
+        w = oracle_wealth_row(solution, i)
+        while w[jpp] < 0.0:
+            if jpp == 0:
+                raise PathEscapeError(
+                    f"policy: wealth regulation hit the lowest node at step {i} "
+                    f"(dual state {dual_state[i]:.6g})"
+                )
+            jpp -= 1
+        if jpp != unregulated:
+            # regulator shrinks so the dual state sits on the chosen node
+            regulator[i] = expand(float(s[jpp])) / (y_init * density[i])
+            dual_state[i] = y_init * density[i] * regulator[i]
+
+        state_index[i] = j_i
+        jump_state_index[i] = jp
+        regulated_state_index[i] = jpp
+        theta[i] = (w[j_i] - w[jp]) / params.delta
+        wealth[i] = w[jpp]
+
+        escapes = escapes + 1 if (target < s[0] or target > s[-1]) else 0
+        if escapes >= _MAX_HULL_ESCAPES:
+            raise PathEscapeError(
+                f"policy: dual state left the mesh hull for {escapes} consecutive "
+                f"steps (step {i}, state {target:.6g} outside [{s[0]}, {s[-1]}])"
+            )
+
+    return PolicyPath(
+        times=grid.times[:n].copy(),
+        density=density,
+        regulator=regulator,
+        dual_state=dual_state,
+        state_index=state_index,
+        jump_state_index=jump_state_index,
+        regulated_state_index=regulated_state_index,
+        theta=theta,
+        wealth=wealth,
+        claim_flag=flags,
+        y_init=y_init,
+        j_init=j_init,
+    )
+
+
+PATH_ARRAYS = (
+    "times", "density", "regulator", "dual_state", "state_index",
+    "jump_state_index", "regulated_state_index", "theta", "wealth",
+    "claim_flag",
+)
+
+
+def outcome(reconstruct, solution, claims, x):
+    try:
+        return reconstruct(solution, claims, x)
+    except (ValueError, RuntimeError) as exc:
+        return exc
+
+
+def assert_same_outcome(solution, claims, x):
+    """Both reconstructions give the same arrays, or fail the same way."""
+    want = outcome(oracle_evolve_path, solution, claims, x)
+    got = outcome(evolve_path, solution, claims, x)
+    if isinstance(want, Exception):
+        assert type(got) is type(want), (got, want)
+        assert str(got) == str(want)
+        return want
+    assert not isinstance(got, Exception), got
+    for name in PATH_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+    assert (got.y_init, got.j_init) == (want.y_init, want.j_init)
+    return want
+
+
+class TestPathParity:
+    def test_poisson_schedules_on_obstacle_surface(self, obstacle_regime_solution):
+        claims_seen = 0
+        for seed in range(5001, 5061):
+            schedule = poisson_schedule(2.0, 1.0, seed=seed)
+            path = assert_same_outcome(obstacle_regime_solution, schedule, 1.0)
+            claims_seen += int(path.claim_flag.sum())
+        assert claims_seen > 60
+
+    def test_dear_refined_starting_wealths(self, dear_refined_solution, two_claims):
+        row = oracle_wealth_row(dear_refined_solution, 0)
+        starts = [0.25, 0.5, 1.0, 1.5, float(row[40]), float(np.median(row))]
+        for x in starts:
+            assert isinstance(
+                assert_same_outcome(dear_refined_solution, two_claims, x), PolicyPath
+            )
+        for x, error in ((1e9, UnreachableWealthError), (-0.5, ValueError)):
+            assert isinstance(
+                assert_same_outcome(dear_refined_solution, two_claims, x), error
+            )
+
+    def test_floor_escape(self):
+        p = make_params(r=0.0)
+        states = np.linspace(0.2, 0.8, 6)
+        rows = np.vstack([1.0 - 0.5 * states] + [1.0 + 0.5 * states] * 4)
+        sol = make_solution(np.linspace(0.0, 1.0, 5), states, rows, 1.0, p)
+        x = oracle_wealth_row(sol, 0)[3]
+        assert isinstance(assert_same_outcome(sol, [], x), PathEscapeError)
+
+    def test_hull_escape(self):
+        p = make_params(pi_intensity=2.0, r=0.0)
+        states = np.linspace(0.45, 0.55, 11)
+        n = 15
+        rows = np.vstack([1.0 - 0.5 * states] * (n + 1))
+        sol = make_solution(np.linspace(0.0, 1.0, n + 1), states, rows, 0.01, p)
+        x = oracle_wealth_row(sol, 0)[5]
+        exc = assert_same_outcome(sol, [1.0 / n], x)
+        assert isinstance(exc, PathEscapeError) and "hull" in str(exc)
+
+    def test_successful_regulation(self):
+        p = make_params(pi_intensity=20.0, r=0.0)
+        states = np.linspace(0.1, 0.9, 9)
+        row = np.array([5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.6, 0.8, 1.1])
+        n = 8
+        rows = np.vstack([row] * (n + 1))
+        sol = make_solution(np.linspace(0.0, 1.0, n + 1), states, rows, 0.5, p)
+        x = oracle_wealth_row(sol, 0)[3]
+        path = assert_same_outcome(sol, [], x)
+        assert path.regulator[-1] < 1.0
+
+
+class TestWealthTable:
+    @pytest.mark.parametrize(
+        "fixture",
+        ["cheap_solution", "dear_refined_solution", "obstacle_regime_solution"],
+    )
+    def test_rows_match_the_per_layer_formula(self, fixture, request):
+        sol = request.getfixturevalue(fixture)
+        n = sol.grid.n_steps
+        table = policy._wealth_rows(sol, slice(0, n))
+        assert table.shape == (n, sol.grid.n_nodes)
+        for i in range(n):
+            want = oracle_wealth_row(sol, i)
+            assert np.array_equal(table[i], want), i
+            assert np.array_equal(policy.wealth_row(sol, i), want), i
+
+
+@st.composite
+def grids(draw):
+    g = build_uniform(1, draw(st.integers(3, 60)), 1.0)
+    if draw(st.booleans()):
+        center = draw(st.integers(0, g.n_nodes - 1))
+        coarse = g.states[1] - g.states[0]
+        g = refine_around(
+            g, center, draw(st.integers(1, 3)), coarse / draw(st.integers(1, 9))
+        )
+    return g
+
+
+def probes(g):
+    """Nodes, exact midpoints, points off the hull, +-inf and NaN."""
+    s = g.states
+    mid = (s[:-1] + s[1:]) / 2.0
+    return [
+        *s.tolist(), *mid.tolist(), -0.5, 0.0, s[0] / 2.0,
+        (s[-1] + 1.0) / 2.0, 1.0, 7.0, np.inf, -np.inf, np.nan,
+    ]
+
+
+class TestFloatBranches:
+    @settings(max_examples=60, deadline=None)
+    @given(grids(), st.lists(st.floats(), max_size=8))
+    def test_project_float_equals_array(self, g, extra):
+        xs = probes(g) + extra
+        from_array = grid_module.project(g, np.array(xs, dtype=float))
+        for x, want in zip(xs, from_array.tolist()):
+            assert grid_module.project(g, float(x)) == want, x
+            assert grid_module.project(g, np.float64(x)) == want, x
+            assert grid_module.project(g, np.asarray(x, dtype=float)) == want, x
+
+    @given(grids())
+    def test_project_tie_and_hull_rules(self, g):
+        s = g.states
+        m = s.size
+        for j in range(m):
+            assert grid_module.project(g, float(s[j])) == j
+        for j in range(m - 1):
+            mid = (s[j] + s[j + 1]) / 2.0
+            if mid - s[j] == s[j + 1] - mid:
+                assert grid_module.project(g, float(mid)) == j
+        assert grid_module.project(g, np.inf) == m - 1
+        assert grid_module.project(g, -np.inf) == 0
+        assert grid_module.project(g, np.nan) == m - 1
+
+    @given(st.floats())
+    def test_compactify_float_equals_array(self, y):
+        if y <= 0.0:
+            for arg in (y, np.float64(y), np.asarray(y)):
+                with pytest.raises(ValueError, match="y > 0"):
+                    model_module.compactify(arg)
+            return
+        # y = inf maps to NaN on both branches
+        with np.errstate(invalid="ignore"):
+            want = model_module.compactify(np.asarray(y))
+            from_numpy = model_module.compactify(np.float64(y))
+        got = model_module.compactify(y)
+        assert type(got) is float and type(from_numpy) is float
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(from_numpy, want, equal_nan=True)
