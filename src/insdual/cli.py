@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import os
 import sys
@@ -42,7 +43,12 @@ from .policy import (
     find_initial_state,
     sde_residual,
 )
-from .scheme import build_tables, make_control_set, operator_values
+from .scheme import (
+    build_tables,
+    chosen_operator_values,
+    make_control_set,
+    operator_values,
+)
 from .simulate import ClaimSchedule, poisson_schedule
 
 __all__ = ["ConfigError", "RunConfig", "run", "main"]
@@ -182,12 +188,19 @@ def _cells(values):
     return list(map("{:.17g}".format, np.ravel(values).tolist()))
 
 
+# rows joined per write: one write per row costs a call each, and one
+# string for the whole table holds every row's text at once
+_BLOCK_ROWS = 4096
+
+
 def _write_table(path, columns, header=None, sep=","):
     """Write equal-length columns of text cells as rows, newline "\\n"."""
+    rows = zip(*columns)
     with open(path, "w", newline="\n") as f:
         if header is not None:
             f.write(header + "\n")
-        f.writelines(sep.join(row) + "\n" for row in zip(*columns))
+        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+            f.write("\n".join(map(sep.join, block)) + "\n")
 
 
 def _surface_columns(solution):
@@ -228,17 +241,20 @@ def _control_sensitivity(solution, config: RunConfig):
         count=config.control_count,
     )
     v0 = solution.surface[0]
-    wide_tables = build_tables(grid, params, wide)
-    base_vals = operator_values(v0, grid, params, solution.tables)
-    wide_vals = operator_values(v0, grid, params, wide_tables)
-    base_k = np.argmin(base_vals, axis=0)
+    base = solution.tables
+    if solution.diagnostics[0].policy_stable:
+        # the solve's last pass at v0 already scanned the base ladder
+        base_k = np.searchsorted(base.controls, solution.control[0])
+    else:
+        # a soft stop returned the control of the previous iterate
+        base_k = np.argmin(operator_values(v0, grid, params, base), axis=0)
+    base_min = chosen_operator_values(v0, grid, params, base, base_k)
+    wide_vals = operator_values(v0, grid, params, build_tables(grid, params, wide))
     wide_k = np.argmin(wide_vals, axis=0)
-    shift = grid.h_t * np.abs(
-        base_vals.min(axis=0) - wide_vals.min(axis=0)
-    )
+    shift = grid.h_t * np.abs(base_min - wide_vals.min(axis=0))
     changed = np.sum(
         ~np.isclose(
-            solution.controls.candidates[base_k],
+            base.controls[base_k],
             wide.candidates[wide_k],
             rtol=1e-12,
             atol=0.0,

@@ -23,6 +23,15 @@ Each layer also records its complementarity extrema at the returned
 row, read off the improvement pass that ended the layer (one more pass
 is evaluated only after a soft stop), so the solution's residuals need
 no second evaluation of the operator.
+
+A layer starts at v = v_next, the row the layer above returned. When
+that layer ended on a repeated pair, its last improvement pass already
+scanned every candidate at exactly this row, and the argmin does not
+depend on v_next; solve_backward hands its control row down as
+``start``, and the first pass evaluates only the chosen row per node.
+That pass is the full scan's pass bit for bit, so the whole sweep is.
+After a soft stop the returned control belongs to the previous iterate,
+so the next layer scans in full.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from .scheme import (
     ControlSet,
     OperatorTables,
     build_tables,
+    chosen_operator_values,
     obstacle_values,
     operator_values,
     solve_policy_system,
@@ -120,22 +130,33 @@ def solve_time_step(
     max_iter: int = 200,
     tables: OperatorTables | None = None,
     time_index: int | None = None,
+    start=None,
 ):
     """One backward layer: returns (v, control_row, region_row, diagnostics).
 
-    Warm starts from v_next. Raises HowardNonconvergence with the change
-    history and last iterate if max_iter sweeps finish without the stop
-    rule firing.
+    Warm starts from v_next. ``start``, when given, is the minimizing
+    control row at v_next itself, as the layer that returned v_next found
+    it when it ended with a stable policy: the first improvement pass
+    then takes its candidates from ``start`` instead of scanning the
+    ladder, which is exact because that scan would find the same argmin
+    at the same row. Any other admissible row changes the sweeps taken,
+    not the layer they reach beyond rounding. Raises ValueError if an
+    entry of ``start`` is not on the ladder or is inadmissible at its
+    node. Raises HowardNonconvergence with the change history and last
+    iterate if max_iter sweeps finish without the stop rule firing.
     """
     if tables is None:
         tables = build_tables(grid, params, controls)
     v_next = np.asarray(v_next, dtype=float)
     v = v_next.copy()
+    # the first pass reads its candidates off start; every later pass scans
+    known = None if start is None else _start_index(start, tables)
     prev_sig = None
     changes: list[float] = []
     soft = 0
     for it in range(1, max_iter + 1):
-        kstar, stationary, obstacle = _improve(v, v_next, grid, params, tables)
+        kstar, stationary, obstacle = _improve(v, v_next, grid, params, tables, known)
+        known = None
         # the first node has no obstacle row: its obstacle value is +inf
         region = stationary > obstacle
         sig = kstar.tobytes() + region.tobytes()
@@ -178,17 +199,41 @@ def solve_time_step(
     )
 
 
-def _improve(v, v_next, grid: Grid, params: ModelParams, tables: OperatorTables):
+def _improve(v, v_next, grid: Grid, params: ModelParams, tables: OperatorTables, kstar=None):
     """One improvement pass at the iterate v.
 
     Returns the minimizing candidate per node and the two arguments of
     the pointwise minimum: the stationary part at that candidate and the
-    obstacle expression.
+    obstacle expression. A kstar already known to minimize at v is
+    evaluated row by row instead of scanning every candidate.
     """
-    values = operator_values(v, grid, params, tables)
-    kstar = np.argmin(values, axis=0)
-    stationary = v_next - v + grid.h_t * values[kstar, np.arange(v.size)]
+    if kstar is None:
+        values = operator_values(v, grid, params, tables)
+        kstar = np.argmin(values, axis=0)
+        chosen = values[kstar, np.arange(v.size)]
+    else:
+        chosen = chosen_operator_values(v, grid, params, tables, kstar)
+    stationary = v_next - v + grid.h_t * chosen
     return kstar, stationary, obstacle_values(v, grid)
+
+
+def _start_index(start, tables: OperatorTables):
+    """Ladder index of every entry of a start row, checked admissible."""
+    start = np.asarray(start, dtype=float)
+    # exact on a strictly increasing ladder; off-ladder values fail below
+    kstar = np.minimum(np.searchsorted(tables.controls, start), tables.controls.size - 1)
+    off = tables.controls[kstar] != start
+    if off.any():
+        raise ValueError(
+            f"howard: start control {float(start[off][0])} is not on the ladder"
+        )
+    barred = ~tables.admissible[kstar, np.arange(start.size)]
+    if barred.any():
+        j = int(np.argmax(barred))
+        raise ValueError(
+            f"howard: start control {float(start[j])} is inadmissible at node {j}"
+        )
+    return kstar
 
 
 def _extrema(stationary, obstacle):
@@ -219,6 +264,7 @@ def solve_backward(
     control = np.empty((n, m))
     region = np.empty((n, m), dtype=np.uint8)
     diags: list[StepDiagnostics] = []
+    start = None
     for i in range(n - 1, -1, -1):
         v, rho_row, region_row, diag = solve_time_step(
             surface[i + 1],
@@ -229,7 +275,10 @@ def solve_backward(
             max_iter=max_iter,
             tables=tables,
             time_index=i,
+            start=start,
         )
+        # a soft stop returns the control of the previous iterate
+        start = rho_row if diag.policy_stable else None
         surface[i] = v
         control[i] = rho_row
         region[i] = region_row

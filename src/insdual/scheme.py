@@ -27,12 +27,16 @@ A candidate is admissible at a node only if its jump target stays inside
 the state hull (a clamped projection would discard most of the jump
 difference and make extreme candidates look spuriously cheap) and, at
 the first node, its drift is nonnegative. rho = 1 is admissible at every
-node, so the restricted search is never empty.
+node, so the restricted search is never empty. The store carries an
+income rate of +inf at every inadmissible pair, so such a pair scores
++inf and never wins the minimization, with no mask applied per
+evaluation.
 
 OperatorTables holds every row of every A(rho) once, K*m rows in a
 fixed-width row store under one CSR matrix built once per store:
-evaluating all candidates is one sparse product, and the policy system
-of a sweep gathers one row per continuation node from the same store.
+evaluating all candidates is one sparse product, evaluating one chosen
+candidate per node gathers one row per node, and the policy system of a
+sweep gathers one row per continuation node from the same store.
 
 The policy system eliminates its obstacle unknowns. An obstacle node
 only copies its lower neighbour, so it equals its anchor, the largest
@@ -63,6 +67,7 @@ __all__ = [
     "OperatorTables",
     "build_tables",
     "operator_values",
+    "chosen_operator_values",
     "obstacle_values",
     "solve_policy_system",
 ]
@@ -145,7 +150,7 @@ class OperatorTables:
     controls: np.ndarray  # (K,)
     cols: np.ndarray  # (K*m, WIDTH) column index per slot
     weights: np.ndarray  # (K*m, WIDTH) coefficient per slot
-    source: np.ndarray  # (K, m) running income rate
+    source: np.ndarray  # (K, m) running income rate, +inf where inadmissible
     admissible: np.ndarray  # (K, m) whether the candidate search may use the pair
 
     @cached_property
@@ -210,11 +215,13 @@ def build_tables(grid: Grid, params: ModelParams, controls: ControlSet) -> Opera
     np.divide(work, np.append(np.inf, gap), out=work, where=down)
     np.multiply(pi, work, out=op_weights[..., 3])
     np.subtract(params.r - pi, op_weights[..., 3], out=op_weights[..., 0])
+    source = source_term(params, s, rho)
+    source[~admissible] = np.inf
     return OperatorTables(
         controls=controls.candidates,
         cols=cols,
         weights=weights,
-        source=source_term(params, s, rho),
+        source=source,
         admissible=admissible,
     )
 
@@ -226,13 +233,31 @@ def operator_values(v, grid: Grid, params: ModelParams, tables: OperatorTables):
     every row of A sums to r: on a flat block that reaches the top node
     the candidates then differ by their income rate alone, so exact ties
     resolve to the smallest candidate. Inadmissible (candidate, node)
-    pairs are reported as +inf so they never win the minimization.
+    pairs come out +inf, from the income rate the store holds for them.
     """
     top = v[-1]
     out = (tables.matrix @ (v - top)).reshape(tables.source.shape)
     out += params.r * top
     out += tables.source
-    out[~tables.admissible] = np.inf
+    return out
+
+
+def chosen_operator_values(v, grid: Grid, params: ModelParams, tables: OperatorTables, kstar):
+    """(m,) array of (A(rho_k) v + l(rho_k))[j] with k = kstar[j], per node j.
+
+    Equal bit for bit to operator_values(...)[kstar[j], j]: the four
+    slots are summed left to right from zero, as the CSR product sums a
+    row, before r * v[-1] and then the income rate are added.
+    """
+    top = v[-1]
+    node = np.arange(v.size)
+    rows = kstar * v.size + node
+    terms = tables.weights[rows] * (v - top)[tables.cols[rows]]
+    out = np.zeros(v.size)
+    for slot in range(WIDTH):
+        out += terms[:, slot]
+    out += params.r * top
+    out += tables.source[kstar, node]
     return out
 
 
@@ -274,8 +299,9 @@ def solve_policy_system(
         raise ValueError("scheme: the first node has no obstacle row")
     m = tables.source.shape[1]
     pde = ~np.asarray(region, dtype=bool)
-    # the anchor's position among the continuation nodes, for every node
-    fold = np.cumsum(pde) - 1
+    # the anchor's position among the continuation nodes, for every node;
+    # int32 indices go into the CSR matrix without a check-and-copy
+    fold = np.cumsum(pde, dtype=np.int32) - 1
     keep = np.flatnonzero(pde)
     n = keep.size
     k = kstar[keep]
@@ -285,7 +311,11 @@ def solve_policy_system(
     weights = tables.weights[rows] * -ht
     weights[:, 0] += 1.0
     matrix = sparse.csr_matrix(
-        (weights.ravel(), fold[tables.cols[rows]].ravel(), np.arange(0, n * WIDTH + 1, WIDTH)),
+        (
+            weights.ravel(),
+            fold[tables.cols[rows]].ravel(),
+            np.arange(0, n * WIDTH + 1, WIDTH, dtype=np.int32),
+        ),
         shape=(n, n),
     )
     rhs = v_next[keep] + ht * tables.source[k, keep]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -359,3 +360,61 @@ class TestMain:
         )
         assert proc.returncode == 0
         assert "--no-refine" in proc.stdout
+
+
+class TestControlSensitivity:
+    @staticmethod
+    def full_scans(solution, config):
+        # both ladders scanned in full at the starting layer
+        g, p = solution.grid, solution.params
+        wide = scheme.make_control_set(
+            p, low=config.control_low / 2.0, high=config.control_high * 2.0,
+            count=config.control_count,
+        )
+        v0 = solution.surface[0]
+        base_vals = scheme.operator_values(v0, g, p, solution.tables)
+        wide_vals = scheme.operator_values(v0, g, p, scheme.build_tables(g, p, wide))
+        base_k = np.argmin(base_vals, axis=0)
+        wide_k = np.argmin(wide_vals, axis=0)
+        shift = g.h_t * np.abs(base_vals.min(axis=0) - wide_vals.min(axis=0))
+        changed = ~np.isclose(
+            solution.controls.candidates[base_k], wide.candidates[wide_k],
+            rtol=1e-12, atol=0.0,
+        )
+        return float(shift.max()), int(changed.sum())
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("soft_stop", [False, True])
+    def test_matches_full_scans(self, soft_stop):
+        config = RunConfig(n_time=10, n_state=40, control_count=21)
+        params = cli._model_params(config)
+        sol = howard.solve_backward(
+            grid.build_uniform(config.n_time, config.n_state, params.T),
+            params,
+            scheme.make_control_set(params, count=config.control_count),
+        )
+        assert sol.diagnostics[0].policy_stable
+        if soft_stop:
+            # after a soft stop the returned control belongs to the previous
+            # iterate, not to the returned row: the row must not be trusted
+            control = sol.control.copy()
+            control[0] = 1.0
+            diagnostics = list(sol.diagnostics)
+            diagnostics[0] = dataclasses.replace(diagnostics[0], policy_stable=False)
+            sol = dataclasses.replace(sol, control=control, diagnostics=diagnostics)
+        got = cli._control_sensitivity(sol, config)
+        assert (got["max_value_shift"], got["changed_nodes"]) == self.full_scans(
+            sol, config
+        )
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097, 10000])
+    def test_bytes_match_one_line_per_row(self, n_rows, tmp_path):
+        columns = [[f"{i}" for i in range(n_rows)], [f"x{i}" for i in range(n_rows)]]
+        path = tmp_path / "t.csv"
+        cli._write_table(path, columns, header="a,b")
+        lines = "".join(f"{i},x{i}\n" for i in range(n_rows))
+        assert path.read_bytes() == ("a,b\n" + lines).encode()
+        cli._write_table(path, columns, sep=" ")
+        assert path.read_bytes() == lines.replace(",", " ").encode()

@@ -22,6 +22,7 @@ from insdual import (
 from insdual import howard
 from insdual.howard import solve_time_step
 from insdual.scheme import build_tables, source_term
+from tests.test_cli import count_calls
 from tests.test_model import make_params
 from tests.test_scheme import admissible_oracle, complementarity_row, stationary_oracle
 
@@ -310,3 +311,71 @@ class TestDiagnostics:
     def test_growth_margins_empty_band(self, cheap_solution):
         with pytest.raises(ValueError, match="band"):
             growth_margins(cheap_solution, band=(0.995, 0.999))
+
+
+class TestWarmStart:
+    @staticmethod
+    def expected_scans(sol):
+        # a pass per sweep, one more after a soft stop, none for the first
+        # pass of a layer whose upper layer ended with a stable policy
+        diags = sol.diagnostics
+        started = sum(d.policy_stable for d in diags[1:])
+        soft = sum(not d.policy_stable for d in diags)
+        return sum(d.iterations for d in diags) - started + soft
+
+    def test_one_scan_fewer_per_started_layer(self, dear_params, monkeypatch):
+        counts = count_calls(monkeypatch, "operator_values")
+        g = build_uniform(20, 60, dear_params.T)
+        sol = solve_backward(g, dear_params, make_control_set(dear_params))
+        assert all(d.policy_stable for d in sol.diagnostics)
+        scans = counts["operator_values"]
+        assert scans == sum(d.iterations for d in sol.diagnostics) - (g.n_steps - 1)
+        assert scans == self.expected_scans(sol)
+
+    def test_soft_stops_scan_the_next_layer_in_full(self, dear_params, monkeypatch):
+        monkeypatch.setattr(howard, "_SOFT_STOP_SWEEPS", 1)
+        counts = count_calls(monkeypatch, "operator_values")
+        g = build_uniform(10, 40, dear_params.T)
+        sol = solve_backward(g, dear_params, make_control_set(dear_params), tol=1e9)
+        soft = sum(not d.policy_stable for d in sol.diagnostics)
+        assert soft == g.n_steps
+        scans = counts["operator_values"]
+        assert scans == sum(d.iterations for d in sol.diagnostics) + soft
+        assert scans == self.expected_scans(sol)
+
+    def test_off_ladder_start_rejected(self, dear_coarse_solution):
+        sol = dear_coarse_solution
+        start = sol.control[1].copy()
+        start[3] = np.nextafter(start[3], np.inf)
+        with pytest.raises(ValueError, match="not on the ladder"):
+            solve_time_step(sol.surface[1], sol.grid, sol.params, sol.controls,
+                            tables=sol.tables, start=start)
+        start[3] = sol.controls.candidates[-1] * 2.0
+        with pytest.raises(ValueError, match="not on the ladder"):
+            solve_time_step(sol.surface[1], sol.grid, sol.params, sol.controls,
+                            tables=sol.tables, start=start)
+
+    def test_inadmissible_start_rejected(self, dear_coarse_solution):
+        # at the first node only candidates up to rho = 1 are admissible
+        sol = dear_coarse_solution
+        start = sol.control[1].copy()
+        start[0] = sol.controls.candidates[-1]
+        with pytest.raises(ValueError, match="inadmissible at node 0"):
+            solve_time_step(sol.surface[1], sol.grid, sol.params, sol.controls,
+                            tables=sol.tables, start=start)
+
+    @pytest.mark.parametrize(
+        "name", ["dear_coarse_solution", "obstacle_regime_solution"]
+    )
+    def test_any_admissible_start_reaches_the_same_layer(self, name, request):
+        sol = request.getfixturevalue(name)
+        i = sol.grid.n_steps // 2
+        args = (sol.surface[i + 1], sol.grid, sol.params, sol.controls)
+        v, rho, region, _ = solve_time_step(*args, tables=sol.tables, time_index=i)
+        v1, rho1, region1, _ = solve_time_step(
+            *args, tables=sol.tables, time_index=i, start=np.ones(sol.grid.n_nodes)
+        )
+        np.testing.assert_array_equal(region1, region)
+        pde = ~region
+        np.testing.assert_array_equal(rho1[pde], rho[pde])
+        assert np.max(np.abs(v1 - v)) <= 1e-13 * np.max(np.abs(v))

@@ -1,0 +1,222 @@
+"""The backward sweep against the full-scan loop it replaced.
+
+``oracle_solve_backward`` is the sweep as it stood before a layer could
+start from the control row the layer above returned: every improvement
+pass, the first of each layer included, scans every candidate, and the
+candidate values mask their inadmissible pairs with +inf themselves.
+Surface, control and region must agree bit for bit, and every
+``StepDiagnostics`` field must be equal, on the shared fixtures, on
+forced soft stops and across a sweep of the model parameters. A failing
+sweep must fail with the same exception and message.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from insdual import build_uniform, make_control_set, solve_backward
+from insdual import howard
+from insdual.howard import (
+    DiscreteSolution,
+    HowardNonconvergence,
+    StepDiagnostics,
+    solve_time_step,
+)
+from insdual.model import terminal_condition
+from insdual.scheme import (
+    build_tables,
+    chosen_operator_values,
+    obstacle_values,
+    operator_values,
+    solve_policy_system,
+)
+from tests.test_model import make_params
+
+
+def oracle_operator_values(v, grid, params, tables):
+    top = v[-1]
+    out = (tables.matrix @ (v - top)).reshape(tables.source.shape)
+    out += params.r * top
+    out += tables.source
+    out[~tables.admissible] = np.inf
+    return out
+
+
+def oracle_improve(v, v_next, grid, params, tables):
+    values = oracle_operator_values(v, grid, params, tables)
+    kstar = np.argmin(values, axis=0)
+    stationary = v_next - v + grid.h_t * values[kstar, np.arange(v.size)]
+    return kstar, stationary, obstacle_values(v, grid)
+
+
+def oracle_extrema(stationary, obstacle):
+    return (
+        float(min(stationary.min(), obstacle[1:].min())),
+        float(np.minimum(stationary, obstacle).max()),
+    )
+
+
+def oracle_solve_time_step(v_next, grid, params, controls, tol, max_iter, tables, time_index):
+    v_next = np.asarray(v_next, dtype=float)
+    v = v_next.copy()
+    prev_sig = None
+    changes = []
+    soft = 0
+    for it in range(1, max_iter + 1):
+        kstar, stationary, obstacle = oracle_improve(v, v_next, grid, params, tables)
+        region = stationary > obstacle
+        sig = kstar.tobytes() + region.tobytes()
+        if sig == prev_sig:
+            diag = StepDiagnostics(
+                time_index, it, changes[-1] if changes else 0.0, True, tuple(changes),
+                *oracle_extrema(stationary, obstacle),
+            )
+            return v, tables.controls[kstar], region, diag
+        v_new = solve_policy_system(v_next, grid, params, tables, kstar, region)
+        if not np.all(np.isfinite(v_new)):
+            raise HowardNonconvergence(
+                f"howard: policy evaluation produced non-finite values at "
+                f"time index {time_index}",
+                time_index,
+                changes,
+                v,
+            )
+        change = float(np.max(np.abs(v_new - v)))
+        changes.append(change)
+        v = v_new
+        prev_sig = sig
+        soft = soft + 1 if change <= tol else 0
+        if change == 0.0 or soft >= howard._SOFT_STOP_SWEEPS:
+            if change != 0.0:
+                _, stationary, obstacle = oracle_improve(v, v_next, grid, params, tables)
+            diag = StepDiagnostics(
+                time_index, it, change, change == 0.0, tuple(changes),
+                *oracle_extrema(stationary, obstacle),
+            )
+            return v, tables.controls[kstar], region, diag
+    raise HowardNonconvergence(
+        f"howard: no convergence within {max_iter} iterations at time index "
+        f"{time_index}; last sup-change {changes[-1]:.3e}",
+        time_index,
+        changes,
+        v,
+    )
+
+
+def oracle_solve_backward(grid, params, controls, tol=1e-9, max_iter=200):
+    tables = build_tables(grid, params, controls)
+    n = grid.n_steps
+    m = grid.n_nodes
+    surface = np.empty((n + 1, m))
+    surface[n] = terminal_condition(params, grid.states)
+    control = np.empty((n, m))
+    region = np.empty((n, m), dtype=np.uint8)
+    diags = []
+    for i in range(n - 1, -1, -1):
+        v, rho_row, region_row, diag = oracle_solve_time_step(
+            surface[i + 1], grid, params, controls, tol, max_iter, tables, i
+        )
+        surface[i] = v
+        control[i] = rho_row
+        region[i] = region_row
+        diags.append(diag)
+    diags.reverse()
+    return DiscreteSolution(
+        grid=grid, params=params, controls=controls, surface=surface,
+        control=control, region=region, diagnostics=diags, tables=tables,
+    )
+
+
+def assert_same_solution(got, expected):
+    np.testing.assert_array_equal(got.surface, expected.surface)
+    np.testing.assert_array_equal(got.control, expected.control)
+    np.testing.assert_array_equal(got.region, expected.region)
+    assert got.region.dtype == expected.region.dtype
+    # repr compares the NaN defaults and the float bits alike
+    assert repr(got.diagnostics) == repr(expected.diagnostics)
+
+
+def assert_same_outcome(grid, params, controls, **kwargs):
+    try:
+        expected = oracle_solve_backward(grid, params, controls, **kwargs)
+    except HowardNonconvergence as exc:
+        with pytest.raises(HowardNonconvergence) as got:
+            solve_backward(grid, params, controls, **kwargs)
+        assert str(got.value) == str(exc)
+        assert got.value.change_history == exc.change_history
+        np.testing.assert_array_equal(got.value.last_iterate, exc.last_iterate)
+        return
+    assert_same_solution(solve_backward(grid, params, controls, **kwargs), expected)
+
+
+class TestSweepParity:
+    @pytest.mark.parametrize(
+        "name",
+        ["dear_coarse_solution", "obstacle_regime_solution", "dear_refined_solution"],
+    )
+    def test_fixture_solutions(self, name, request):
+        sol = request.getfixturevalue(name)
+        assert_same_solution(
+            sol, oracle_solve_backward(sol.grid, sol.params, sol.controls)
+        )
+
+    def test_forced_soft_stops(self, dear_params, monkeypatch):
+        # every layer soft-stops, so no layer may start from the row above
+        monkeypatch.setattr(howard, "_SOFT_STOP_SWEEPS", 1)
+        g = build_uniform(10, 40, dear_params.T)
+        cs = make_control_set(dear_params)
+        sol = solve_backward(g, dear_params, cs, tol=1e9)
+        assert not any(d.policy_stable for d in sol.diagnostics)
+        assert_same_solution(sol, oracle_solve_backward(g, dear_params, cs, tol=1e9))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        eta=st.floats(0.1, 0.9),
+        alpha=st.floats(0.0, 6.0),
+        beta=st.floats(0.0, 4.0),
+        pi=st.floats(0.2, 5.0),
+    )
+    def test_parameter_sweep(self, eta, alpha, beta, pi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            p = make_params(eta=eta, alpha=alpha, beta=beta, pi_intensity=pi)
+        g = build_uniform(10, 40, p.T)
+        assert_same_outcome(g, p, make_control_set(p, count=41))
+
+
+class TestChosenOperatorValues:
+    @pytest.mark.parametrize(
+        "name", ["dear_coarse_solution", "obstacle_regime_solution"]
+    )
+    def test_matches_the_full_scan_bit_for_bit(self, name, request):
+        sol = request.getfixturevalue(name)
+        g, p, tables = sol.grid, sol.params, sol.tables
+        rng = np.random.default_rng(7)
+        node = np.arange(g.n_nodes)
+        rows = [sol.surface[i] for i in (0, g.n_steps // 2, g.n_steps)]
+        rows += [rng.standard_normal(g.n_nodes) * 10.0 ** rng.integers(-3, 4)
+                 for _ in range(5)]
+        for v in rows:
+            kstar = np.array(
+                [rng.choice(np.flatnonzero(tables.admissible[:, j])) for j in node]
+            )
+            full = operator_values(v, g, p, tables)[kstar, node]
+            np.testing.assert_array_equal(
+                chosen_operator_values(v, g, p, tables, kstar), full
+            )
+
+    def test_start_pass_equals_the_scan_pass(self, dear_coarse_solution):
+        # a layer started from the control the layer above returned takes
+        # the path of a layer that scanned its first pass
+        sol = dear_coarse_solution
+        i = sol.grid.n_steps // 2
+        args = (sol.surface[i + 1], sol.grid, sol.params, sol.controls)
+        cold = solve_time_step(*args, tables=sol.tables, time_index=i)
+        warm = solve_time_step(
+            *args, tables=sol.tables, time_index=i, start=sol.control[i + 1]
+        )
+        for a, b in zip(cold[:3], warm[:3]):
+            np.testing.assert_array_equal(a, b)
+        assert repr(cold[3]) == repr(warm[3])
