@@ -69,6 +69,13 @@ class Grid:
         """The states as Python floats, made on first use (scalar projection)."""
         return tuple(self.states.tolist())
 
+    @cached_property
+    def gaps(self) -> np.ndarray:
+        """Read-only cell widths states[j + 1] - states[j], made on first use."""
+        gaps = np.diff(self.states)
+        gaps.setflags(write=False)
+        return gaps
+
 
 def build_uniform(n_time: int, n_state: int, horizon: float) -> Grid:
     """Uniform mesh: times i*horizon/n_time, states j/n_state for interior j.

@@ -37,6 +37,7 @@ so the next layer scans in full.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -109,6 +110,13 @@ class DiscreteSolution:
     diagnostics  one StepDiagnostics per time layer, in time order
     tables       the operator store the sweep evaluated (None when the
                  solution was not made by solve_backward)
+    wealth       (n_steps, m) wealth implied by the surface at layers
+                 0 .. n_steps - 1 (not a field; see below)
+
+    A solution's arrays are not modified after construction:
+    solve_backward returns surface, control and region read-only. The
+    wealth table is read off the surface once, on first use, and kept;
+    dataclasses.replace makes a new solution that reads its own.
     """
 
     grid: Grid
@@ -119,6 +127,38 @@ class DiscreteSolution:
     region: np.ndarray
     diagnostics: list = field(default_factory=list)
     tables: OperatorTables | None = None
+
+    @cached_property
+    def wealth(self) -> np.ndarray:
+        """Read-only wealth table, one row per non-terminal layer."""
+        return _wealth_table(self)
+
+
+def _wealth_table(solution: DiscreteSolution):
+    """Wealth read-off of every non-terminal layer, one row per layer.
+
+    Backward difference of the stored surface scaled by (1 - s)**2 (the
+    compactification chain rule) and by exp(r * t_i) (undoing the stored
+    discounting); the first node has no left neighbour and uses the
+    forward difference.
+    """
+    grid = solution.grid
+    n = grid.n_steps
+    s = grid.states
+    gaps = grid.gaps
+    v = solution.surface[:n]
+    undiscount = np.exp(solution.params.r * grid.times[:n])[:, None]
+    x = np.empty_like(v)
+    # the differences are scaled in place, in the order of the per-row form
+    # -(1 - s)**2 * dv / ds * undiscount, so every entry keeps its bits
+    dv = x[:, 1:]
+    np.subtract(v[:, 1:], v[:, :-1], out=dv)
+    x[:, :1] = -((1.0 - s[0]) ** 2) * dv[:, :1] / gaps[0] * undiscount
+    dv *= -((1.0 - s[1:]) ** 2)
+    dv /= gaps
+    dv *= undiscount
+    x.setflags(write=False)
+    return x
 
 
 def solve_time_step(
@@ -284,6 +324,8 @@ def solve_backward(
         region[i] = region_row
         diags.append(diag)
     diags.reverse()
+    for filled in (surface, control, region):
+        filled.setflags(write=False)
     return DiscreteSolution(
         grid=grid,
         params=params,
@@ -333,11 +375,17 @@ def growth_margins(solution: DiscreteSolution, band=(0.05, 0.95)):
         params.beta - params.delta * params.pi_intensity, 0.0
     )
     k_lower = params.alpha - params.beta
-    below = -np.inf
-    above = -np.inf
-    for i in range(grid.n_steps + 1):
-        remaining = params.T - grid.times[i]
-        u = np.exp(params.r * grid.times[i]) * solution.surface[i][mask]
-        below = max(below, np.max(base + k_lower * y * remaining - u))
-        above = max(above, np.max(u - (base + k_upper * y * remaining)))
-    return float(below), float(above)
+    # every layer at once, one row per time node; both slacks are formed
+    # in place in one work array (addition commutes exactly, so the bits
+    # are those of the per-layer expressions), which keeps the temporaries
+    # at two (n_steps + 1, band) arrays
+    remaining = (params.T - grid.times)[:, None]
+    u = np.exp(params.r * grid.times)[:, None] * solution.surface[:, mask]
+    slack = k_lower * y * remaining
+    slack += base
+    slack -= u
+    below = slack.max()
+    np.multiply(k_upper * y, remaining, out=slack)
+    slack += base
+    np.subtract(u, slack, out=slack)
+    return float(below), float(slack.max())

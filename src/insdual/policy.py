@@ -4,10 +4,11 @@ The optimal primal quantities are read off the dual surface through its
 state derivative. The wealth read-off turns a backward difference of the
 surface into wealth units, undoing both the compactification chain rule
 and the time discounting of the stored surface; ``wealth_row`` gives one
-layer of it. The path itself follows the dual state forward: a density
-factor accumulates the chosen control's compensator between claims and
-its multiplicative kick at claims, while a nonincreasing regulator factor
-caps the state whenever the implied wealth would go negative.
+layer of the solution's table. The path itself follows the dual state
+forward: a density factor accumulates the chosen control's compensator
+between claims and its multiplicative kick at claims, while a
+nonincreasing regulator factor caps the state whenever the implied
+wealth would go negative.
 
 Per step i >= 1 the evolution is
 
@@ -22,8 +23,9 @@ Per step i >= 1 the evolution is
   6. coverage theta_i = (wealth(j_i) - wealth(j'_i)) / delta and
      wealth_i = wealth(j''_i).
 
-A path reads off the wealth of every layer once, as one (n_steps, m)
-table, before its first step, and then does a fixed amount of Python
+The wealth of every layer is read off once per solution, as one
+(n_steps, m) read-only table (``DiscreteSolution.wealth``) that every
+path on that solution shares, and a path does a fixed amount of Python
 float work per step: projections bisect the grid's states, the control
 and the wealth are single table entries, and only the growth factor
 still goes through numpy (np.exp, whose last bit math.exp need not
@@ -90,40 +92,16 @@ class PolicyPath:
     j_init: int
 
 
-def _wealth_rows(solution: DiscreteSolution, layers: slice):
-    """Wealth read-off of a slice of time layers, one row per layer.
-
-    Backward difference of the stored surface scaled by (1 - s)**2 (the
-    compactification chain rule) and by exp(r * t_i) (undoing the stored
-    discounting); the first node has no left neighbour and uses the
-    forward difference.
-    """
-    grid = solution.grid
-    s = grid.states
-    v = solution.surface[layers]
-    undiscount = np.exp(solution.params.r * grid.times[layers])[:, None]
-    x = np.empty_like(v)
-    # the differences are scaled in place, in the order of the per-row form
-    # -(1 - s)**2 * dv / ds * undiscount, so every entry keeps its bits
-    dv = x[:, 1:]
-    np.subtract(v[:, 1:], v[:, :-1], out=dv)
-    x[:, :1] = -((1.0 - s[0]) ** 2) * dv[:, :1] / (s[1] - s[0]) * undiscount
-    dv *= -((1.0 - s[1:]) ** 2)
-    dv /= s[1:] - s[:-1]
-    dv *= undiscount
-    return x
-
-
 def wealth_row(solution: DiscreteSolution, i: int):
     """Wealth implied by the surface at every node of time layer i.
 
-    The row of layer i of the one read-off formula (see ``_wealth_rows``),
-    which evolve_path evaluates for all layers at once.
+    Row i of the solution's read-only wealth table
+    (``DiscreteSolution.wealth``), which is read off once per solution.
     """
     n = solution.grid.n_steps
     if not 0 <= i < n:
         raise IndexError(f"policy: wealth defined on layers 0..{n - 1}, got {i}")
-    return _wealth_rows(solution, slice(i, i + 1))[0]
+    return solution.wealth[i]
 
 
 def _initial_state(solution: DiscreteSolution, row, x: float):
@@ -147,7 +125,7 @@ def find_initial_state(solution: DiscreteSolution, x: float):
     Raises UnreachableWealthError when x falls outside the attainable
     range of the starting layer.
     """
-    return _initial_state(solution, wealth_row(solution, 0), x)
+    return _initial_state(solution, solution.wealth[0], x)
 
 
 def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
@@ -168,7 +146,7 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
     flags = claim_steps(claims, ht, n)
     claim_at = flags.tolist()
 
-    table = _wealth_rows(solution, slice(0, n))
+    table = solution.wealth
     w = table.item
     j_init, y_init = _initial_state(solution, table[0], x)
 

@@ -181,7 +181,7 @@ def build_tables(grid: Grid, params: ModelParams, controls: ControlSet) -> Opera
     K = rho.shape[0]
     pi = params.pi_intensity
     node = np.arange(m)
-    gap = np.diff(s)
+    gap = grid.gaps
     cols = np.empty((K * m, WIDTH), dtype=np.int32)
     weights = np.zeros((K * m, WIDTH))
     op_cols = cols.reshape(K, m, WIDTH)
@@ -265,7 +265,7 @@ def obstacle_values(v, grid: Grid):
     """(m,) obstacle expressions, with +inf at the row-less first node."""
     out = np.empty_like(v)
     out[0] = np.inf
-    out[1:] = (v[:-1] - v[1:]) / np.diff(grid.states)
+    out[1:] = (v[:-1] - v[1:]) / grid.gaps
     return out
 
 

@@ -246,15 +246,20 @@ class TestWorkCount:
         assert counts["build_tables"] == 3
         assert counts["operator_values"] <= sweeps + soft + 2
 
-    def test_one_wealth_table_per_path(
+    def test_one_wealth_table_per_solution(
         self, dear_refined_solution, two_claims, monkeypatch
     ):
-        # the wealth read-off runs once for every layer together, and a
-        # step projects at most three states: previous, jumped and new
-        counts = count_calls(monkeypatch, "_wealth_rows", "project")
-        policy.evolve_path(dear_refined_solution, two_claims, 1.0)
-        assert counts["_wealth_rows"] == 1
-        assert counts["project"] <= 3 * dear_refined_solution.grid.n_steps
+        # the wealth read-off runs once per solution, for every layer
+        # together, however many paths and rows read it; a step projects
+        # at most three states: previous, jumped and new
+        sol = dataclasses.replace(dear_refined_solution)  # nothing read off yet
+        counts = count_calls(monkeypatch, "_wealth_table", "project")
+        policy.evolve_path(sol, two_claims, 1.0)
+        policy.evolve_path(sol, two_claims, 1.0)
+        policy.find_initial_state(sol, 1.0)
+        policy.wealth_row(sol, 1)
+        assert counts["_wealth_table"] == 1
+        assert counts["project"] <= 2 * 3 * sol.grid.n_steps
 
 
 class TestMain:

@@ -54,6 +54,21 @@ class TestGridValidation:
             g.states[0] = 0.5
 
 
+class TestGaps:
+    @pytest.mark.parametrize(
+        "g",
+        [
+            build_uniform(3, 10, 1.0),
+            refine_around(build_uniform(3, 40, 1.0), 12, 3, 1.0 / 400.0),
+        ],
+    )
+    def test_cell_widths_read_only(self, g):
+        assert np.array_equal(g.gaps, np.diff(g.states))
+        assert g.gaps is g.gaps
+        with pytest.raises(ValueError, match="read-only"):
+            g.gaps[0] = 1.0
+
+
 class TestRefineAround:
     def test_desk_scale_window(self):
         g = build_uniform(50, 100, 1.0)

@@ -24,6 +24,7 @@ from insdual.howard import solve_time_step
 from insdual.scheme import build_tables, source_term
 from tests.test_cli import count_calls
 from tests.test_model import make_params
+from tests.test_path_parity import oracle_wealth_row
 from tests.test_scheme import admissible_oracle, complementarity_row, stationary_oracle
 
 
@@ -36,6 +37,27 @@ def toy_problem():
         params = make_params(alpha=2.1, beta=2.15)
     controls = ControlSet(np.array([1.0, 1.3]))
     return grid, params, controls
+
+
+def oracle_growth_margins(solution, band=(0.05, 0.95)):
+    """growth_margins as a loop over the time layers, one layer at a time."""
+    grid = solution.grid
+    params = solution.params
+    mask = (grid.states >= band[0]) & (grid.states <= band[1])
+    y = expand(grid.states[mask])
+    base = conjugate_utility(params, y)
+    k_upper = params.alpha - params.beta + max(
+        params.beta - params.delta * params.pi_intensity, 0.0
+    )
+    k_lower = params.alpha - params.beta
+    below = -np.inf
+    above = -np.inf
+    for i in range(grid.n_steps + 1):
+        remaining = params.T - grid.times[i]
+        u = np.exp(params.r * grid.times[i]) * solution.surface[i][mask]
+        below = max(below, np.max(base + k_lower * y * remaining - u))
+        above = max(above, np.max(u - (base + k_upper * y * remaining)))
+    return float(below), float(above)
 
 
 def enumerate_toy_layer(grid, params, controls, v_next, tol=1e-9):
@@ -311,6 +333,40 @@ class TestDiagnostics:
     def test_growth_margins_empty_band(self, cheap_solution):
         with pytest.raises(ValueError, match="band"):
             growth_margins(cheap_solution, band=(0.995, 0.999))
+
+    @pytest.mark.parametrize(
+        "fixture",
+        ["cheap_solution", "dear_refined_solution", "obstacle_regime_solution"],
+    )
+    @pytest.mark.parametrize("band", [(0.05, 0.95), (0.0, 1.0), (0.3, 0.31)])
+    def test_growth_margins_match_the_layer_loop(self, fixture, band, request):
+        sol = request.getfixturevalue(fixture)
+        assert growth_margins(sol, band) == oracle_growth_margins(sol, band)
+
+
+class TestSolutionArrays:
+    @pytest.fixture
+    def fresh_solution(self):
+        _, params, controls = toy_problem()
+        return solve_backward(build_uniform(4, 10, params.T), params, controls)
+
+    @pytest.mark.parametrize("name", ["wealth", "surface", "control", "region"])
+    def test_solved_arrays_are_read_only(self, fresh_solution, name):
+        array = getattr(fresh_solution, name)
+        before = array.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = -1.0
+        assert np.array_equal(array, before)
+
+    def test_replace_reads_its_own_wealth(self, fresh_solution):
+        old = fresh_solution.wealth
+        surface = fresh_solution.surface * 2.0 + fresh_solution.grid.states
+        new = dataclasses.replace(fresh_solution, surface=surface)
+        assert new.wealth is not old
+        assert not np.array_equal(new.wealth, old)
+        for i in range(new.grid.n_steps):
+            assert np.array_equal(new.wealth[i], oracle_wealth_row(new, i)), i
+            assert np.array_equal(old[i], oracle_wealth_row(fresh_solution, i)), i
 
 
 class TestWarmStart:

@@ -244,7 +244,7 @@ class TestWealthTable:
     def test_rows_match_the_per_layer_formula(self, fixture, request):
         sol = request.getfixturevalue(fixture)
         n = sol.grid.n_steps
-        table = policy._wealth_rows(sol, slice(0, n))
+        table = sol.wealth
         assert table.shape == (n, sol.grid.n_nodes)
         for i in range(n):
             want = oracle_wealth_row(sol, i)
