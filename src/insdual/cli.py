@@ -91,7 +91,6 @@ class RunConfig:
     control_low: float = _key("controls", 1e-3)
     control_high: float = _key("controls", 1e3)
     control_count: int = _key("controls", 101)
-    tol: float = _key("solver", 1e-9)
     max_iter: int = _key("solver", 200)
     # the starting wealth is this package's choice, not a published value:
     # 1.0 lands the starting node mid-mesh under the default parameters
@@ -242,12 +241,8 @@ def _control_sensitivity(solution, config: RunConfig):
     )
     v0 = solution.surface[0]
     base = solution.tables
-    if solution.diagnostics[0].policy_stable:
-        # the solve's last pass at v0 already scanned the base ladder
-        base_k = np.searchsorted(base.controls, solution.control[0])
-    else:
-        # a soft stop returned the control of the previous iterate
-        base_k = np.argmin(operator_values(v0, grid, params, base), axis=0)
+    # the solve's last pass at v0 already scanned the base ladder
+    base_k = np.searchsorted(base.controls, solution.control[0])
     base_min = chosen_operator_values(v0, grid, params, base, base_k)
     wide_vals = operator_values(v0, grid, params, build_tables(grid, params, wide))
     wide_k = np.argmin(wide_vals, axis=0)
@@ -286,17 +281,13 @@ def run(config: RunConfig, out_dir=None) -> dict:
     )
     claims = _claim_schedule(config, params)
     coarse_grid = build_uniform(config.n_time, config.n_state, params.T)
-    coarse = solve_backward(
-        coarse_grid, params, controls, tol=config.tol, max_iter=config.max_iter
-    )
+    coarse = solve_backward(coarse_grid, params, controls, max_iter=config.max_iter)
     j0, _ = find_initial_state(coarse, config.x0)
     if config.refine:
         fine_grid = refine_around(
             coarse_grid, j0, config.refine_halfwidth, config.refine_step
         )
-        solution = solve_backward(
-            fine_grid, params, controls, tol=config.tol, max_iter=config.max_iter
-        )
+        solution = solve_backward(fine_grid, params, controls, max_iter=config.max_iter)
     else:
         solution = coarse
 
@@ -394,12 +385,15 @@ def main(argv=None) -> int:
         help="draw the claim schedule from a seeded arrival process",
     )
     parser.add_argument("--grid", help="override the coarse mesh as N,M")
-    parser.add_argument("--tol", type=float, help="Howard stopping tolerance")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of nonconvergence here
+        return EXIT_VALIDATION if exc.code else EXIT_OK
 
     try:
         config = load_config(args.config) if args.config else RunConfig()
-        flags = {"out_dir": args.out, "seed": args.seed, "tol": args.tol}
+        flags = {"out_dir": args.out, "seed": args.seed}
         overrides = {key: value for key, value in flags.items() if value is not None}
         if args.no_refine:
             overrides["refine"] = False

@@ -13,25 +13,24 @@ v, given the already-solved later row v_next. The iteration alternates
                 rows exactly: implicit operator rows on the continuation
                 set, v[j] = v[j-1] on the obstacle set.
 
-The loop stops when the (control, partition) pair repeats, at which point
-the evaluated row is an exact fixed point of its own improvement and the
-complementarity conditions hold to linear-solver precision. A sup-norm
-change at or below ``tol`` that persists without the pair stabilizing is
-accepted after a few sweeps and flagged in the step diagnostics.
+The loop stops when the (control, partition) pair repeats, or one
+evaluation earlier when a sweep leaves the row unchanged: either way the
+returned row is an exact fixed point of its own improvement, and the
+complementarity conditions hold to linear-solver precision. A finite
+ladder and a monotone scheme bound the number of sweeps (Bokanowski,
+Maroso & Zidani, SIAM J. Numer. Anal. 47(4), 2009); a layer that has not
+stopped after ``max_iter`` sweeps raises HowardNonconvergence.
 
 Each layer also records its complementarity extrema at the returned
-row, read off the improvement pass that ended the layer (one more pass
-is evaluated only after a soft stop), so the solution's residuals need
-no second evaluation of the operator.
+row, read off the improvement pass that ended the layer, so the
+solution's residuals need no second evaluation of the operator.
 
-A layer starts at v = v_next, the row the layer above returned. When
-that layer ended on a repeated pair, its last improvement pass already
-scanned every candidate at exactly this row, and the argmin does not
-depend on v_next; solve_backward hands its control row down as
-``start``, and the first pass evaluates only the chosen row per node.
-That pass is the full scan's pass bit for bit, so the whole sweep is.
-After a soft stop the returned control belongs to the previous iterate,
-so the next layer scans in full.
+A layer starts at v = v_next, the row the layer above returned. That
+layer's last improvement pass already scanned every candidate at exactly
+this row, and the argmin does not depend on v_next; solve_backward hands
+its control row down as ``start``, and the first pass evaluates only the
+chosen row per node. That pass is the full scan's pass bit for bit, so
+the whole sweep is.
 """
 
 from __future__ import annotations
@@ -68,12 +67,12 @@ __all__ = [
 REGION_CONTINUATION = 0
 REGION_OBSTACLE = 1
 
-# consecutive sub-tol sweeps accepted when the policy keeps dithering
-_SOFT_STOP_SWEEPS = 5
-
 
 class HowardNonconvergence(RuntimeError):
-    """Raised when a layer finishes neither by policy stability nor the value rule."""
+    """Raised when a layer's policy has not repeated within max_iter sweeps.
+
+    Also raised when an evaluation produces non-finite values.
+    """
 
     def __init__(self, message, time_index, change_history, last_iterate):
         super().__init__(message)
@@ -86,6 +85,8 @@ class HowardNonconvergence(RuntimeError):
 class StepDiagnostics:
     """How one layer ended, and its complementarity at the returned row.
 
+    policy_stable is true for every layer that returns: a layer ends only
+    on a repeated policy (or an unchanged row) and raises otherwise.
     lowest_argument is the smallest value either argument of the
     pointwise minimum takes on the layer, largest_minimum the largest
     value of the minimum itself (see complementarity_extrema).
@@ -165,35 +166,33 @@ def solve_time_step(
     v_next,
     grid: Grid,
     params: ModelParams,
-    controls: ControlSet,
-    tol: float = 1e-9,
+    tables: OperatorTables,
     max_iter: int = 200,
-    tables: OperatorTables | None = None,
     time_index: int | None = None,
     start=None,
 ):
     """One backward layer: returns (v, control_row, region_row, diagnostics).
 
-    Warm starts from v_next. ``start``, when given, is the minimizing
+    Warm starts from v_next and evaluates the operator store ``tables``.
+    The layer ends when the (control, region) pair repeats, or when a
+    sweep leaves the row unchanged; either way the returned row is a fixed
+    point of its own improvement. ``start``, when given, is the minimizing
     control row at v_next itself, as the layer that returned v_next found
-    it when it ended with a stable policy: the first improvement pass
-    then takes its candidates from ``start`` instead of scanning the
-    ladder, which is exact because that scan would find the same argmin
-    at the same row. Any other admissible row changes the sweeps taken,
-    not the layer they reach beyond rounding. Raises ValueError if an
-    entry of ``start`` is not on the ladder or is inadmissible at its
-    node. Raises HowardNonconvergence with the change history and last
-    iterate if max_iter sweeps finish without the stop rule firing.
+    it: the first improvement pass then takes its candidates from
+    ``start`` instead of scanning the ladder, which is exact because that
+    scan would find the same argmin at the same row. Any other admissible
+    row changes the sweeps taken, not the layer they reach beyond
+    rounding. Raises ValueError if an entry of ``start`` is not on the
+    ladder or is inadmissible at its node. Raises HowardNonconvergence
+    with the change history and last iterate if max_iter sweeps finish
+    without the layer ending.
     """
-    if tables is None:
-        tables = build_tables(grid, params, controls)
     v_next = np.asarray(v_next, dtype=float)
     v = v_next.copy()
     # the first pass reads its candidates off start; every later pass scans
     known = None if start is None else _start_index(start, tables)
     prev_sig = None
     changes: list[float] = []
-    soft = 0
     for it in range(1, max_iter + 1):
         kstar, stationary, obstacle = _improve(v, v_next, grid, params, tables, known)
         known = None
@@ -202,11 +201,7 @@ def solve_time_step(
         sig = kstar.tobytes() + region.tobytes()
         if sig == prev_sig:
             # evaluating again would reproduce v bit for bit
-            diag = StepDiagnostics(
-                time_index, it, changes[-1] if changes else 0.0, True, tuple(changes),
-                *_extrema(stationary, obstacle),
-            )
-            return v, tables.controls[kstar], region, diag
+            break
         v_new = solve_policy_system(v_next, grid, params, tables, kstar, region)
         if not np.all(np.isfinite(v_new)):
             raise HowardNonconvergence(
@@ -220,23 +215,22 @@ def solve_time_step(
         changes.append(change)
         v = v_new
         prev_sig = sig
-        soft = soft + 1 if change <= tol else 0
-        if change == 0.0 or soft >= _SOFT_STOP_SWEEPS:
-            if change != 0.0:
-                # the last pass saw the previous iterate, not the returned one
-                _, stationary, obstacle = _improve(v, v_next, grid, params, tables)
-            diag = StepDiagnostics(
-                time_index, it, change, change == 0.0, tuple(changes),
-                *_extrema(stationary, obstacle),
-            )
-            return v, tables.controls[kstar], region, diag
-    raise HowardNonconvergence(
-        f"howard: no convergence within {max_iter} iterations at time index "
-        f"{time_index}; last sup-change {changes[-1]:.3e}",
-        time_index,
-        changes,
-        v,
+        if change == 0.0:
+            # the last pass saw this row already: the pair would repeat
+            break
+    else:
+        raise HowardNonconvergence(
+            f"howard: no convergence within {max_iter} iterations at time index "
+            f"{time_index}; last sup-change {changes[-1]:.3e}",
+            time_index,
+            changes,
+            v,
+        )
+    diag = StepDiagnostics(
+        time_index, it, changes[-1], True, tuple(changes),
+        *_extrema(stationary, obstacle),
     )
+    return v, tables.controls[kstar], region, diag
 
 
 def _improve(v, v_next, grid: Grid, params: ModelParams, tables: OperatorTables, kstar=None):
@@ -288,7 +282,6 @@ def solve_backward(
     grid: Grid,
     params: ModelParams,
     controls: ControlSet,
-    tol: float = 1e-9,
     max_iter: int = 200,
 ) -> DiscreteSolution:
     """Full backward sweep from the terminal layer to time zero."""
@@ -307,18 +300,9 @@ def solve_backward(
     start = None
     for i in range(n - 1, -1, -1):
         v, rho_row, region_row, diag = solve_time_step(
-            surface[i + 1],
-            grid,
-            params,
-            controls,
-            tol=tol,
-            max_iter=max_iter,
-            tables=tables,
-            time_index=i,
-            start=start,
+            surface[i + 1], grid, params, tables, max_iter, time_index=i, start=start
         )
-        # a soft stop returns the control of the previous iterate
-        start = rho_row if diag.policy_stable else None
+        start = rho_row
         surface[i] = v
         control[i] = rho_row
         region[i] = region_row

@@ -12,7 +12,8 @@ wealth would go negative.
 
 Per step i >= 1 the evolution is
 
-  1. project the previous dual state onto the mesh -> node j_i,
+  1. node j_i is the node the previous dual state projects to: the
+     node j''_{i-1} that step settled on (j_init at step 1),
   2. read the layer-i control rho at node j_i,
   3. density *= exp(-pi * h_t * (rho - 1)) and *= rho if a claim acts
      at this step,
@@ -104,10 +105,16 @@ def wealth_row(solution: DiscreteSolution, i: int):
     return solution.wealth[i]
 
 
-def _initial_state(solution: DiscreteSolution, row, x: float):
-    """find_initial_state given the wealth row of layer 0."""
+def find_initial_state(solution: DiscreteSolution, x: float):
+    """Node of the starting layer whose implied wealth is nearest to x.
+
+    Returns (j_init, y_init) with y_init the uncompactified node state.
+    Raises UnreachableWealthError when x falls outside the attainable
+    range of the starting layer.
+    """
     if x < 0.0:
         raise ValueError(f"policy: starting wealth must be nonnegative, got {x}")
+    row = solution.wealth[0]
     lo, hi = float(row.min()), float(row.max())
     if not lo <= x <= hi:
         raise UnreachableWealthError(
@@ -116,16 +123,6 @@ def _initial_state(solution: DiscreteSolution, row, x: float):
         )
     j_init = int(np.argmin(np.abs(row - x)))
     return j_init, expand(float(solution.grid.states[j_init]))
-
-
-def find_initial_state(solution: DiscreteSolution, x: float):
-    """Node of the starting layer whose implied wealth is nearest to x.
-
-    Returns (j_init, y_init) with y_init the uncompactified node state.
-    Raises UnreachableWealthError when x falls outside the attainable
-    range of the starting layer.
-    """
-    return _initial_state(solution, solution.wealth[0], x)
 
 
 def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
@@ -146,9 +143,8 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
     flags = claim_steps(claims, ht, n)
     claim_at = flags.tolist()
 
-    table = solution.wealth
-    w = table.item
-    j_init, y_init = _initial_state(solution, table[0], x)
+    w = solution.wealth.item
+    j_init, y_init = find_initial_state(solution, x)
 
     d = 1.0
     reg = 1.0
@@ -165,9 +161,12 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
     wealth = [w(0, j_init)]
 
     escapes = 0
+    jpp = j_init
     for i in range(1, n):
         y_prev = y
-        j_i = project(grid, compactify(y_prev))
+        # the previous step settled on node jpp: y_prev is its state or,
+        # if regulated, within a few ulps of it, so projecting is redundant
+        j_i = jpp
         rho = control.item(i, j_i)
         growth = np.exp(decay * (rho - 1.0))
         d = d * growth * (rho if claim_at[i] else 1.0)

@@ -19,7 +19,6 @@ from insdual import (
     solve_backward,
     terminal_condition,
 )
-from insdual import howard
 from insdual.howard import solve_time_step
 from insdual.scheme import build_tables, source_term
 from tests.test_cli import count_calls
@@ -135,7 +134,7 @@ class TestSingleStep:
         cs = ControlSet(np.array([1.0]))
         v_next = terminal_condition(p, g.states)
         v, rho_row, region_row, diag = solve_time_step(
-            g.states * 0 + v_next, g, p, cs, time_index=9
+            g.states * 0 + v_next, g, p, build_tables(g, p, cs), time_index=9
         )
         expected = v_next + g.h_t * source_term(p, g.states, 1.0)
         np.testing.assert_allclose(v, expected, rtol=1e-14)
@@ -149,7 +148,8 @@ class TestSingleStep:
         cs = make_control_set(cheap_params)
         v_next = terminal_condition(cheap_params, g.states)
         v, rho_row, region_row, _ = solve_time_step(
-            v_next, g, cheap_params, cs, time_index=g.n_steps - 1
+            v_next, g, cheap_params, build_tables(g, cheap_params, cs),
+            time_index=g.n_steps - 1,
         )
         target = np.exp(-cheap_params.r * (cheap_params.T - g.h_t)) \
             * conjugate_utility(cheap_params, expand(g.states))
@@ -299,18 +299,6 @@ class TestDiagnostics:
         expected = (min(r.min() for r in rows), max(r.max() for r in rows))
         assert complementarity_extrema(sol) == expected
 
-    def test_soft_stop_records_the_returned_row(self, dear_params, monkeypatch):
-        # a soft stop returns the row its last pass did not see: the
-        # extrema must still describe the returned row
-        monkeypatch.setattr(howard, "_SOFT_STOP_SWEEPS", 1)
-        g = build_uniform(10, 40, dear_params.T)
-        sol = solve_backward(g, dear_params, make_control_set(dear_params), tol=1e9)
-        assert not any(d.policy_stable for d in sol.diagnostics)
-        tables = build_tables(g, sol.params, sol.controls)
-        for i, d in enumerate(sol.diagnostics):
-            row = complementarity_row(sol.surface, g, i, sol.params, tables)
-            assert (d.lowest_argument, d.largest_minimum) == (row.min(), row.max())
-
     def test_growth_margins_cheap(self, cheap_solution):
         below, above = growth_margins(cheap_solution)
         assert below <= 1e-3
@@ -370,46 +358,27 @@ class TestSolutionArrays:
 
 
 class TestWarmStart:
-    @staticmethod
-    def expected_scans(sol):
-        # a pass per sweep, one more after a soft stop, none for the first
-        # pass of a layer whose upper layer ended with a stable policy
-        diags = sol.diagnostics
-        started = sum(d.policy_stable for d in diags[1:])
-        soft = sum(not d.policy_stable for d in diags)
-        return sum(d.iterations for d in diags) - started + soft
-
     def test_one_scan_fewer_per_started_layer(self, dear_params, monkeypatch):
+        # a pass per sweep, less one for every layer but the first one
+        # solved: those start from the control row the layer above returned
         counts = count_calls(monkeypatch, "operator_values")
         g = build_uniform(20, 60, dear_params.T)
         sol = solve_backward(g, dear_params, make_control_set(dear_params))
         assert all(d.policy_stable for d in sol.diagnostics)
         scans = counts["operator_values"]
         assert scans == sum(d.iterations for d in sol.diagnostics) - (g.n_steps - 1)
-        assert scans == self.expected_scans(sol)
-
-    def test_soft_stops_scan_the_next_layer_in_full(self, dear_params, monkeypatch):
-        monkeypatch.setattr(howard, "_SOFT_STOP_SWEEPS", 1)
-        counts = count_calls(monkeypatch, "operator_values")
-        g = build_uniform(10, 40, dear_params.T)
-        sol = solve_backward(g, dear_params, make_control_set(dear_params), tol=1e9)
-        soft = sum(not d.policy_stable for d in sol.diagnostics)
-        assert soft == g.n_steps
-        scans = counts["operator_values"]
-        assert scans == sum(d.iterations for d in sol.diagnostics) + soft
-        assert scans == self.expected_scans(sol)
 
     def test_off_ladder_start_rejected(self, dear_coarse_solution):
         sol = dear_coarse_solution
         start = sol.control[1].copy()
         start[3] = np.nextafter(start[3], np.inf)
         with pytest.raises(ValueError, match="not on the ladder"):
-            solve_time_step(sol.surface[1], sol.grid, sol.params, sol.controls,
-                            tables=sol.tables, start=start)
+            solve_time_step(sol.surface[1], sol.grid, sol.params, sol.tables,
+                            start=start)
         start[3] = sol.controls.candidates[-1] * 2.0
         with pytest.raises(ValueError, match="not on the ladder"):
-            solve_time_step(sol.surface[1], sol.grid, sol.params, sol.controls,
-                            tables=sol.tables, start=start)
+            solve_time_step(sol.surface[1], sol.grid, sol.params, sol.tables,
+                            start=start)
 
     def test_inadmissible_start_rejected(self, dear_coarse_solution):
         # at the first node only candidates up to rho = 1 are admissible
@@ -417,8 +386,8 @@ class TestWarmStart:
         start = sol.control[1].copy()
         start[0] = sol.controls.candidates[-1]
         with pytest.raises(ValueError, match="inadmissible at node 0"):
-            solve_time_step(sol.surface[1], sol.grid, sol.params, sol.controls,
-                            tables=sol.tables, start=start)
+            solve_time_step(sol.surface[1], sol.grid, sol.params, sol.tables,
+                            start=start)
 
     @pytest.mark.parametrize(
         "name", ["dear_coarse_solution", "obstacle_regime_solution"]
@@ -426,10 +395,10 @@ class TestWarmStart:
     def test_any_admissible_start_reaches_the_same_layer(self, name, request):
         sol = request.getfixturevalue(name)
         i = sol.grid.n_steps // 2
-        args = (sol.surface[i + 1], sol.grid, sol.params, sol.controls)
-        v, rho, region, _ = solve_time_step(*args, tables=sol.tables, time_index=i)
+        args = (sol.surface[i + 1], sol.grid, sol.params, sol.tables)
+        v, rho, region, _ = solve_time_step(*args, time_index=i)
         v1, rho1, region1, _ = solve_time_step(
-            *args, tables=sol.tables, time_index=i, start=np.ones(sol.grid.n_nodes)
+            *args, time_index=i, start=np.ones(sol.grid.n_nodes)
         )
         np.testing.assert_array_equal(region1, region)
         pde = ~region

@@ -1,9 +1,11 @@
-"""The README's library example runs against the package's public names."""
+"""The README's examples run against the package as it is."""
 
 import re
 from pathlib import Path
 
 import pytest
+
+from insdual.cli import RunConfig, load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,3 +18,13 @@ def test_library_example_runs(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_ini_example_is_the_default_config(tmp_path):
+    # every key the README shows must load, and show its default: a key
+    # removed or renamed in RunConfig then fails here
+    blocks = re.findall(r"^```ini\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.ini"
+    path.write_text(blocks[0])
+    assert load_config(path) == RunConfig()
