@@ -2,12 +2,14 @@
 
 A run performs the two-pass solve (coarse mesh to locate the starting
 node, refined mesh around it for the reported surface), reconstructs the
-controlled path on a claim schedule, and writes
+controlled path on a claim schedule (the configured times, or a seeded
+Poisson draw; every claim has size delta), and writes
 
     surface.csv       value, chosen control and region label per node
     path.csv          reconstructed strategy and wealth per time step
     diagnostics.json  iteration counts, residual extrema, bound margins,
-                      one-step defect, control-ladder sensitivity
+                      one-step defect, control-ladder sensitivity, and
+                      the claims: their times, size (delta) and source
     strategy.dat      two-column (t, theta) series
     wealth.dat        two-column (t, wealth) series
 
@@ -95,9 +97,8 @@ class RunConfig:
     # the starting wealth is this package's choice, not a published value:
     # 1.0 lands the starting node mid-mesh under the default parameters
     x0: float = _key("experiment", 1.0)
+    # every claim has size delta; seed, when set, draws the times instead
     claim_times: tuple = _key("experiment", (0.4, 0.8))
-    # None or delta itself: any other mark is rejected before the solve
-    claim_mark: float | None = _key("experiment", None)
     seed: int | None = _key("experiment", None)
     out_dir: str = _key("output", "out")
 
@@ -162,23 +163,6 @@ def _model_params(config: RunConfig) -> ModelParams:
         delta=config.delta,
         pi_intensity=config.intensity,
         T=config.horizon,
-    )
-
-
-def _claim_schedule(config: RunConfig, params: ModelParams) -> ClaimSchedule:
-    # the surface is solved for claims of size delta, and the path and its
-    # residual apply that size, so no other mark can be honoured
-    if config.claim_mark is not None and config.claim_mark != params.delta:
-        raise ConfigError(
-            f"cli: claim_mark = {config.claim_mark} differs from delta = "
-            f"{params.delta}; the solved surface assumes claims of size delta"
-        )
-    if config.seed is not None:
-        return poisson_schedule(
-            params.pi_intensity, params.T, config.seed, mark=params.delta
-        )
-    return ClaimSchedule(
-        times=np.asarray(config.claim_times, dtype=float), mark=params.delta
     )
 
 
@@ -279,7 +263,11 @@ def run(config: RunConfig, out_dir=None) -> dict:
         high=config.control_high,
         count=config.control_count,
     )
-    claims = _claim_schedule(config, params)
+    # validated here, so a bad schedule is rejected before any solve
+    if config.seed is None:
+        claims = ClaimSchedule(times=config.claim_times)
+    else:
+        claims = poisson_schedule(params.pi_intensity, params.T, config.seed)
     coarse_grid = build_uniform(config.n_time, config.n_state, params.T)
     coarse = solve_backward(coarse_grid, params, controls, max_iter=config.max_iter)
     j0, _ = find_initial_state(coarse, config.x0)
@@ -305,7 +293,7 @@ def run(config: RunConfig, out_dir=None) -> dict:
         },
         "howard": {
             "iterations": [d.iterations for d in solution.diagnostics],
-            "final_changes": [d.final_change for d in solution.diagnostics],
+            "final_changes": [d.change_history[-1] for d in solution.diagnostics],
             "change_history": [
                 list(d.change_history) for d in solution.diagnostics
             ],
@@ -327,9 +315,9 @@ def run(config: RunConfig, out_dir=None) -> dict:
         },
         "claims": {
             "times": [float(t) for t in claims.times],
-            "mark": claims.mark,
-            "source": claims.source,
-            "seed": claims.seed,
+            "mark": params.delta,
+            "source": "deterministic" if config.seed is None else "poisson",
+            "seed": config.seed,
         },
     }
 

@@ -94,7 +94,6 @@ class StepDiagnostics:
 
     time_index: int | None
     iterations: int
-    final_change: float
     policy_stable: bool
     change_history: tuple = ()
     lowest_argument: float = np.nan
@@ -227,7 +226,7 @@ def solve_time_step(
             v,
         )
     diag = StepDiagnostics(
-        time_index, it, changes[-1], True, tuple(changes),
+        time_index, it, True, tuple(changes),
         *_extrema(stationary, obstacle),
     )
     return v, tables.controls[kstar], region, diag

@@ -44,9 +44,9 @@ class ModelParams:
     T             horizon
     gamma         derived conjugate exponent eta / (1 - eta)
 
-    ``alpha < beta`` (reinsurance dearer than the income it protects) is
-    accepted but flagged with a warning, since it makes full cover a
-    money-losing position on average.
+    Every input must be finite. ``alpha < beta`` (reinsurance dearer than
+    the income it protects) is accepted but flagged with a warning, since
+    it makes full cover a money-losing position on average.
     """
 
     eta: float
@@ -61,20 +61,19 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"model: eta must lie strictly in (0, 1), got {self.eta}")
-        if self.alpha < 0.0:
-            raise ValueError(f"model: alpha must be nonnegative, got {self.alpha}")
-        if self.beta < 0.0:
-            raise ValueError(f"model: beta must be nonnegative, got {self.beta}")
-        if self.r < 0.0:
-            raise ValueError(f"model: r must be nonnegative, got {self.r}")
-        if self.delta <= 0.0:
-            raise ValueError(f"model: delta must be positive, got {self.delta}")
-        if self.pi_intensity <= 0.0:
-            raise ValueError(
-                f"model: pi_intensity must be positive, got {self.pi_intensity}"
-            )
-        if self.T <= 0.0:
-            raise ValueError(f"model: T must be positive, got {self.T}")
+        # written so that NaN fails every check, and +inf the upper bound
+        for name in ("alpha", "beta", "r"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ValueError(
+                    f"model: {name} must be finite and nonnegative, got {value}"
+                )
+        for name in ("delta", "pi_intensity", "T"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(
+                    f"model: {name} must be finite and positive, got {value}"
+                )
         object.__setattr__(self, "gamma", self.eta / (1.0 - self.eta))
         if self.alpha < self.beta:
             warnings.warn(

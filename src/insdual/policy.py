@@ -32,9 +32,10 @@ and the wealth are single table entries, and only the growth factor
 still goes through numpy (np.exp, whose last bit math.exp need not
 match). The rules and the bits are those of the steps above.
 
-Claims act at the steps ``simulate.claim_steps`` gives them, and
-``sde_residual`` checks the wealth path against
-``simulate.wealth_increments``: the rules ``integrate_primal`` uses.
+Claims act at the steps ``simulate.claim_steps`` gives them, each of the
+size delta the surface is solved for, and ``sde_residual`` checks the
+wealth path against ``simulate.wealth_increments``: the rules
+``integrate_primal`` uses.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def find_initial_state(solution: DiscreteSolution, x: float):
     Raises UnreachableWealthError when x falls outside the attainable
     range of the starting layer.
     """
-    if x < 0.0:
+    if not x >= 0.0:  # NaN fails too
         raise ValueError(f"policy: starting wealth must be nonnegative, got {x}")
     row = solution.wealth[0]
     lo, hi = float(row.min()), float(row.max())
@@ -128,8 +129,7 @@ def find_initial_state(solution: DiscreteSolution, x: float):
 def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
     """Forward reconstruction of the controlled path starting from wealth x.
 
-    ``claims`` is anything with a ``times`` attribute (a ClaimSchedule) or
-    a bare sequence of claim times.
+    ``claims`` is a ClaimSchedule or a bare sequence of claim times.
     """
     grid = solution.grid
     params = solution.params
@@ -226,10 +226,7 @@ def sde_residual(path: PolicyPath, params) -> float:
     """Largest one-step defect of the wealth path against its own dynamics.
 
     Compares every wealth increment with ``wealth_increments`` under the
-    path's retention and claim steps, each claim of size delta; a path
-    with no step has no defect.
+    path's retention and claim steps; a path with no step has no defect.
     """
-    inc = wealth_increments(
-        path.theta, path.claim_flag, np.diff(path.times), params, params.delta
-    )
+    inc = wealth_increments(path.theta, path.claim_flag, np.diff(path.times), params)
     return float(np.max(np.abs(np.diff(path.wealth) - inc), initial=0.0))

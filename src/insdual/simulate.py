@@ -1,9 +1,11 @@
 """Claim schedules, the claim-step and wealth-increment rules, primal wealth.
 
-The path reconstruction and the forward (primal) Euler accumulation both
-place claims with ``claim_steps`` and step wealth with
-``wealth_increments``, so ``integrate_primal`` reproduces a reconstructed
-wealth path up to exactly that path's ``sde_residual``.
+Every claim has the one size ``ModelParams.delta`` the surface is solved
+for, so a schedule is its arrival times alone. The path reconstruction
+and the forward (primal) Euler accumulation both place claims with
+``claim_steps`` and step wealth with ``wealth_increments``, so
+``integrate_primal`` reproduces a reconstructed wealth path up to exactly
+that path's ``sde_residual``.
 """
 
 from __future__ import annotations
@@ -20,16 +22,12 @@ __all__ = ["ClaimSchedule", "poisson_schedule", "claim_steps", "wealth_increment
 
 @dataclass(frozen=True)
 class ClaimSchedule:
-    """Arrival times of claims, all of one fixed mark (size).
+    """Arrival times of claims: one-dimensional, positive, strictly increasing.
 
-    source is "deterministic" for hand-given times or "poisson" for a
-    seeded draw; seed records the draw when applicable.
+    Each claim has size ``ModelParams.delta``.
     """
 
     times: np.ndarray
-    mark: float
-    source: str = "deterministic"
-    seed: int | None = None
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
@@ -41,17 +39,11 @@ class ClaimSchedule:
             raise ValueError("simulate: claim times must be strictly positive")
         if times.size > 1 and np.any(np.diff(times) <= 0.0):
             raise ValueError("simulate: claim times must be strictly increasing")
-        if self.mark <= 0.0:
-            raise ValueError(f"simulate: claim mark must be positive, got {self.mark}")
-        if self.source not in ("deterministic", "poisson"):
-            raise ValueError(f"simulate: unknown schedule source {self.source!r}")
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
 
 
-def poisson_schedule(
-    intensity: float, horizon: float, seed: int, mark: float = 1.0
-) -> ClaimSchedule:
+def poisson_schedule(intensity: float, horizon: float, seed: int) -> ClaimSchedule:
     """Claim times on (0, horizon] drawn with exponential inter-arrivals.
 
     Uses numpy's seeded default generator (PCG64), so one seed gives the
@@ -67,9 +59,7 @@ def poisson_schedule(
     while t <= horizon:
         times.append(t)
         t += rng.exponential(1.0 / intensity)
-    return ClaimSchedule(
-        times=np.asarray(times, dtype=float), mark=mark, source="poisson", seed=seed
-    )
+    return ClaimSchedule(times=np.asarray(times, dtype=float))
 
 
 def claim_steps(claims, h_t: float, n_steps: int):
@@ -89,16 +79,16 @@ def claim_steps(claims, h_t: float, n_steps: int):
     return flags
 
 
-def wealth_increments(theta, claim_flag, dt, params: ModelParams, mark: float):
+def wealth_increments(theta, claim_flag, dt, params: ModelParams):
     """Wealth change over each step (t_{i-1}, t_i], i = 1 .. n - 1.
 
     The drift alpha - beta * (1 - theta_i) over the step dt (a scalar or
-    one per step), minus theta_i * mark when a claim acts at step i; theta
-    and claim_flag are indexed by step 0 .. n - 1.
+    one per step), minus theta_i * delta when a claim acts at step i;
+    theta and claim_flag are indexed by step 0 .. n - 1.
     """
     theta = np.asarray(theta, dtype=float)[1:]
     drift = (params.alpha - params.beta * (1.0 - theta)) * dt
-    return drift - theta * mark * claim_flag[1:]
+    return drift - theta * params.delta * claim_flag[1:]
 
 
 def integrate_primal(theta_path, params: ModelParams, claims, x: float):
@@ -108,14 +98,12 @@ def integrate_primal(theta_path, params: ModelParams, claims, x: float):
     the uniform mesh t_i = i * h_t with h_t = params.T / len(theta_path),
     matching a reconstructed path that stops one step short of the horizon
     (theta_path[0] is unused). Claims act at the steps ``claim_steps``
-    gives them, with the schedule's mark (params.delta for bare times). No
-    positivity is enforced, so a bad strategy shows up as negative wealth
-    rather than an error.
+    gives them, each of size params.delta. No positivity is enforced, so
+    a bad strategy shows up as negative wealth rather than an error.
     """
     theta = np.asarray(theta_path, dtype=float)
     if theta.ndim != 1 or theta.size < 1:
         raise ValueError("simulate: theta_path must be a nonempty 1-d sequence")
     h = params.T / theta.size
-    mark = float(getattr(claims, "mark", params.delta))
-    inc = wealth_increments(theta, claim_steps(claims, h, theta.size), h, params, mark)
+    inc = wealth_increments(theta, claim_steps(claims, h, theta.size), h, params)
     return x + np.cumsum(np.concatenate(([0.0], inc)))

@@ -79,7 +79,7 @@ def obstacle_regime_solution(dear_params):
 
 @pytest.fixture(scope="session")
 def two_claims():
-    return ClaimSchedule(times=np.array([0.4, 0.8]), mark=1.0)
+    return ClaimSchedule(times=np.array([0.4, 0.8]))
 
 
 @pytest.fixture(scope="session")

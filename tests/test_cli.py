@@ -8,6 +8,7 @@ import pytest
 
 from insdual import cli, grid, howard, policy, scheme
 from insdual.cli import ConfigError, RunConfig, load_config, main, run
+from insdual.simulate import poisson_schedule
 
 CHEAP_INI = """\
 [model]
@@ -54,7 +55,7 @@ class TestLoadConfig:
             "control_low = 0.01\ncontrol_high = 50\ncontrol_count = 11\n"
             "[solver]\nmax_iter = 77\n"
             "[experiment]\n"
-            "x0 = 1.5\nclaim_times = 0.5, 1.5\nclaim_mark = 0.8\nseed = 4\n"
+            "x0 = 1.5\nclaim_times = 0.5, 1.5\nseed = 4\n"
             "[output]\nout_dir = artifacts\n"
         )
         config = load_config(path)
@@ -76,7 +77,6 @@ class TestLoadConfig:
         assert config.max_iter == 77
         assert config.x0 == 1.5
         assert config.claim_times == (0.5, 1.5)
-        assert config.claim_mark == 0.8
         assert config.seed == 4
         assert config.out_dir == "artifacts"
 
@@ -282,6 +282,25 @@ class TestMain:
         assert code == 1
         assert "eta" in capsys.readouterr().err
 
+    def test_nan_model_parameter_rejected_before_any_solve(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        calls = count_calls(monkeypatch, "solve_backward")
+        bad = tmp_path / "nan.ini"
+        bad.write_text(CHEAP_INI.replace("alpha = 2.0", "alpha = nan"))
+        code = main(["--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "alpha must be finite" in capsys.readouterr().err
+        assert calls["solve_backward"] == 0
+
+    def test_nan_starting_wealth_is_a_validation_failure(self, tmp_path, capsys):
+        # not an unreachable wealth (exit 3): NaN is no wealth at all
+        bad = tmp_path / "nan.ini"
+        bad.write_text(CHEAP_INI.replace("x0 = 1.0", "x0 = nan"))
+        code = main(["--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "starting wealth" in capsys.readouterr().err
+
     def test_unknown_key_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[model]\nnu = 0.5\n")
@@ -330,6 +349,19 @@ class TestMain:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["claims"]["source"] == "poisson"
         assert diag["claims"]["seed"] == 5
+        assert diag["claims"]["mark"] == 1.0
+        expected = poisson_schedule(2.0, 1.0, seed=5).times
+        assert diag["claims"]["times"] == expected.tolist()
+
+    def test_claims_report_delta_as_mark(self, tmp_path):
+        ini = tmp_path / "half.ini"
+        ini.write_text(CHEAP_INI.replace("delta = 1.0", "delta = 0.5"))
+        out = tmp_path / "o"
+        assert main(["--config", str(ini), "--out", str(out)]) == 0
+        claims = json.loads((out / "diagnostics.json").read_text())["claims"]
+        assert claims == {
+            "mark": 0.5, "seed": None, "source": "deterministic", "times": [0.3, 0.7],
+        }
 
     def test_grid_override(self, cheap_ini, tmp_path):
         out = tmp_path / "o"
@@ -373,10 +405,17 @@ class TestMain:
         assert calls["solve_backward"] == 0
         assert not (tmp_path / "o").exists()
 
-    def test_claim_mark_equal_to_delta_accepted(self, tmp_path):
+    def test_claim_mark_key_rejected_by_name(self, tmp_path, monkeypatch, capsys):
+        # every claim has size delta, so the removed key is an unknown one,
+        # even when it repeats delta
+        calls = count_calls(monkeypatch, "solve_backward")
         ini = tmp_path / "mark.ini"
         ini.write_text(CHEAP_INI + "claim_mark = 1.0\n")
-        assert main(["--config", str(ini), "--out", str(tmp_path / "o")]) == 0
+        code = main(["--config", str(ini), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "'claim_mark' in section [experiment]" in capsys.readouterr().err
+        assert calls["solve_backward"] == 0
+        assert not (tmp_path / "o").exists()
 
     def test_module_entry_point(self, cheap_ini, tmp_path):
         proc = subprocess.run(

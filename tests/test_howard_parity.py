@@ -81,7 +81,7 @@ def oracle_solve_time_step(v_next, grid, params, max_iter, tables, time_index):
         sig = kstar.tobytes() + region.tobytes()
         if sig == prev_sig:
             diag = StepDiagnostics(
-                time_index, it, changes[-1] if changes else 0.0, True, tuple(changes),
+                time_index, it, True, tuple(changes),
                 *oracle_extrema(stationary, obstacle),
             )
             return v, tables.controls[kstar], region, diag
@@ -103,7 +103,7 @@ def oracle_solve_time_step(v_next, grid, params, max_iter, tables, time_index):
             if change != 0.0:
                 _, stationary, obstacle = oracle_improve(v, v_next, grid, params, tables)
             diag = StepDiagnostics(
-                time_index, it, change, change == 0.0, tuple(changes),
+                time_index, it, change == 0.0, tuple(changes),
                 *oracle_extrema(stationary, obstacle),
             )
             return v, tables.controls[kstar], region, diag

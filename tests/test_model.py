@@ -42,6 +42,15 @@ class TestParams:
         with pytest.raises(ValueError, match="model"):
             make_params(**{field: value})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "field", ["alpha", "beta", "r", "delta", "pi_intensity", "T"]
+    )
+    def test_rejects_non_finite_field(self, field, value):
+        # NaN fails no "< 0" test, and inf passes every lower bound
+        with pytest.raises(ValueError, match=rf"model: {field} must be finite"):
+            make_params(**{field: value})
+
     def test_dear_cover_warns(self):
         with pytest.warns(UserWarning, match="negative net drift"):
             make_params(alpha=2.1, beta=2.15)

@@ -114,6 +114,12 @@ class TestFindInitialState:
         with pytest.raises(ValueError, match="nonnegative"):
             find_initial_state(cheap_solution, -0.5)
 
+    def test_nan_rejected(self, cheap_solution):
+        # a ValueError, not UnreachableWealthError: NaN is no wealth at all
+        with pytest.raises(ValueError, match="nonnegative") as err:
+            find_initial_state(cheap_solution, np.nan)
+        assert not isinstance(err.value, UnreachableWealthError)
+
 
 class TestClaimSnapping:
     def test_on_grid_times(self, cheap_solution):
@@ -149,7 +155,7 @@ class TestClaimSnapping:
 @pytest.fixture(scope="module")
 def cheap_path(cheap_solution):
     x = wealth_row(cheap_solution, 0)[49]
-    schedule = ClaimSchedule(times=np.array([0.3, 0.7]), mark=1.0)
+    schedule = ClaimSchedule(times=np.array([0.3, 0.7]))
     return evolve_path(cheap_solution, schedule, x), x
 
 

@@ -16,27 +16,21 @@ from tests.test_model import make_params
 class TestClaimSchedule:
     def test_rejects_bad_times(self):
         with pytest.raises(ValueError, match="one-dimensional"):
-            ClaimSchedule(times=np.ones((2, 2)), mark=1.0)
+            ClaimSchedule(times=np.ones((2, 2)))
         with pytest.raises(ValueError, match="positive"):
-            ClaimSchedule(times=np.array([0.0, 0.5]), mark=1.0)
+            ClaimSchedule(times=np.array([0.0, 0.5]))
         with pytest.raises(ValueError, match="increasing"):
-            ClaimSchedule(times=np.array([0.5, 0.5]), mark=1.0)
-
-    def test_rejects_bad_mark_and_source(self):
-        with pytest.raises(ValueError, match="mark"):
-            ClaimSchedule(times=np.array([0.5]), mark=0.0)
-        with pytest.raises(ValueError, match="source"):
-            ClaimSchedule(times=np.array([0.5]), mark=1.0, source="table")
+            ClaimSchedule(times=np.array([0.5, 0.5]))
 
     def test_frozen(self):
-        s = ClaimSchedule(times=np.array([0.5]), mark=1.0)
+        s = ClaimSchedule(times=np.array([0.5]))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            s.mark = 2.0
+            s.times = np.array([0.1])
         with pytest.raises(ValueError):
             s.times[0] = 0.1
 
     def test_empty_schedule_allowed(self):
-        s = ClaimSchedule(times=np.array([]), mark=1.0)
+        s = ClaimSchedule(times=np.array([]))
         assert s.times.size == 0
 
 
@@ -45,8 +39,6 @@ class TestPoissonSchedule:
         a = poisson_schedule(2.0, 1.0, seed=7)
         b = poisson_schedule(2.0, 1.0, seed=7)
         np.testing.assert_array_equal(a.times, b.times)
-        assert a.source == "poisson"
-        assert a.seed == 7
 
     def test_times_inside_horizon(self):
         s = poisson_schedule(5.0, 3.0, seed=1)
@@ -81,9 +73,9 @@ class TestIntegratePrimal:
         np.testing.assert_allclose(out, expected, rtol=1e-14)
 
     def test_claim_hits_exactly_once(self):
-        p = make_params(alpha=2.0, beta=1.5)
+        p = make_params(alpha=2.0, beta=1.5, delta=0.7)
         theta = np.ones(10)
-        claims = ClaimSchedule(times=np.array([0.5]), mark=0.7)
+        claims = ClaimSchedule(times=np.array([0.5]))
         out = integrate_primal(theta, p, claims, 1.0)
         h = p.T / 10.0
         inc = np.diff(out)
@@ -127,7 +119,7 @@ class TestIntegratePrimal:
 
     @pytest.mark.parametrize(
         "claims",
-        ["two_claims", ClaimSchedule(times=np.array([0.405, 0.733]), mark=1.0)],
+        ["two_claims", ClaimSchedule(times=np.array([0.405, 0.733]))],
         ids=["on-grid", "off-grid"],
     )
     def test_reproduces_reconstructed_increments(
