@@ -8,8 +8,6 @@ solved surface.
 
 from .grid import Grid, build_uniform, project, refine_around
 from .howard import (
-    REGION_CONTINUATION,
-    REGION_OBSTACLE,
     DiscreteSolution,
     HowardNonconvergence,
     StepDiagnostics,
@@ -45,8 +43,6 @@ __all__ = [
     "build_uniform",
     "project",
     "refine_around",
-    "REGION_CONTINUATION",
-    "REGION_OBSTACLE",
     "DiscreteSolution",
     "HowardNonconvergence",
     "StepDiagnostics",

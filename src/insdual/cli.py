@@ -31,7 +31,6 @@ import numpy as np
 
 from .grid import build_uniform, refine_around
 from .howard import (
-    REGION_OBSTACLE,
     HowardNonconvergence,
     complementarity_extrema,
     growth_margins,
@@ -200,8 +199,8 @@ def _surface_columns(solution):
         _cells(solution.surface),
         [rho[k] for k in index.ravel().tolist()] + blank,
         [
-            "jump" if region == REGION_OBSTACLE else "no-jump"
-            for region in solution.region.ravel().tolist()
+            "jump" if obstacle else "no-jump"
+            for obstacle in solution.region.ravel().tolist()
         ]
         + blank,
     ]
@@ -263,11 +262,13 @@ def run(config: RunConfig, out_dir=None) -> dict:
         high=config.control_high,
         count=config.control_count,
     )
-    # validated here, so a bad schedule is rejected before any solve
+    # validated here, so a bad schedule or wealth is rejected before any solve
     if config.seed is None:
         claims = ClaimSchedule(times=config.claim_times)
     else:
         claims = poisson_schedule(params.pi_intensity, params.T, config.seed)
+    if not config.x0 >= 0.0:  # NaN fails too
+        raise ValueError(f"cli: starting wealth must be nonnegative, got {config.x0}")
     coarse_grid = build_uniform(config.n_time, config.n_state, params.T)
     coarse = solve_backward(coarse_grid, params, controls, max_iter=config.max_iter)
     j0, _ = find_initial_state(coarse, config.x0)
@@ -293,10 +294,6 @@ def run(config: RunConfig, out_dir=None) -> dict:
         },
         "howard": {
             "iterations": [d.iterations for d in solution.diagnostics],
-            "final_changes": [d.change_history[-1] for d in solution.diagnostics],
-            "change_history": [
-                list(d.change_history) for d in solution.diagnostics
-            ],
             "policy_stable": bool(
                 all(d.policy_stable for d in solution.diagnostics)
             ),

@@ -21,9 +21,11 @@ ladder and a monotone scheme bound the number of sweeps (Bokanowski,
 Maroso & Zidani, SIAM J. Numer. Anal. 47(4), 2009); a layer that has not
 stopped after ``max_iter`` sweeps raises HowardNonconvergence.
 
-Each layer also records its complementarity extrema at the returned
-row, read off the improvement pass that ended the layer, so the
-solution's residuals need no second evaluation of the operator.
+Each layer records how many sweeps it took and its complementarity
+extrema at the returned row, read off the improvement pass that ended
+the layer, so the solution's residuals need no second evaluation of the
+operator. The region of a layer is the boolean obstacle mask of that
+pass: true where the obstacle expression binds.
 
 A layer starts at v = v_next, the row the layer above returned. That
 layer's last improvement pass already scanned every candidate at exactly
@@ -53,8 +55,6 @@ from .scheme import (
 )
 
 __all__ = [
-    "REGION_CONTINUATION",
-    "REGION_OBSTACLE",
     "StepDiagnostics",
     "DiscreteSolution",
     "HowardNonconvergence",
@@ -63,10 +63,6 @@ __all__ = [
     "complementarity_extrema",
     "growth_margins",
 ]
-
-REGION_CONTINUATION = 0
-REGION_OBSTACLE = 1
-
 
 class HowardNonconvergence(RuntimeError):
     """Raised when a layer's policy has not repeated within max_iter sweeps.
@@ -85,6 +81,8 @@ class HowardNonconvergence(RuntimeError):
 class StepDiagnostics:
     """How one layer ended, and its complementarity at the returned row.
 
+    A layer's time index is its position in DiscreteSolution.diagnostics.
+    iterations counts the improvement passes the layer took.
     policy_stable is true for every layer that returns: a layer ends only
     on a repeated policy (or an unchanged row) and raises otherwise.
     lowest_argument is the smallest value either argument of the
@@ -92,10 +90,8 @@ class StepDiagnostics:
     value of the minimum itself (see complementarity_extrema).
     """
 
-    time_index: int | None
     iterations: int
     policy_stable: bool
-    change_history: tuple = ()
     lowest_argument: float = np.nan
     largest_minimum: float = np.nan
 
@@ -106,7 +102,8 @@ class DiscreteSolution:
 
     surface      (n_steps + 1, m); the last row is the terminal data
     control      (n_steps, m) minimizing candidate per non-terminal node
-    region       (n_steps, m), REGION_CONTINUATION or REGION_OBSTACLE
+    region       (n_steps, m) bool, true on the obstacle set (where the
+                 obstacle expression binds), false on the continuation set
     diagnostics  one StepDiagnostics per time layer, in time order
     tables       the operator store the sweep evaluated (None when the
                  solution was not made by solve_backward)
@@ -225,10 +222,7 @@ def solve_time_step(
             changes,
             v,
         )
-    diag = StepDiagnostics(
-        time_index, it, True, tuple(changes),
-        *_extrema(stationary, obstacle),
-    )
+    diag = StepDiagnostics(it, True, *_extrema(stationary, obstacle))
     return v, tables.controls[kstar], region, diag
 
 
@@ -260,7 +254,7 @@ def _start_index(start, tables: OperatorTables):
         raise ValueError(
             f"howard: start control {float(start[off][0])} is not on the ladder"
         )
-    barred = ~tables.admissible[kstar, np.arange(start.size)]
+    barred = np.isinf(tables.source[kstar, np.arange(start.size)])
     if barred.any():
         j = int(np.argmax(barred))
         raise ValueError(
@@ -294,7 +288,7 @@ def solve_backward(
     surface = np.empty((n + 1, m))
     surface[n] = terminal_condition(params, grid.states)
     control = np.empty((n, m))
-    region = np.empty((n, m), dtype=np.uint8)
+    region = np.empty((n, m), dtype=bool)
     diags: list[StepDiagnostics] = []
     start = None
     for i in range(n - 1, -1, -1):

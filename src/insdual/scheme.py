@@ -75,7 +75,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ControlSet:
-    """Finite ladder of candidate intensity multipliers rho > 0."""
+    """Finite ladder of candidate intensity multipliers rho, finite and > 0."""
 
     candidates: np.ndarray
 
@@ -83,6 +83,9 @@ class ControlSet:
         cand = np.array(self.candidates, dtype=float)
         if cand.ndim != 1 or cand.size == 0:
             raise ValueError("scheme: control set must hold at least one candidate")
+        bad = cand[~np.isfinite(cand)]
+        if bad.size:
+            raise ValueError(f"scheme: control candidates must be finite, got {bad[0]}")
         if np.any(cand <= 0.0):
             raise ValueError("scheme: control candidates must be positive")
         if np.any(np.diff(cand) <= 0.0):
@@ -144,14 +147,20 @@ class OperatorTables:
     A(rho_k); the obstacle operator has no stored rows. Slot 0 of every
     row is its diagonal, so I - h_t A(rho) differs from -h_t A(rho) in
     slot 0 only; unused slots carry explicit zeros on the diagonal column.
-    ``matrix`` is the (K*m, m) CSR matrix over the same two arrays.
+    ``matrix`` is the (K*m, m) CSR matrix over the same two arrays. The
+    +inf income rates of ``source`` are the only record of admissibility;
+    ``admissible`` reads the (K, m) mask off them.
     """
 
     controls: np.ndarray  # (K,)
     cols: np.ndarray  # (K*m, WIDTH) column index per slot
     weights: np.ndarray  # (K*m, WIDTH) coefficient per slot
     source: np.ndarray  # (K, m) running income rate, +inf where inadmissible
-    admissible: np.ndarray  # (K, m) whether the candidate search may use the pair
+
+    @cached_property
+    def admissible(self):
+        """(K, m) whether the candidate search may use the pair."""
+        return np.isfinite(self.source)
 
     @cached_property
     def matrix(self):
@@ -222,7 +231,6 @@ def build_tables(grid: Grid, params: ModelParams, controls: ControlSet) -> Opera
         cols=cols,
         weights=weights,
         source=source,
-        admissible=admissible,
     )
 
 

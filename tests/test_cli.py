@@ -201,6 +201,7 @@ class TestRun:
             "control_sensitivity", "path", "claims",
         ):
             assert key in on_disk
+        assert set(on_disk["howard"]) == {"iterations", "policy_stable"}
         assert on_disk["path"]["sde_residual"] <= 1e-3
         assert on_disk["claims"]["source"] == "deterministic"
         assert on_disk["grid"]["refined"] is False
@@ -282,24 +283,40 @@ class TestMain:
         assert code == 1
         assert "eta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("alpha = 2.0", "alpha = nan", "alpha must be finite"),
+            ("control_count = 21", "control_count = 21\ncontrol_high = inf",
+             "candidates must be finite"),
+        ],
+        ids=["alpha", "control_high"],
+    )
     def test_nan_model_parameter_rejected_before_any_solve(
-        self, tmp_path, monkeypatch, capsys
+        self, old, new, named, tmp_path, monkeypatch, capsys
     ):
         calls = count_calls(monkeypatch, "solve_backward")
         bad = tmp_path / "nan.ini"
-        bad.write_text(CHEAP_INI.replace("alpha = 2.0", "alpha = nan"))
+        bad.write_text(CHEAP_INI.replace(old, new))
         code = main(["--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "alpha must be finite" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert calls["solve_backward"] == 0
 
-    def test_nan_starting_wealth_is_a_validation_failure(self, tmp_path, capsys):
-        # not an unreachable wealth (exit 3): NaN is no wealth at all
+    @pytest.mark.parametrize("x0", ["nan", "-1"])
+    def test_nan_starting_wealth_is_a_validation_failure(
+        self, x0, tmp_path, monkeypatch, capsys
+    ):
+        # not an unreachable wealth (exit 3): a NaN or negative x0 is no
+        # wealth at all, and is rejected before any solve
+        calls = count_calls(monkeypatch, "solve_backward")
         bad = tmp_path / "nan.ini"
-        bad.write_text(CHEAP_INI.replace("x0 = 1.0", "x0 = nan"))
+        bad.write_text(CHEAP_INI.replace("x0 = 1.0", f"x0 = {x0}"))
         code = main(["--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "starting wealth" in capsys.readouterr().err
+        assert calls["solve_backward"] == 0
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_key_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

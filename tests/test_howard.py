@@ -8,7 +8,6 @@ import pytest
 from insdual import (
     ControlSet,
     Grid,
-    REGION_OBSTACLE,
     HowardNonconvergence,
     build_uniform,
     complementarity_extrema,
@@ -140,7 +139,6 @@ class TestSingleStep:
         np.testing.assert_allclose(v, expected, rtol=1e-14)
         assert np.all(rho_row == 1.0)
         assert not region_row.any()
-        assert diag.time_index == 9
         assert diag.policy_stable
 
     def test_first_layer_matches_discounted_terminal(self, cheap_params):
@@ -174,6 +172,7 @@ class TestBackwardSweep:
         assert cheap_solution.surface.shape == (g.n_steps + 1, g.n_nodes)
         assert cheap_solution.control.shape == (g.n_steps, g.n_nodes)
         assert cheap_solution.region.shape == (g.n_steps, g.n_nodes)
+        assert cheap_solution.region.dtype == bool
         assert len(cheap_solution.diagnostics) == g.n_steps
         np.testing.assert_array_equal(
             cheap_solution.surface[g.n_steps],
@@ -229,7 +228,7 @@ class TestBackwardSweep:
         # resolve to the smallest of them, the kink
         p = dataclasses.replace(dear_params, alpha=5.0)
         sol = solve_backward(build_uniform(20, 40, p.T), p, make_control_set(p))
-        below_top = sol.region[:, :-1] == REGION_OBSTACLE
+        below_top = sol.region[:, :-1]
         assert below_top.any()
         kink = p.beta / (p.delta * p.pi_intensity)
         np.testing.assert_array_equal(sol.control[:, :-1][below_top], kink)
@@ -238,7 +237,7 @@ class TestBackwardSweep:
         # an obstacle node imposes v[j] = v[j-1]; the policy system must
         # return it as an exact copy, not a rounded one
         sol = obstacle_regime_solution
-        i, j = np.nonzero(sol.region == REGION_OBSTACLE)
+        i, j = np.nonzero(sol.region)
         assert i.size > sol.region.size // 4
         np.testing.assert_array_equal(sol.surface[i, j], sol.surface[i, j - 1])
 
@@ -247,7 +246,7 @@ class TestBackwardSweep:
     ):
         sol = obstacle_regime_solution
         p = sol.params
-        below_top = sol.region[:, :-1] == REGION_OBSTACLE
+        below_top = sol.region[:, :-1]
         kink = p.beta / (p.delta * p.pi_intensity)
         np.testing.assert_array_equal(sol.control[:, :-1][below_top], kink)
 

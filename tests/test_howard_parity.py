@@ -80,10 +80,7 @@ def oracle_solve_time_step(v_next, grid, params, max_iter, tables, time_index):
         region = stationary > obstacle
         sig = kstar.tobytes() + region.tobytes()
         if sig == prev_sig:
-            diag = StepDiagnostics(
-                time_index, it, True, tuple(changes),
-                *oracle_extrema(stationary, obstacle),
-            )
+            diag = StepDiagnostics(it, True, *oracle_extrema(stationary, obstacle))
             return v, tables.controls[kstar], region, diag
         v_new = solve_policy_system(v_next, grid, params, tables, kstar, region)
         if not np.all(np.isfinite(v_new)):
@@ -103,8 +100,7 @@ def oracle_solve_time_step(v_next, grid, params, max_iter, tables, time_index):
             if change != 0.0:
                 _, stationary, obstacle = oracle_improve(v, v_next, grid, params, tables)
             diag = StepDiagnostics(
-                time_index, it, change == 0.0, tuple(changes),
-                *oracle_extrema(stationary, obstacle),
+                it, change == 0.0, *oracle_extrema(stationary, obstacle)
             )
             return v, tables.controls[kstar], region, diag
     raise HowardNonconvergence(
@@ -123,7 +119,7 @@ def oracle_solve_backward(grid, params, controls, max_iter=200):
     surface = np.empty((n + 1, m))
     surface[n] = terminal_condition(params, grid.states)
     control = np.empty((n, m))
-    region = np.empty((n, m), dtype=np.uint8)
+    region = np.empty((n, m), dtype=bool)
     diags = []
     for i in range(n - 1, -1, -1):
         v, rho_row, region_row, diag = oracle_solve_time_step(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
@@ -108,6 +110,10 @@ class TestControlSet:
             ControlSet(np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="positive"):
             ControlSet(np.array([-1.0, 1.0]))
+        with pytest.raises(ValueError, match="finite, got nan"):
+            ControlSet(np.array([np.nan]))
+        with pytest.raises(ValueError, match="finite, got inf"):
+            ControlSet(np.array([1.0, np.inf]))
         with pytest.raises(ValueError, match="count"):
             make_control_set(make_params(), count=1)
         with pytest.raises(ValueError, match="low < high"):
@@ -349,6 +355,9 @@ class TestVectorizedTables:
         for k, rho in enumerate(cs.candidates):
             for j in range(g.n_nodes):
                 assert tables.admissible[k, j] == admissible_oracle(s, j, rho)
+        # the +inf income rates are the store's one record of admissibility
+        assert "admissible" not in {f.name for f in dataclasses.fields(tables)}
+        np.testing.assert_array_equal(tables.admissible, np.isfinite(tables.source))
 
     def test_interpolation_weights_convex(self):
         # convex jump weights and upwinding leave every admissible stacked
