@@ -47,6 +47,7 @@ from .model import ModelParams, conjugate_utility, expand, terminal_condition
 from .scheme import (
     ControlSet,
     OperatorTables,
+    _SystemSlot,
     build_tables,
     chosen_operator_values,
     obstacle_values,
@@ -166,6 +167,7 @@ def solve_time_step(
     max_iter: int = 200,
     time_index: int | None = None,
     start=None,
+    slot: _SystemSlot | None = None,
 ):
     """One backward layer: returns (v, control_row, region_row, diagnostics).
 
@@ -178,10 +180,11 @@ def solve_time_step(
     ``start`` instead of scanning the ladder, which is exact because that
     scan would find the same argmin at the same row. Any other admissible
     row changes the sweeps taken, not the layer they reach beyond
-    rounding. Raises ValueError if an entry of ``start`` is not on the
-    ladder or is inadmissible at its node. Raises HowardNonconvergence
-    with the change history and last iterate if max_iter sweeps finish
-    without the layer ending.
+    rounding. ``slot`` is passed on to solve_policy_system. Raises
+    ValueError if an entry of ``start`` is not on the ladder or is
+    inadmissible at its node. Raises HowardNonconvergence with the change
+    history and last iterate if max_iter sweeps finish without the layer
+    ending.
     """
     v_next = np.asarray(v_next, dtype=float)
     v = v_next.copy()
@@ -198,7 +201,7 @@ def solve_time_step(
         if sig == prev_sig:
             # evaluating again would reproduce v bit for bit
             break
-        v_new = solve_policy_system(v_next, grid, params, tables, kstar, region)
+        v_new = solve_policy_system(v_next, grid, params, tables, kstar, region, slot)
         if not np.all(np.isfinite(v_new)):
             raise HowardNonconvergence(
                 f"howard: policy evaluation produced non-finite values at "
@@ -277,7 +280,11 @@ def solve_backward(
     controls: ControlSet,
     max_iter: int = 200,
 ) -> DiscreteSolution:
-    """Full backward sweep from the terminal layer to time zero."""
+    """Full backward sweep from the terminal layer to time zero.
+
+    Every policy solve of the sweep shares one _SystemSlot, made for this
+    call only, so a repeated policy system is not assembled again.
+    """
     if grid.h_t * params.r >= 1.0:
         raise ValueError(
             f"howard: h_t * r = {grid.h_t * params.r} must stay below 1"
@@ -291,9 +298,11 @@ def solve_backward(
     region = np.empty((n, m), dtype=bool)
     diags: list[StepDiagnostics] = []
     start = None
+    slot = _SystemSlot()
     for i in range(n - 1, -1, -1):
         v, rho_row, region_row, diag = solve_time_step(
-            surface[i + 1], grid, params, tables, max_iter, time_index=i, start=start
+            surface[i + 1], grid, params, tables, max_iter,
+            time_index=i, start=start, slot=slot,
         )
         start = rho_row
         surface[i] = v

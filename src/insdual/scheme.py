@@ -105,8 +105,12 @@ def make_control_set(
     geometric ladder that collide with them within 1e-9 relative are
     dropped in their favour.
     """
-    if not 0.0 < low < high:
-        raise ValueError(f"scheme: need 0 < low < high, got [{low}, {high}]")
+    # by value, before geomspace turns an infinite end into NaN candidates
+    if not 0.0 < low < high < np.inf:
+        raise ValueError(
+            f"scheme: need 0 < low < high, control candidates must be finite, "
+            f"got [{low}, {high}]"
+        )
     if count < 2:
         raise ValueError(f"scheme: control count must be >= 2, got {count}")
     base = np.geomspace(low, high, count)
@@ -277,6 +281,26 @@ def obstacle_values(v, grid: Grid):
     return out
 
 
+class _SystemSlot:
+    """The last policy system one backward sweep assembled, for reuse.
+
+    The folded matrix and the h_t * l term read only the region and the
+    controls at continuation nodes, so ``signature`` is
+    kstar[~region].tobytes() + region.tobytes() of the stored system
+    (None while the slot is empty). ``system`` is what _assemble made of
+    it: the canonical CSR matrix (duplicates summed), the continuation
+    nodes, the anchor position of every node and h_t * l at the
+    continuation nodes. A slot holds one grid, one store and one h_t:
+    solve_backward makes one per call and never shares it.
+    """
+
+    __slots__ = ("signature", "system")
+
+    def __init__(self):
+        self.signature = None
+        self.system = None
+
+
 def solve_policy_system(
     v_next,
     grid: Grid,
@@ -284,6 +308,7 @@ def solve_policy_system(
     tables: OperatorTables,
     kstar,
     region,
+    slot: _SystemSlot | None = None,
 ):
     """Solve one mixed policy-evaluation system.
 
@@ -296,6 +321,12 @@ def solve_policy_system(
     off its anchor, the largest continuation node at or below it, so only
     the continuation rows are solved, with their columns folded onto the
     anchors, and obstacle nodes come back as exact copies of the anchor.
+
+    A system whose signature (see _SystemSlot) is the one ``slot`` holds
+    is not assembled again: its stored matrix is solved with the new
+    right-hand side, which gives the same bits as a fresh assembly. Any
+    other system is assembled and replaces the slot's. Without a slot,
+    every call assembles its system.
     """
     ht = grid.h_t
     if ht * params.r >= 1.0:
@@ -303,10 +334,24 @@ def solve_policy_system(
             f"scheme: time step h_t={ht} too large for discount r={params.r}; "
             "need h_t * r < 1 for diagonal dominance"
         )
+    region = np.asarray(region, dtype=bool)
     if region[0]:
         raise ValueError("scheme: the first node has no obstacle row")
+    if slot is None:
+        slot = _SystemSlot()
+    signature = kstar[~region].tobytes() + region.tobytes()
+    if signature != slot.signature:
+        system = _assemble(ht, tables, kstar, region)
+        slot.signature, slot.system = signature, system
+    matrix, keep, fold, source = slot.system
+    rhs = v_next[keep] + source
+    return spsolve(matrix, rhs, permc_spec="NATURAL")[fold]
+
+
+def _assemble(ht, tables: OperatorTables, kstar, region):
+    """(matrix, keep, fold, h_t * l at keep) of one folded policy system."""
     m = tables.source.shape[1]
-    pde = ~np.asarray(region, dtype=bool)
+    pde = ~region
     # the anchor's position among the continuation nodes, for every node;
     # int32 indices go into the CSR matrix without a check-and-copy
     fold = np.cumsum(pde, dtype=np.int32) - 1
@@ -326,5 +371,7 @@ def solve_policy_system(
         ),
         shape=(n, n),
     )
-    rhs = v_next[keep] + ht * tables.source[k, keep]
-    return spsolve(matrix, rhs, permc_spec="NATURAL")[fold]
+    # spsolve would sum the duplicates in place on its first call; summing
+    # here keeps a stored matrix canonical whoever solves it
+    matrix.sum_duplicates()
+    return matrix, keep, fold, ht * tables.source[k, keep]

@@ -276,6 +276,15 @@ class TestMain:
         assert "run complete" in capsys.readouterr().out
         assert (tmp_path / "o" / "surface.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_run_writes_nothing_to_stdout(self, seed, tmp_path, capsys):
+        # perfbench reads its result off its last stdout line: only main
+        # reports, after run returns
+        config = RunConfig(n_time=10, n_state=40, control_count=21, seed=seed)
+        run(config, out_dir=str(tmp_path))
+        assert capsys.readouterr().out == ""
+
     def test_validation_failure_names_field(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text(CHEAP_INI.replace("eta = 0.5", "eta = 1.5"))

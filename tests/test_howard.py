@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from insdual import (
     ControlSet,
@@ -14,7 +15,9 @@ from insdual import (
     conjugate_utility,
     expand,
     growth_margins,
+    howard,
     make_control_set,
+    scheme,
     solve_backward,
     terminal_condition,
 )
@@ -403,3 +406,83 @@ class TestWarmStart:
         pde = ~region
         np.testing.assert_array_equal(rho1[pde], rho[pde])
         assert np.max(np.abs(v1 - v)) <= 1e-13 * np.max(np.abs(v))
+
+
+class TestSystemReuse:
+    @staticmethod
+    def record_solves(monkeypatch):
+        """Every policy solve's inputs and result, and each matrix spsolve got."""
+        solves, matrices = [], []
+        solve = scheme.solve_policy_system
+
+        def record_solve(v_next, grid, params, tables, kstar, region, slot=None):
+            v = solve(v_next, grid, params, tables, kstar, region, slot)
+            solves.append((v_next.copy(), kstar.copy(), region.copy(), v))
+            return v
+
+        def record_spsolve(matrix, rhs, permc_spec=None):
+            matrices.append(matrix)
+            return spsolve(matrix, rhs, permc_spec=permc_spec)
+
+        monkeypatch.setattr(howard, "solve_policy_system", record_solve)
+        monkeypatch.setattr(scheme, "spsolve", record_spsolve)
+        return solves, matrices
+
+    def test_repeated_policy_reuses_its_matrix(self, dear_params, monkeypatch):
+        # a solve repeating the previous solve's region and continuation
+        # controls hands spsolve the stored matrix: one matrix object per
+        # run of equal consecutive signatures
+        solves, matrices = self.record_solves(monkeypatch)
+        g = build_uniform(50, 100, dear_params.T)
+        sol = solve_backward(g, dear_params, make_control_set(dear_params))
+        assert len(solves) == len(matrices) == 79
+        sigs = [
+            kstar[~region].tobytes() + region.tobytes() for _, kstar, region, _ in solves
+        ]
+        for i in range(1, len(sigs)):
+            assert (matrices[i] is matrices[i - 1]) == (sigs[i] == sigs[i - 1]), i
+        assert len({id(matrix) for matrix in matrices}) == 30
+        # every matrix spsolve got, reused ones included, is the one a
+        # standalone solve assembles afresh, and gives that solve's bits
+        for i, (v_next, kstar, region, v) in enumerate(solves):
+            alone = scheme.solve_policy_system(
+                v_next, g, dear_params, sol.tables, kstar, region
+            )
+            assert np.array_equal(alone, v), i
+            assert matrices[-1] is not matrices[i]
+            assert np.array_equal(matrices[-1].toarray(), matrices[i].toarray()), i
+
+    def test_each_backward_sweep_has_its_own_slot(self, cheap_params, monkeypatch):
+        # every solve of the cheap problem has one (control, region) pair,
+        # so one sweep assembles one matrix; a second sweep of the same
+        # problem, whose first pair is the first sweep's last, still
+        # assembles its own: no slot outlives its sweep
+        _, matrices = self.record_solves(monkeypatch)
+        g = build_uniform(10, 40, cheap_params.T)
+        first = solve_backward(g, cheap_params, make_control_set(cheap_params))
+        assert len(matrices) == 10
+        second = solve_backward(g, cheap_params, make_control_set(cheap_params))
+        assert len(matrices) == 20
+        assert all(matrix is matrices[0] for matrix in matrices[:10])
+        assert all(matrix is matrices[10] for matrix in matrices[10:])
+        assert matrices[10] is not matrices[0]
+        assert np.array_equal(first.surface, second.surface)
+
+    def test_obstacle_controls_do_not_enter_the_signature(self, dear_params, monkeypatch):
+        # the controls at obstacle nodes are not read by the system, so a
+        # solve that changes only those reuses the slot's matrix and gets
+        # the bits of the solve that stored it
+        solves, matrices = self.record_solves(monkeypatch)
+        g = build_uniform(50, 100, dear_params.T)
+        sol = solve_backward(g, dear_params, make_control_set(dear_params))
+        v_next, kstar, region, v = next(s for s in solves if s[2].any())
+        moved = kstar.copy()
+        moved[region] = (moved[region] + 1) % len(sol.controls.candidates)
+        slot = scheme._SystemSlot()
+        del matrices[:]
+        first, again = (
+            scheme.solve_policy_system(v_next, g, dear_params, sol.tables, k, region, slot)
+            for k in (kstar, moved)
+        )
+        assert matrices[0] is matrices[1]
+        assert np.array_equal(first, v) and np.array_equal(again, v)

@@ -119,6 +119,16 @@ class TestControlSet:
         with pytest.raises(ValueError, match="low < high"):
             make_control_set(make_params(), low=2.0, high=1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "low, high", [(1e-3, np.inf), (-np.inf, 1.0), (np.nan, 1e3), (1e-3, np.nan)]
+    )
+    def test_rejects_non_finite_ladder_end_without_warning(self, low, high):
+        # rejected by value: np.geomspace would warn about the NaN
+        # candidates it makes of an infinite end
+        with pytest.raises(ValueError, match="candidates must be finite"):
+            make_control_set(make_params(), low=low, high=high)
+
 
 class TestSourceTerm:
     def test_dear_midpoint(self):
