@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .grid import build_uniform, refine_around
+from .grid import _check_refinement, build_uniform, refine_around
 from .howard import (
     HowardNonconvergence,
     complementarity_extrema,
@@ -269,7 +269,16 @@ def run(config: RunConfig, out_dir=None) -> dict:
         claims = poisson_schedule(params.pi_intensity, params.T, config.seed)
     if not config.x0 >= 0.0:  # NaN fails too
         raise ValueError(f"cli: starting wealth must be nonnegative, got {config.x0}")
+    if config.max_iter < 1:
+        raise ValueError(f"cli: max_iter must be >= 1, got {config.max_iter}")
     coarse_grid = build_uniform(config.n_time, config.n_state, params.T)
+    if config.refine:
+        # the coarse mesh is uniform, so the spacing refine_around checks at
+        # the start node is known before the solve; its widest cell never
+        # rejects a step refine_around takes
+        _check_refinement(
+            config.refine_halfwidth, config.refine_step, coarse_grid.gaps.max()
+        )
     coarse = solve_backward(coarse_grid, params, controls, max_iter=config.max_iter)
     j0, _ = find_initial_state(coarse, config.x0)
     if config.refine:

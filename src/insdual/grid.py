@@ -94,6 +94,18 @@ def build_uniform(n_time: int, n_state: int, horizon: float) -> Grid:
     return Grid(times=times, states=states)
 
 
+def _check_refinement(halfwidth: int, fine_step: float, coarse: float) -> None:
+    """Raise ValueError unless refine_around can refine a node whose local
+    coarse spacing is ``coarse`` by ``halfwidth`` cells at ``fine_step``."""
+    if halfwidth < 1:
+        raise ValueError(f"grid: halfwidth must be >= 1, got {halfwidth}")
+    if not 0.0 < fine_step <= coarse * (1.0 + 1e-12):
+        raise ValueError(
+            f"grid: fine_step must lie in (0, local coarse spacing {coarse}], "
+            f"got {fine_step}"
+        )
+
+
 def refine_around(grid: Grid, center_index: int, halfwidth: int, fine_step: float) -> Grid:
     """Refine the state mesh to spacing fine_step near one node.
 
@@ -107,14 +119,8 @@ def refine_around(grid: Grid, center_index: int, halfwidth: int, fine_step: floa
     m = s.size
     if not 0 <= center_index < m:
         raise IndexError(f"grid: center_index {center_index} outside stored nodes")
-    if halfwidth < 1:
-        raise ValueError(f"grid: halfwidth must be >= 1, got {halfwidth}")
     coarse = s[center_index] - s[center_index - 1] if center_index > 0 else s[1] - s[0]
-    if not 0.0 < fine_step <= coarse * (1.0 + 1e-12):
-        raise ValueError(
-            f"grid: fine_step must lie in (0, local coarse spacing {coarse}], "
-            f"got {fine_step}"
-        )
+    _check_refinement(halfwidth, fine_step, coarse)
     lo = max(s[center_index] - halfwidth * coarse, 0.0)
     hi = min(s[center_index] + halfwidth * coarse, 1.0)
 

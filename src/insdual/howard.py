@@ -13,13 +13,15 @@ v, given the already-solved later row v_next. The iteration alternates
                 rows exactly: implicit operator rows on the continuation
                 set, v[j] = v[j-1] on the obstacle set.
 
-The loop stops when the (control, partition) pair repeats, or one
-evaluation earlier when a sweep leaves the row unchanged: either way the
-returned row is an exact fixed point of its own improvement, and the
-complementarity conditions hold to linear-solver precision. A finite
-ladder and a monotone scheme bound the number of sweeps (Bokanowski,
-Maroso & Zidani, SIAM J. Numer. Anal. 47(4), 2009); a layer that has not
-stopped after ``max_iter`` sweeps raises HowardNonconvergence.
+The loop stops when the policy system repeats, that is the region and
+the controls at the continuation nodes (the controls at obstacle nodes
+do not enter it), or one evaluation earlier when a sweep leaves the row
+unchanged: either way the returned row is an exact fixed point of its
+own improvement, and the complementarity conditions hold to
+linear-solver precision. A finite ladder and a monotone scheme bound the
+number of sweeps (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal.
+47(4), 2009); a layer that has not stopped after ``max_iter`` sweeps
+raises HowardNonconvergence.
 
 Each layer records how many sweeps it took and its complementarity
 extrema at the returned row, read off the improvement pass that ended
@@ -27,12 +29,13 @@ the layer, so the solution's residuals need no second evaluation of the
 operator. The region of a layer is the boolean obstacle mask of that
 pass: true where the obstacle expression binds.
 
-A layer starts at v = v_next, the row the layer above returned. That
-layer's last improvement pass already scanned every candidate at exactly
-this row, and the argmin does not depend on v_next; solve_backward hands
-its control row down as ``start``, and the first pass evaluates only the
-chosen row per node. That pass is the full scan's pass bit for bit, so
-the whole sweep is.
+A layer starts at v = v_next, the row the layer above returned, and that
+layer's last improvement pass was taken at exactly this row. Its control
+row, chosen operator values and obstacle values read nothing but the
+row, so solve_backward hands the pass down in the sweep's _SystemSlot,
+keyed by the row's bytes, and the layer takes it as its first pass
+instead of scanning the ladder again. The sweep comes out bit for bit
+as with a full first scan.
 """
 
 from __future__ import annotations
@@ -47,9 +50,9 @@ from .model import ModelParams, conjugate_utility, expand, terminal_condition
 from .scheme import (
     ControlSet,
     OperatorTables,
+    _signature,
     _SystemSlot,
     build_tables,
-    chosen_operator_values,
     obstacle_values,
     operator_values,
     solve_policy_system,
@@ -66,7 +69,7 @@ __all__ = [
 ]
 
 class HowardNonconvergence(RuntimeError):
-    """Raised when a layer's policy has not repeated within max_iter sweeps.
+    """Raised when a layer's policy system has not repeated within max_iter sweeps.
 
     Also raised when an evaluation produces non-finite values.
     """
@@ -85,7 +88,7 @@ class StepDiagnostics:
     A layer's time index is its position in DiscreteSolution.diagnostics.
     iterations counts the improvement passes the layer took.
     policy_stable is true for every layer that returns: a layer ends only
-    on a repeated policy (or an unchanged row) and raises otherwise.
+    on a repeated policy system (or an unchanged row) and raises otherwise.
     lowest_argument is the smallest value either argument of the
     pointwise minimum takes on the layer, largest_minimum the largest
     value of the minimum itself (see complementarity_extrema).
@@ -166,40 +169,36 @@ def solve_time_step(
     tables: OperatorTables,
     max_iter: int = 200,
     time_index: int | None = None,
-    start=None,
     slot: _SystemSlot | None = None,
 ):
     """One backward layer: returns (v, control_row, region_row, diagnostics).
 
     Warm starts from v_next and evaluates the operator store ``tables``.
-    The layer ends when the (control, region) pair repeats, or when a
-    sweep leaves the row unchanged; either way the returned row is a fixed
-    point of its own improvement. ``start``, when given, is the minimizing
-    control row at v_next itself, as the layer that returned v_next found
-    it: the first improvement pass then takes its candidates from
-    ``start`` instead of scanning the ladder, which is exact because that
-    scan would find the same argmin at the same row. Any other admissible
-    row changes the sweeps taken, not the layer they reach beyond
-    rounding. ``slot`` is passed on to solve_policy_system. Raises
-    ValueError if an entry of ``start`` is not on the ladder or is
-    inadmissible at its node. Raises HowardNonconvergence with the change
-    history and last iterate if max_iter sweeps finish without the layer
-    ending.
+    The layer ends when its policy system repeats, or when a sweep leaves
+    the row unchanged; either way the returned row is a fixed point of
+    its own improvement. ``slot`` carries the sweep's last policy system
+    and last improvement pass (see _SystemSlot): a pass it holds for the
+    row v_next itself is this layer's first pass, and every pass and
+    solve of the layer is stored back in it. Without a slot the layer
+    uses a fresh one. Raises ValueError if max_iter < 1, and
+    HowardNonconvergence with the change history and last iterate if
+    max_iter sweeps finish without the layer ending.
     """
+    if max_iter < 1:
+        raise ValueError(f"howard: max_iter must be >= 1, got {max_iter}")
+    if slot is None:
+        slot = _SystemSlot()
     v_next = np.asarray(v_next, dtype=float)
     v = v_next.copy()
-    # the first pass reads its candidates off start; every later pass scans
-    known = None if start is None else _start_index(start, tables)
     prev_sig = None
     changes: list[float] = []
     for it in range(1, max_iter + 1):
-        kstar, stationary, obstacle = _improve(v, v_next, grid, params, tables, known)
-        known = None
+        kstar, stationary, obstacle = _improve(v, v_next, grid, params, tables, slot)
         # the first node has no obstacle row: its obstacle value is +inf
         region = stationary > obstacle
-        sig = kstar.tobytes() + region.tobytes()
+        sig = _signature(kstar, region)
         if sig == prev_sig:
-            # evaluating again would reproduce v bit for bit
+            # solving the same system again would reproduce v bit for bit
             break
         v_new = solve_policy_system(v_next, grid, params, tables, kstar, region, slot)
         if not np.all(np.isfinite(v_new)):
@@ -215,7 +214,7 @@ def solve_time_step(
         v = v_new
         prev_sig = sig
         if change == 0.0:
-            # the last pass saw this row already: the pair would repeat
+            # the last pass saw this row already: the system would repeat
             break
     else:
         raise HowardNonconvergence(
@@ -229,41 +228,24 @@ def solve_time_step(
     return v, tables.controls[kstar], region, diag
 
 
-def _improve(v, v_next, grid: Grid, params: ModelParams, tables: OperatorTables, kstar=None):
+def _improve(v, v_next, grid: Grid, params: ModelParams, tables: OperatorTables, slot):
     """One improvement pass at the iterate v.
 
     Returns the minimizing candidate per node and the two arguments of
     the pointwise minimum: the stationary part at that candidate and the
-    obstacle expression. A kstar already known to minimize at v is
-    evaluated row by row instead of scanning every candidate.
+    obstacle expression. The ladder index row, the chosen operator values
+    and the obstacle values depend on v alone: a pass ``slot`` holds for
+    v's bytes is read back, and a scan replaces it.
     """
-    if kstar is None:
+    at = v.tobytes()
+    if at != slot.scan_at:
         values = operator_values(v, grid, params, tables)
         kstar = np.argmin(values, axis=0)
-        chosen = values[kstar, np.arange(v.size)]
-    else:
-        chosen = chosen_operator_values(v, grid, params, tables, kstar)
+        slot.scan = kstar, values[kstar, np.arange(v.size)], obstacle_values(v, grid)
+        slot.scan_at = at
+    kstar, chosen, obstacle = slot.scan
     stationary = v_next - v + grid.h_t * chosen
-    return kstar, stationary, obstacle_values(v, grid)
-
-
-def _start_index(start, tables: OperatorTables):
-    """Ladder index of every entry of a start row, checked admissible."""
-    start = np.asarray(start, dtype=float)
-    # exact on a strictly increasing ladder; off-ladder values fail below
-    kstar = np.minimum(np.searchsorted(tables.controls, start), tables.controls.size - 1)
-    off = tables.controls[kstar] != start
-    if off.any():
-        raise ValueError(
-            f"howard: start control {float(start[off][0])} is not on the ladder"
-        )
-    barred = np.isinf(tables.source[kstar, np.arange(start.size)])
-    if barred.any():
-        j = int(np.argmax(barred))
-        raise ValueError(
-            f"howard: start control {float(start[j])} is inadmissible at node {j}"
-        )
-    return kstar
+    return kstar, stationary, obstacle
 
 
 def _extrema(stationary, obstacle):
@@ -282,9 +264,13 @@ def solve_backward(
 ) -> DiscreteSolution:
     """Full backward sweep from the terminal layer to time zero.
 
-    Every policy solve of the sweep shares one _SystemSlot, made for this
-    call only, so a repeated policy system is not assembled again.
+    Every layer of the sweep shares one _SystemSlot, made for this call
+    only, so a repeated policy system is not assembled again and each
+    layer's last improvement pass is the next layer's first. Raises
+    ValueError if max_iter < 1 or h_t * r >= 1.
     """
+    if max_iter < 1:
+        raise ValueError(f"howard: max_iter must be >= 1, got {max_iter}")
     if grid.h_t * params.r >= 1.0:
         raise ValueError(
             f"howard: h_t * r = {grid.h_t * params.r} must stay below 1"
@@ -297,14 +283,11 @@ def solve_backward(
     control = np.empty((n, m))
     region = np.empty((n, m), dtype=bool)
     diags: list[StepDiagnostics] = []
-    start = None
     slot = _SystemSlot()
     for i in range(n - 1, -1, -1):
         v, rho_row, region_row, diag = solve_time_step(
-            surface[i + 1], grid, params, tables, max_iter,
-            time_index=i, start=start, slot=slot,
+            surface[i + 1], grid, params, tables, max_iter, time_index=i, slot=slot
         )
-        start = rho_row
         surface[i] = v
         control[i] = rho_row
         region[i] = region_row

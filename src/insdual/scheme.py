@@ -32,11 +32,13 @@ income rate of +inf at every inadmissible pair, so such a pair scores
 +inf and never wins the minimization, with no mask applied per
 evaluation.
 
-OperatorTables holds every row of every A(rho) once, K*m rows in a
-fixed-width row store under one CSR matrix built once per store:
-evaluating all candidates is one sparse product, evaluating one chosen
-candidate per node gathers one row per node, and the policy system of a
-sweep gathers one row per continuation node from the same store.
+OperatorTables holds the row of every admissible (node, candidate) pair
+once, node-major, in a fixed-width row store under one CSR matrix built
+once per store, where an inadmissible pair is an empty row: evaluating
+all candidates is one sparse product over the admissible rows,
+evaluating one chosen candidate per node gathers one row per node, and
+the policy system of a sweep gathers one row per continuation node from
+the same store.
 
 The policy system eliminates its obstacle unknowns. An obstacle node
 only copies its lower neighbour, so it equals its anchor, the largest
@@ -145,20 +147,24 @@ def source_term(params: ModelParams, state, rho):
 
 @dataclass(frozen=True)
 class OperatorTables:
-    """Every stationary operator row for one grid, model and control ladder.
+    """Every admissible stationary operator row for one grid, model and ladder.
 
-    Row k*m + j of (cols, weights), K*m rows in all, is row j of
-    A(rho_k); the obstacle operator has no stored rows. Slot 0 of every
-    row is its diagonal, so I - h_t A(rho) differs from -h_t A(rho) in
-    slot 0 only; unused slots carry explicit zeros on the diagonal column.
-    ``matrix`` is the (K*m, m) CSR matrix over the same two arrays. The
-    +inf income rates of ``source`` are the only record of admissibility;
-    ``admissible`` reads the (K, m) mask off them.
+    The store is node-major: the pair (node j, candidate k) is pair
+    j*K + k. ``cols`` and ``weights`` hold one fixed-width row per
+    admissible pair, in pair order, and nothing for an inadmissible one.
+    Slot 0 of every row is its diagonal, so I - h_t A(rho) differs from
+    -h_t A(rho) in slot 0 only; unused slots carry explicit zeros.
+    ``matrix`` is the (m*K, m) CSR matrix over the same two arrays, in
+    which an inadmissible pair is an empty row, so the stored row of an
+    admissible pair is ``matrix.indptr[j*K + k] // WIDTH``. ``source``
+    is the (K, m) income rate over (m, K) node-major memory, +inf at
+    every inadmissible pair; those +inf rates are the only record of
+    admissibility, and ``admissible`` reads the (K, m) mask off them.
     """
 
     controls: np.ndarray  # (K,)
-    cols: np.ndarray  # (K*m, WIDTH) column index per slot
-    weights: np.ndarray  # (K*m, WIDTH) coefficient per slot
+    cols: np.ndarray  # (admissible pairs, WIDTH) column index per slot
+    weights: np.ndarray  # (admissible pairs, WIDTH) coefficient per slot
     source: np.ndarray  # (K, m) running income rate, +inf where inadmissible
 
     @cached_property
@@ -169,14 +175,13 @@ class OperatorTables:
     @cached_property
     def matrix(self):
         """CSR matrix sharing cols and weights (no copy), made on first use."""
-        n = self.cols.shape[0]
+        indptr = np.zeros(self.source.size + 1, dtype=np.int32)
+        # the (K, m) mask is the transpose of node-major memory
+        np.cumsum(self.admissible.T.ravel(), dtype=np.int32, out=indptr[1:])
+        indptr *= WIDTH
         return sparse.csr_matrix(
-            (
-                self.weights.ravel(),
-                self.cols.ravel(),
-                np.arange(0, n * WIDTH + 1, WIDTH, dtype=np.int32),
-            ),
-            shape=(n, self.source.shape[1]),
+            (self.weights.ravel(), self.cols.ravel(), indptr),
+            shape=(self.source.size, self.source.shape[1]),
             copy=False,
         )
 
@@ -186,55 +191,52 @@ WIDTH = 4
 
 
 def build_tables(grid: Grid, params: ModelParams, controls: ControlSet) -> OperatorTables:
-    # fills the store slot by slot in place: whole (K, m, WIDTH)
-    # temporaries would double the transient memory of a large ladder
+    # every quantity is formed per (node, candidate) pair, node-major, and
+    # only the rows of the admissible pairs are written
     s = grid.states
     m = s.size
-    rho = controls.candidates[:, None]
-    K = rho.shape[0]
+    rho = controls.candidates
     pi = params.pi_intensity
-    node = np.arange(m)
     gap = grid.gaps
-    cols = np.empty((K * m, WIDTH), dtype=np.int32)
-    weights = np.zeros((K * m, WIDTH))
-    op_cols = cols.reshape(K, m, WIDTH)
-    op_weights = weights.reshape(K, m, WIDTH)
-    op_cols[..., 0] = node
+    state = s[:, None]
+    target = jump_target(state, rho)
+    admissible = (target >= s[0]) & (target <= s[-1])
+    admissible[0] &= rho <= 1.0
+    node = np.broadcast_to(np.arange(m)[:, None], admissible.shape)[admissible]
+    cols = np.empty((node.size, WIDTH), dtype=np.int32)
+    weights = np.empty((node.size, WIDTH))
+    cols[:, 0] = node
 
-    work = jump_target(s, rho)
-    admissible = (work >= s[0]) & (work <= s[-1])
-    admissible[:, 0] &= controls.candidates <= 1.0
-    # inadmissible targets are credited at the hull end; a target on the
-    # top node takes the full weight of the upper bracket
-    np.clip(work, s[0], s[-1], out=work)
+    # an admissible target lies in the hull; one on the top node takes the
+    # full weight of the upper bracket
+    work = target[admissible]
     lo = np.searchsorted(s, work, side="right")
     lo -= 1
     np.minimum(lo, m - 2, out=lo)
-    op_cols[..., 1] = lo
-    op_cols[..., 2] = op_cols[..., 1] + 1
+    cols[:, 1] = lo
+    cols[:, 2] = lo + 1
     work -= s[lo]
     work /= gap[lo]
-    np.multiply(pi, work, out=op_weights[..., 2])
-    np.subtract(pi, op_weights[..., 2], out=op_weights[..., 1])
+    np.multiply(pi, work, out=weights[:, 2])
+    np.subtract(pi, weights[:, 2], out=weights[:, 1])
 
     # upwind neighbour: j + 1 (the ghost's mirror m - 2 at the top) or
     # j - 1 (none at the first node)
-    np.multiply(1.0 - rho, (1.0 - s) * s, out=work)
+    work = ((1.0 - rho) * ((1.0 - s) * s)[:, None])[admissible]
     down = work < 0.0
-    op_cols[..., 3] = np.append(node[1:], m - 2)
-    np.copyto(op_cols[..., 3], np.maximum(node - 1, 0), where=down)
+    up = np.append(np.arange(1, m), m - 2)[node]
+    cols[:, 3] = np.where(down, np.maximum(node - 1, 0), up)
     np.abs(work, out=work)
-    np.divide(work, np.append(gap, gap[-1]), out=work, where=~down)
-    np.divide(work, np.append(np.inf, gap), out=work, where=down)
-    np.multiply(pi, work, out=op_weights[..., 3])
-    np.subtract(params.r - pi, op_weights[..., 3], out=op_weights[..., 0])
-    source = source_term(params, s, rho)
+    work /= np.where(down, np.append(np.inf, gap)[node], np.append(gap, gap[-1])[node])
+    np.multiply(pi, work, out=weights[:, 3])
+    np.subtract(params.r - pi, weights[:, 3], out=weights[:, 0])
+    source = source_term(params, state, rho)
     source[~admissible] = np.inf
     return OperatorTables(
         controls=controls.candidates,
         cols=cols,
         weights=weights,
-        source=source,
+        source=source.T,
     )
 
 
@@ -245,10 +247,13 @@ def operator_values(v, grid: Grid, params: ModelParams, tables: OperatorTables):
     every row of A sums to r: on a flat block that reaches the top node
     the candidates then differ by their income rate alone, so exact ties
     resolve to the smallest candidate. Inadmissible (candidate, node)
-    pairs come out +inf, from the income rate the store holds for them.
+    pairs have empty rows, so the product skips them, and come out +inf,
+    from the income rate the store holds for them. The result is a view
+    of (m, K) node-major memory, so a minimum over the candidates of a
+    node reads contiguous memory.
     """
     top = v[-1]
-    out = (tables.matrix @ (v - top)).reshape(tables.source.shape)
+    out = (tables.matrix @ (v - top)).reshape(tables.source.shape[::-1]).T
     out += params.r * top
     out += tables.source
     return out
@@ -263,14 +268,32 @@ def chosen_operator_values(v, grid: Grid, params: ModelParams, tables: OperatorT
     """
     top = v[-1]
     node = np.arange(v.size)
-    rows = kstar * v.size + node
-    terms = tables.weights[rows] * (v - top)[tables.cols[rows]]
+    cols, weights = _stored_rows(tables, node, kstar)
+    terms = weights * (v - top)[cols]
     out = np.zeros(v.size)
     for slot in range(WIDTH):
         out += terms[:, slot]
     out += params.r * top
     out += tables.source[kstar, node]
     return out
+
+
+def _stored_rows(tables: OperatorTables, node, kstar):
+    """(cols, weights) copies of the stored rows of the pairs (node, kstar).
+
+    An inadmissible pair has an empty row in the store; it comes back as
+    zero weights on the node's own column, so it adds nothing, as in the
+    CSR product, and the pair's +inf income rate decides its value.
+    """
+    indptr = tables.matrix.indptr
+    pair = node * tables.controls.size + kstar
+    rows = indptr[pair] // WIDTH
+    barred = indptr[pair + 1] // WIDTH == rows
+    rows[barred] = 0
+    cols, weights = tables.cols[rows], tables.weights[rows]
+    cols[barred] = node[barred, None]
+    weights[barred] = 0.0
+    return cols, weights
 
 
 def obstacle_values(v, grid: Grid):
@@ -282,7 +305,7 @@ def obstacle_values(v, grid: Grid):
 
 
 class _SystemSlot:
-    """The last policy system one backward sweep assembled, for reuse.
+    """What one backward sweep last computed, for reuse: a system and a scan.
 
     The folded matrix and the h_t * l term read only the region and the
     controls at continuation nodes, so ``signature`` is
@@ -290,15 +313,27 @@ class _SystemSlot:
     (None while the slot is empty). ``system`` is what _assemble made of
     it: the canonical CSR matrix (duplicates summed), the continuation
     nodes, the anchor position of every node and h_t * l at the
-    continuation nodes. A slot holds one grid, one store and one h_t:
+    continuation nodes.
+
+    ``scan`` is the last improvement pass (see howard): the minimizing
+    ladder index per node, the operator value it chose and the obstacle
+    values, all read off one row alone, and ``scan_at`` is that row's
+    v.tobytes(). A slot holds one grid, one store and one h_t:
     solve_backward makes one per call and never shares it.
     """
 
-    __slots__ = ("signature", "system")
+    __slots__ = ("signature", "system", "scan_at", "scan")
 
     def __init__(self):
         self.signature = None
         self.system = None
+        self.scan_at = None
+        self.scan = None
+
+
+def _signature(kstar, region):
+    """The key of the policy system a (control, region) pair makes."""
+    return kstar[~region].tobytes() + region.tobytes()
 
 
 def solve_policy_system(
@@ -339,7 +374,7 @@ def solve_policy_system(
         raise ValueError("scheme: the first node has no obstacle row")
     if slot is None:
         slot = _SystemSlot()
-    signature = kstar[~region].tobytes() + region.tobytes()
+    signature = _signature(kstar, region)
     if signature != slot.signature:
         system = _assemble(ht, tables, kstar, region)
         slot.signature, slot.system = signature, system
@@ -350,7 +385,6 @@ def solve_policy_system(
 
 def _assemble(ht, tables: OperatorTables, kstar, region):
     """(matrix, keep, fold, h_t * l at keep) of one folded policy system."""
-    m = tables.source.shape[1]
     pde = ~region
     # the anchor's position among the continuation nodes, for every node;
     # int32 indices go into the CSR matrix without a check-and-copy
@@ -358,15 +392,18 @@ def _assemble(ht, tables: OperatorTables, kstar, region):
     keep = np.flatnonzero(pde)
     n = keep.size
     k = kstar[keep]
-    rows = k * m + keep
+    # an inadmissible pair solves the identity row of its empty store row,
+    # and its +inf income leaves the right-hand side, so the solve,
+    # non-finite
+    cols, weights = _stored_rows(tables, keep, k)
     # I - h_t A(rho): positive diagonal, nonpositive off-diagonals, and
     # folding columns moves weight within a row, so row sums stay 1 - h_t r
-    weights = tables.weights[rows] * -ht
+    weights *= -ht
     weights[:, 0] += 1.0
     matrix = sparse.csr_matrix(
         (
             weights.ravel(),
-            fold[tables.cols[rows]].ravel(),
+            fold[cols].ravel(),
             np.arange(0, n * WIDTH + 1, WIDTH, dtype=np.int32),
         ),
         shape=(n, n),

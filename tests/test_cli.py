@@ -312,6 +312,28 @@ class TestMain:
         assert named in capsys.readouterr().err
         assert calls["solve_backward"] == 0
 
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("refine = no", "refine = no\n\n[solver]\nmax_iter = 0", "max_iter must be >= 1"),
+            ("refine = no", "refine = no\n\n[solver]\nmax_iter = -3", "max_iter must be >= 1"),
+            ("refine = no", "refine = yes\nrefine_halfwidth = 0", "halfwidth must be >= 1"),
+            ("refine = no", "refine = yes\nrefine_step = 0.5", "fine_step must lie in"),
+        ],
+        ids=["max_iter-0", "max_iter-neg", "refine_halfwidth", "refine_step"],
+    )
+    def test_solver_and_refine_keys_rejected_before_any_solve(
+        self, old, new, named, tmp_path, monkeypatch, capsys
+    ):
+        calls = count_calls(monkeypatch, "solve_backward")
+        bad = tmp_path / "bad.ini"
+        bad.write_text(CHEAP_INI.replace(old, new))
+        code = main(["--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert calls["solve_backward"] == 0
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("x0", ["nan", "-1"])
     def test_nan_starting_wealth_is_a_validation_failure(
         self, x0, tmp_path, monkeypatch, capsys

@@ -263,6 +263,19 @@ class TestBackwardSweep:
         with pytest.raises(ValueError, match="h_t"):
             solve_backward(g, cheap_params, make_control_set(cheap_params))
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_below_one_rejected(self, cheap_params, max_iter, monkeypatch):
+        counts = count_calls(monkeypatch, "build_tables", "solve_policy_system")
+        g = build_uniform(10, 40, cheap_params.T)
+        cs = make_control_set(cheap_params)
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            solve_backward(g, cheap_params, cs, max_iter=max_iter)
+        assert counts["build_tables"] == 0
+        tables = build_tables(g, cheap_params, cs)
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            solve_time_step(np.ones(g.n_nodes), g, cheap_params, tables, max_iter=max_iter)
+        assert counts["solve_policy_system"] == 0
+
     def test_nonconvergence_carries_diagnostics(self, cheap_params):
         g = build_uniform(50, 100, cheap_params.T)
         cs = make_control_set(cheap_params)
@@ -362,50 +375,37 @@ class TestSolutionArrays:
 class TestWarmStart:
     def test_one_scan_fewer_per_started_layer(self, dear_params, monkeypatch):
         # a pass per sweep, less one for every layer but the first one
-        # solved: those start from the control row the layer above returned
-        counts = count_calls(monkeypatch, "operator_values")
+        # solved: those take the last pass of the layer above as their
+        # first, chosen operator values included, so no layer evaluates a
+        # control row on its own
+        counts = count_calls(monkeypatch, "operator_values", "chosen_operator_values")
         g = build_uniform(20, 60, dear_params.T)
         sol = solve_backward(g, dear_params, make_control_set(dear_params))
         assert all(d.policy_stable for d in sol.diagnostics)
         scans = counts["operator_values"]
         assert scans == sum(d.iterations for d in sol.diagnostics) - (g.n_steps - 1)
-
-    def test_off_ladder_start_rejected(self, dear_coarse_solution):
-        sol = dear_coarse_solution
-        start = sol.control[1].copy()
-        start[3] = np.nextafter(start[3], np.inf)
-        with pytest.raises(ValueError, match="not on the ladder"):
-            solve_time_step(sol.surface[1], sol.grid, sol.params, sol.tables,
-                            start=start)
-        start[3] = sol.controls.candidates[-1] * 2.0
-        with pytest.raises(ValueError, match="not on the ladder"):
-            solve_time_step(sol.surface[1], sol.grid, sol.params, sol.tables,
-                            start=start)
-
-    def test_inadmissible_start_rejected(self, dear_coarse_solution):
-        # at the first node only candidates up to rho = 1 are admissible
-        sol = dear_coarse_solution
-        start = sol.control[1].copy()
-        start[0] = sol.controls.candidates[-1]
-        with pytest.raises(ValueError, match="inadmissible at node 0"):
-            solve_time_step(sol.surface[1], sol.grid, sol.params, sol.tables,
-                            start=start)
+        assert counts["chosen_operator_values"] == 0
 
     @pytest.mark.parametrize(
         "name", ["dear_coarse_solution", "obstacle_regime_solution"]
     )
-    def test_any_admissible_start_reaches_the_same_layer(self, name, request):
+    def test_pass_taken_at_another_row_is_ignored(self, name, request):
+        # the slot holds the pass of an increasing row, whose obstacle
+        # binds at every node; a layer at any other row scans for itself
+        # and comes out with the bits of a layer without a slot
         sol = request.getfixturevalue(name)
-        i = sol.grid.n_steps // 2
-        args = (sol.surface[i + 1], sol.grid, sol.params, sol.tables)
-        v, rho, region, _ = solve_time_step(*args, time_index=i)
-        v1, rho1, region1, _ = solve_time_step(
-            *args, time_index=i, start=np.ones(sol.grid.n_nodes)
-        )
-        np.testing.assert_array_equal(region1, region)
-        pde = ~region
-        np.testing.assert_array_equal(rho1[pde], rho[pde])
-        assert np.max(np.abs(v1 - v)) <= 1e-13 * np.max(np.abs(v))
+        g, p, tables = sol.grid, sol.params, sol.tables
+        i = g.n_steps // 2
+        slot = scheme._SystemSlot()
+        rising = np.linspace(1.0, 2.0, g.n_nodes)
+        solve_time_step(rising, g, p, tables, slot=slot)
+        assert slot.scan_at != sol.surface[i + 1].tobytes()
+        alone = solve_time_step(sol.surface[i + 1], g, p, tables, time_index=i)
+        slotted = solve_time_step(sol.surface[i + 1], g, p, tables, time_index=i, slot=slot)
+        for a, b in zip(alone[:3], slotted[:3]):
+            np.testing.assert_array_equal(a, b)
+        assert repr(alone[3]) == repr(slotted[3])
+        np.testing.assert_array_equal(alone[0], sol.surface[i])
 
 
 class TestSystemReuse:
@@ -451,6 +451,34 @@ class TestSystemReuse:
             assert np.array_equal(alone, v), i
             assert matrices[-1] is not matrices[i]
             assert np.array_equal(matrices[-1].toarray(), matrices[i].toarray()), i
+
+    def test_no_layer_solves_its_previous_system_again(
+        self, obstacle_regime_solution, monkeypatch
+    ):
+        # a layer ends when its policy system repeats, so within a layer no
+        # solve has the signature of the solve before it; on this problem
+        # 99 sweeps change only the controls at obstacle nodes
+        sol = obstacle_regime_solution
+        solves, _ = self.record_solves(monkeypatch)
+        firsts = []
+        step = howard.solve_time_step
+
+        def record_layer(*args, **kwargs):
+            firsts.append(len(solves))
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(howard, "solve_time_step", record_layer)
+        again = solve_backward(sol.grid, sol.params, sol.controls)
+        assert len(firsts) == sol.grid.n_steps
+        assert len(solves) == 335
+        assert sum(d.iterations for d in again.diagnostics) == 535
+        for first, stop in zip(firsts, firsts[1:] + [len(solves)]):
+            sigs = [
+                kstar[~region].tobytes() + region.tobytes()
+                for _, kstar, region, _ in solves[first:stop]
+            ]
+            assert all(a != b for a, b in zip(sigs, sigs[1:])), first
+        np.testing.assert_array_equal(again.surface, sol.surface)
 
     def test_each_backward_sweep_has_its_own_slot(self, cheap_params, monkeypatch):
         # every solve of the cheap problem has one (control, region) pair,

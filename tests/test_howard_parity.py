@@ -1,9 +1,11 @@
 """The backward sweep against the full-scan loop it replaced.
 
 ``oracle_solve_backward`` is the sweep as it stood before a layer could
-start from the control row the layer above returned: every improvement
-pass, the first of each layer included, scans every candidate, and the
-candidate values mask their inadmissible pairs with +inf themselves.
+take the last improvement pass of the layer above as its first: every
+improvement pass, the first of each layer included, scans every
+candidate, the candidate values mask their inadmissible pairs with +inf
+themselves, and a layer ends only when its whole control row and region
+repeat.
 Surface, control and region must agree bit for bit, and every
 ``StepDiagnostics`` field must be equal, on the shared fixtures and
 across a sweep of the model parameters. A failing sweep must fail with
@@ -23,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from insdual import build_uniform, make_control_set, solve_backward
+from insdual import build_uniform, howard, make_control_set, solve_backward
 from insdual.howard import (
     DiscreteSolution,
     HowardNonconvergence,
@@ -32,6 +34,7 @@ from insdual.howard import (
 )
 from insdual.model import terminal_condition
 from insdual.scheme import (
+    _SystemSlot,
     build_tables,
     chosen_operator_values,
     obstacle_values,
@@ -48,7 +51,8 @@ ORACLE_TOL = 1e-9
 
 def oracle_operator_values(v, grid, params, tables):
     top = v[-1]
-    out = (tables.matrix @ (v - top)).reshape(tables.source.shape)
+    # node-major store: pair (j, k) is row j*K + k of the product
+    out = (tables.matrix @ (v - top)).reshape(tables.source.shape[::-1]).T
     out += params.r * top
     out += tables.source
     out[~tables.admissible] = np.inf
@@ -205,14 +209,24 @@ class TestChosenOperatorValues:
                 chosen_operator_values(v, g, p, tables, kstar), full
             )
 
-    def test_start_pass_equals_the_scan_pass(self, dear_coarse_solution):
-        # a layer started from the control the layer above returned takes
-        # the path of a layer that scanned its first pass
+    def test_start_pass_equals_the_scan_pass(self, dear_coarse_solution, monkeypatch):
+        # a layer that starts from the pass the layer above ended on takes
+        # the path of a layer that scans its first pass, with one scan fewer
         sol = dear_coarse_solution
-        i = sol.grid.n_steps // 2
-        args = (sol.surface[i + 1], sol.grid, sol.params, sol.tables)
-        cold = solve_time_step(*args, time_index=i)
-        warm = solve_time_step(*args, time_index=i, start=sol.control[i + 1])
+        g, p, tables = sol.grid, sol.params, sol.tables
+        i = g.n_steps // 2
+        slot = _SystemSlot()
+        above = solve_time_step(sol.surface[i + 2], g, p, tables, time_index=i + 1, slot=slot)
+        np.testing.assert_array_equal(above[0], sol.surface[i + 1])
+        assert slot.scan_at == sol.surface[i + 1].tobytes()
+        scans = []
+        monkeypatch.setattr(
+            howard, "operator_values", lambda *a: scans.append(1) or operator_values(*a)
+        )
+        cold = solve_time_step(sol.surface[i + 1], g, p, tables, time_index=i)
+        cold_scans = len(scans)
+        warm = solve_time_step(sol.surface[i + 1], g, p, tables, time_index=i, slot=slot)
+        assert len(scans) - cold_scans == cold_scans - 1 == cold[3].iterations - 1
         for a, b in zip(cold[:3], warm[:3]):
             np.testing.assert_array_equal(a, b)
         assert repr(cold[3]) == repr(warm[3])

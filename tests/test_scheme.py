@@ -71,8 +71,15 @@ def stationary_oracle(v, s, j, rho, params):
 
 
 def stored_row(tables, v, k, j):
-    """Row j of block k of the stacked store applied to v."""
-    r = k * v.size + j
+    """Row of the pair (node j, candidate k) of the store applied to v.
+
+    The store is node-major and holds admissible pairs only: None for an
+    inadmissible pair, whose CSR row is empty.
+    """
+    start, stop = tables.matrix.indptr[j * tables.controls.size + k :][:2]
+    if start == stop:
+        return None
+    r = start // scheme.WIDTH
     return float(tables.weights[r] @ v[tables.cols[r]])
 
 
@@ -209,6 +216,9 @@ class TestOperatorRow:
         s = list(g.states)
         for j in range(5):
             got = stored_row(tables, v, 0, j)
+            if not admissible_oracle(s, j, 2.0):
+                assert got is None
+                continue
             assert got == pytest.approx(row_oracle(v, s, j, 2.0, p), rel=1e-13)
 
     def test_matches_oracle_on_random_rows(self):
@@ -222,6 +232,9 @@ class TestOperatorRow:
         for k, rho in enumerate(cs.candidates):
             for j in (0, 1, 17, 34, 35):
                 got = stored_row(tables, v, k, j)
+                if not admissible_oracle(s, j, rho):
+                    assert got is None
+                    continue
                 assert got == pytest.approx(row_oracle(v, s, j, rho, p), rel=1e-12)
 
 
@@ -369,6 +382,51 @@ class TestVectorizedTables:
         assert "admissible" not in {f.name for f in dataclasses.fields(tables)}
         np.testing.assert_array_equal(tables.admissible, np.isfinite(tables.source))
 
+    def test_store_holds_the_admissible_rows_node_major(self):
+        # one stored row per admissible pair, in node-major order, under a
+        # CSR matrix over the same arrays in which every other pair is an
+        # empty row; the income rates sit in node-major memory too
+        g = build_uniform(5, 33, 1.0)
+        p = dear_params()
+        cs = make_control_set(p, count=21)
+        tables = build_tables(g, p, cs)
+        K, m = tables.source.shape
+        n = int(tables.admissible.sum())
+        assert n < K * m
+        assert tables.cols.shape == tables.weights.shape == (n, scheme.WIDTH)
+        matrix = tables.matrix
+        assert matrix.shape == (m * K, m)
+        assert np.shares_memory(matrix.data, tables.weights)
+        assert np.shares_memory(matrix.indices, tables.cols)
+        assert tables.source.T.flags.c_contiguous
+        rng = np.random.default_rng(5)
+        v = np.sort(rng.uniform(0.2, 4.0, m))[::-1].copy()
+        s = list(g.states)
+        for k, rho in enumerate(cs.candidates):
+            for j in range(m):
+                got = stored_row(tables, v, k, j)
+                if admissible_oracle(s, j, rho):
+                    assert got == pytest.approx(row_oracle(v, s, j, rho, p), rel=1e-12)
+                else:
+                    assert got is None
+        assert operator_values(v, g, p, tables).T.flags.c_contiguous
+
+    def test_chosen_values_of_inadmissible_pairs_are_infinite(self):
+        # a pair with an empty row scores +inf one row at a time as in the
+        # full scan, the last pair of the store included
+        g = build_uniform(5, 33, 1.0)
+        p = dear_params()
+        tables = build_tables(g, p, make_control_set(p, count=21))
+        K, m = tables.source.shape
+        v = np.linspace(3.0, 1.0, m)
+        full = operator_values(v, g, p, tables)
+        for k in (0, K // 2, K - 1):
+            kstar = np.full(m, k)
+            got = scheme.chosen_operator_values(v, g, p, tables, kstar)
+            np.testing.assert_array_equal(got, full[k])
+            np.testing.assert_array_equal(np.isinf(got), ~tables.admissible[k])
+        assert not tables.admissible[K - 1, m - 1]
+
     def test_interpolation_weights_convex(self):
         # convex jump weights and upwinding leave every admissible stacked
         # row with nonnegative off-diagonal entries summing, with the
@@ -378,10 +436,11 @@ class TestVectorizedTables:
         tables = build_tables(g, p, make_control_set(p, count=21))
         K, m = tables.source.shape
         assert 0 <= tables.cols.min() and tables.cols.max() < m
-        admissible = tables.admissible.ravel()
-        weights = tables.weights[: K * m][admissible]
-        cols = tables.cols[: K * m][admissible]
-        node = np.tile(np.arange(m), K)[admissible]
+        # the store holds the admissible rows only, node-major
+        admissible = tables.admissible.T.ravel()
+        weights = tables.weights
+        cols = tables.cols
+        node = np.repeat(np.arange(m), K)[admissible]
         assert np.all(weights[cols != node[:, None]] >= 0.0)
         scale = np.abs(weights).max(axis=1)
         assert np.all(np.abs(weights.sum(axis=1) - p.r) <= 1e-12 * scale)
@@ -512,6 +571,26 @@ class TestPolicySystem:
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
             anchor = np.maximum.accumulate(np.where(region, 0, np.arange(m)))
             np.testing.assert_array_equal(got, got[anchor])
+
+    @pytest.mark.filterwarnings("error")
+    def test_inadmissible_pair_comes_out_non_finite(self):
+        # an inadmissible pair at a continuation node has no stored row to
+        # solve; its +inf income leaves the solve non-finite, at the first
+        # node and at the top one, whose last candidate is the store's
+        # last pair
+        g = build_uniform(5, 33, 1.0)
+        p = dear_params()
+        cs = make_control_set(p, count=21)
+        tables = build_tables(g, p, cs)
+        K, m = tables.source.shape
+        identity = int(np.searchsorted(cs.candidates, 1.0))
+        v_next = np.linspace(2.0, 1.0, m)
+        for j in (0, m - 1):
+            kstar = np.full(m, identity)
+            kstar[j] = K - 1
+            assert not tables.admissible[K - 1, j]
+            v = solve_policy_system(v_next, g, p, tables, kstar, np.zeros(m, dtype=bool))
+            assert not np.isfinite(v[j])
 
     def test_rejects_large_time_step(self):
         g = build_uniform(1, 10, 25.0)  # h_t = 25 with r = 0.05
