@@ -161,7 +161,7 @@ def project(grid: Grid, state):
         return hi - 1 if abs(nodes[hi - 1] - state) <= abs(nodes[hi] - state) else hi
     s = grid.states
     x = np.asarray(state, dtype=float)
-    hi = np.clip(np.searchsorted(s, x, side="left"), 0, s.size - 1)
+    hi = np.minimum(np.searchsorted(s, x, side="left"), s.size - 1)
     # above the hull (or NaN) both neighbours are the last node
     lo = np.where(x <= s[-1], np.maximum(hi - 1, 0), hi)
     pick = np.where(np.abs(s[lo] - x) <= np.abs(s[hi] - x), lo, hi)

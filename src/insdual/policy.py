@@ -15,8 +15,8 @@ Per step i >= 1 the evolution is
   1. node j_i is the node the previous dual state projects to: the
      node j''_{i-1} that step settled on (j_init at step 1),
   2. read the layer-i control rho at node j_i,
-  3. density *= exp(-pi * h_t * (rho - 1)) and *= rho if a claim acts
-     at this step,
+  3. density *= exp(-pi * h_t * (rho - 1)), and *= rho once per claim
+     acting at this step,
   4. dual state = y_init * density * regulator; project it (node j''_i)
      and project the jumped state rho * Y_{i-1} (node j'_i),
   5. while wealth at node j''_i is negative, step j''_i down one node and
@@ -24,13 +24,21 @@ Per step i >= 1 the evolution is
   6. coverage theta_i = (wealth(j_i) - wealth(j'_i)) / delta and
      wealth_i = wealth(j''_i).
 
-The wealth of every layer is read off once per solution, as one
-(n_steps, m) read-only table (``DiscreteSolution.wealth``) that every
-path on that solution shares, and a path does a fixed amount of Python
-float work per step: projections bisect the grid's states, the control
-and the wealth are single table entries, and only the growth factor
-still goes through numpy (np.exp, whose last bit math.exp need not
-match). The rules and the bits are those of the steps above.
+``evolve_path`` runs these rules in two phases. A loop does only what
+the next step depends on: per step it reads the control at the node the
+last step settled on, grows the density, projects and regulates the new
+dual state and checks the hull, all on Python floats (a projection
+bisects the grid's states, the control and the wealth are single table
+entries, and the growth factor is taken once per distinct control). No
+later step reads a jumped state or a coverage, so one read-off after the
+loop does them for every step at once with arrays: the nodes j_i are the
+settled nodes shifted by one, the jumped states go through one
+compactification and one projection, and coverage and wealth are
+gathers from the solution's wealth table. The wealth of every layer is
+read off once per solution, as one (n_steps, m) read-only table
+(``DiscreteSolution.wealth``) that every path on that solution shares.
+The rules and the bits are those of the steps above, and a path that
+fails does so with the error the per-step rules raise first.
 
 Claims act at the steps ``simulate.claim_steps`` gives them, each of the
 size delta the surface is solved for, and ``sde_residual`` checks the
@@ -126,6 +134,16 @@ def find_initial_state(solution: DiscreteSolution, x: float):
     return j_init, expand(float(solution.grid.states[j_init]))
 
 
+def _jump_nodes(grid, rho, dual_state):
+    """Nodes of the jumped states rho[i] * dual_state[i - 1], i >= 0.
+
+    Step 0 jumps from dual_state[0]. Both are float arrays; ``rho`` may
+    be the shorter, and no state past the last jump's is read.
+    """
+    prev = np.concatenate((dual_state[:1], dual_state[: rho.size - 1]))
+    return project(grid, compactify(rho * prev))
+
+
 def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
     """Forward reconstruction of the controlled path starting from wealth x.
 
@@ -134,88 +152,89 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
     grid = solution.grid
     params = solution.params
     n = grid.n_steps
-    ht = grid.h_t
     nodes = grid.state_tuple
-    control = solution.control
-    delta = params.delta
-    decay = -params.pi_intensity * ht
-
-    flags = claim_steps(claims, ht, n)
-    claim_at = flags.tolist()
-
+    control = solution.control.item
     w = solution.wealth.item
+    decay = -params.pi_intensity * grid.h_t
+
+    flags = claim_steps(claims, grid.h_t, n)
+    claim_count = flags.tolist()
     j_init, y_init = find_initial_state(solution, x)
 
-    d = 1.0
-    reg = 1.0
-    y = y_init * d * reg
-    rho = control.item(0, j_init)
-    jp = project(grid, compactify(rho * y))
+    growth_of = {}
+    d = reg = 1.0
+    y = y_init
+    jpp = j_init
     density = [d]
     regulator = [reg]
     dual_state = [y]
-    state_index = [j_init]
-    jump_state_index = [jp]
-    regulated_state_index = [j_init]
-    theta = [(w(0, j_init) - w(0, jp)) / delta]
-    wealth = [w(0, j_init)]
+    rhos = [control(0, j_init)]
+    settled = [j_init]
 
     escapes = 0
-    jpp = j_init
-    for i in range(1, n):
-        y_prev = y
-        # the previous step settled on node jpp: y_prev is its state or,
-        # if regulated, within a few ulps of it, so projecting is redundant
-        j_i = jpp
-        rho = control.item(i, j_i)
-        growth = np.exp(decay * (rho - 1.0))
-        d = d * growth * (rho if claim_at[i] else 1.0)
-        y = y_init * d * reg
-
-        jp = project(grid, compactify(rho * y_prev))
-        target = compactify(y)
-        jpp = project(grid, target)
-        unregulated = jpp
-
-        while w(i, jpp) < 0.0:
-            if jpp == 0:
-                raise PathEscapeError(
-                    f"policy: wealth regulation hit the lowest node at step {i} "
-                    f"(dual state {y:.6g})"
-                )
-            jpp -= 1
-        if jpp != unregulated:
-            # regulator shrinks so the dual state sits on the chosen node
-            reg = expand(nodes[jpp]) / (y_init * d)
+    try:
+        for i in range(1, n):
+            # the previous step settled on node jpp: y is its state or, if
+            # regulated, within a few ulps of it, so projecting is redundant
+            rho = control(i, jpp)
+            rhos.append(rho)
+            growth = growth_of.get(rho)
+            if growth is None:
+                growth = growth_of[rho] = float(np.exp(decay * (rho - 1.0)))
+            d = d * growth
+            if claim_count[i]:
+                d = d * rho ** claim_count[i]
             y = y_init * d * reg
 
-        density.append(d)
-        regulator.append(reg)
-        dual_state.append(y)
-        state_index.append(j_i)
-        jump_state_index.append(jp)
-        regulated_state_index.append(jpp)
-        theta.append((w(i, j_i) - w(i, jp)) / delta)
-        wealth.append(w(i, jpp))
+            target = compactify(y)
+            jpp = unregulated = project(grid, target)
+            while w(i, jpp) < 0.0:
+                if jpp == 0:
+                    raise PathEscapeError(
+                        f"policy: wealth regulation hit the lowest node at step {i} "
+                        f"(dual state {y:.6g})"
+                    )
+                jpp -= 1
+            if jpp != unregulated:
+                # regulator shrinks so the dual state sits on the chosen node
+                reg = expand(nodes[jpp]) / (y_init * d)
+                y = y_init * d * reg
 
-        escapes = escapes + 1 if (target < nodes[0] or target > nodes[-1]) else 0
-        if escapes >= _MAX_HULL_ESCAPES:
-            raise PathEscapeError(
-                f"policy: dual state left the mesh hull for {escapes} consecutive "
-                f"steps (step {i}, state {target:.6g} outside "
-                f"[{nodes[0]}, {nodes[-1]}])"
-            )
+            density.append(d)
+            regulator.append(reg)
+            dual_state.append(y)
+            settled.append(jpp)
 
+            escapes = escapes + 1 if (target < nodes[0] or target > nodes[-1]) else 0
+            if escapes >= _MAX_HULL_ESCAPES:
+                raise PathEscapeError(
+                    f"policy: dual state left the mesh hull for {escapes} consecutive "
+                    f"steps (step {i}, state {target:.6g} outside "
+                    f"[{nodes[0]}, {nodes[-1]}])"
+                )
+    except PathEscapeError:
+        # the per-step rules project a step's jumped state before its new
+        # one: a jumped state up to this step that cannot be mapped fails first
+        _jump_nodes(grid, np.array(rhos), np.array(dual_state))
+        raise
+
+    rows = np.arange(n)
+    table = solution.wealth
+    dual_state = np.array(dual_state, dtype=float)
+    settled = np.array(settled, dtype=np.int64)
+    state_index = np.concatenate((settled[:1], settled[:-1]))
+    jump_state_index = _jump_nodes(grid, np.array(rhos, dtype=float), dual_state)
+    theta = (table[rows, state_index] - table[rows, jump_state_index]) / params.delta
     return PolicyPath(
         times=grid.times[:n].copy(),
         density=np.array(density, dtype=float),
         regulator=np.array(regulator, dtype=float),
-        dual_state=np.array(dual_state, dtype=float),
-        state_index=np.array(state_index, dtype=np.int64),
-        jump_state_index=np.array(jump_state_index, dtype=np.int64),
-        regulated_state_index=np.array(regulated_state_index, dtype=np.int64),
-        theta=np.array(theta, dtype=float),
-        wealth=np.array(wealth, dtype=float),
+        dual_state=dual_state,
+        state_index=state_index,
+        jump_state_index=jump_state_index,
+        regulated_state_index=settled,
+        theta=theta,
+        wealth=table[rows, settled],
         claim_flag=flags,
         y_init=y_init,
         j_init=j_init,

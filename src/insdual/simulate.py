@@ -63,28 +63,32 @@ def poisson_schedule(intensity: float, horizon: float, seed: int) -> ClaimSchedu
 
 
 def claim_steps(claims, h_t: float, n_steps: int):
-    """Indicator of a claim per step index 0 .. n_steps - 1.
+    """Number of claims acting at each step index 0 .. n_steps - 1.
 
     A claim at time t acts at the nearest grid step round(t / h_t), halves
     to even; one nearest to step 0 acts at step 1, and one past the last
-    step n_steps - 1 is dropped. ``claims`` is a ClaimSchedule or a bare
+    step n_steps - 1 is dropped. Claims nearest to one step all act there,
+    so a step's count can exceed 1; more than 255 at one step (the count's
+    uint8 range) is a ValueError. ``claims`` is a ClaimSchedule or a bare
     sequence of claim times.
     """
     times = np.asarray(getattr(claims, "times", claims), dtype=float).reshape(-1)
     if np.isnan(times).any():
         raise ValueError("simulate: claim times must not be NaN")
     steps = np.maximum(np.rint(times / h_t), 1.0)
-    flags = np.zeros(n_steps, dtype=np.uint8)
-    flags[steps[steps < n_steps].astype(np.int64)] = 1
-    return flags
+    counts = np.bincount(steps[steps < n_steps].astype(np.int64), minlength=n_steps)
+    if counts.max() > np.iinfo(np.uint8).max:
+        raise ValueError("simulate: more than 255 claims act at one time step")
+    return counts.astype(np.uint8)
 
 
 def wealth_increments(theta, claim_flag, dt, params: ModelParams):
     """Wealth change over each step (t_{i-1}, t_i], i = 1 .. n - 1.
 
     The drift alpha - beta * (1 - theta_i) over the step dt (a scalar or
-    one per step), minus theta_i * delta when a claim acts at step i;
-    theta and claim_flag are indexed by step 0 .. n - 1.
+    one per step), minus theta_i * delta for each claim acting at step i;
+    theta and claim_flag (the claim count per step) are indexed by step
+    0 .. n - 1.
     """
     theta = np.asarray(theta, dtype=float)[1:]
     drift = (params.alpha - params.beta * (1.0 - theta)) * dt

@@ -256,9 +256,10 @@ class TestWorkCount:
         self, dear_refined_solution, two_claims, monkeypatch
     ):
         # the wealth read-off runs once per solution, for every layer
-        # together, however many paths and rows read it; the first step
-        # projects the jumped state, every later one the jumped and the
-        # new state (the previous state's node is the one it settled on)
+        # together, however many paths and rows read it; every step after
+        # the first projects its new state, and one array projection after
+        # the loop places the jumped states of all steps (the previous
+        # state's node is the one it settled on)
         sol = dataclasses.replace(dear_refined_solution)  # nothing read off yet
         counts = count_calls(monkeypatch, "_wealth_table", "project")
         policy.evolve_path(sol, two_claims, 1.0)
@@ -266,7 +267,7 @@ class TestWorkCount:
         policy.find_initial_state(sol, 1.0)
         policy.wealth_row(sol, 1)
         assert counts["_wealth_table"] == 1
-        assert counts["project"] == 2 * (2 * sol.grid.n_steps - 1)
+        assert counts["project"] == 2 * sol.grid.n_steps
 
 
 class TestMain:

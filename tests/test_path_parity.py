@@ -6,15 +6,21 @@ per step: it rebuilds the wealth row of every layer and works on numpy
 arrays and 0-d values throughout. Its projection and compactification go
 through the array branches of ``grid.project`` and ``model.compactify``,
 so the parity tests also pin the float branches the package now takes.
-Every array of the path must agree bit for bit, and a failing
-reconstruction must fail with the same exception and message.
+Its density takes one factor rho per claim acting at a step (rho ** 0 is
+1.0 and rho ** 1 is rho, so a step with at most one claim keeps the bits
+of its first form). Every array of the path must agree bit for bit, and a
+failing reconstruction must fail with the same exception and message.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from insdual import build_uniform, evolve_path, refine_around
+from insdual import (
+    build_uniform, evolve_path, make_control_set, refine_around, solve_backward,
+)
 from insdual import grid as grid_module
 from insdual import model as model_module
 from insdual import policy
@@ -26,7 +32,7 @@ from insdual.policy import (
     PolicyPath,
     UnreachableWealthError,
 )
-from insdual.simulate import claim_steps, poisson_schedule
+from insdual.simulate import ClaimSchedule, claim_steps, poisson_schedule
 from tests.test_model import make_params
 from tests.test_policy import make_solution
 
@@ -103,7 +109,7 @@ def oracle_evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPa
         j_i = project(grid, target_prev)
         rho = float(solution.control[i][j_i])
         growth = np.exp(-params.pi_intensity * ht * (rho - 1.0))
-        density[i] = density[i - 1] * growth * (rho if flags[i] else 1.0)
+        density[i] = density[i - 1] * growth * rho ** int(flags[i])
         regulator[i] = regulator[i - 1]
         dual_state[i] = y_init * density[i] * regulator[i]
 
@@ -234,6 +240,59 @@ class TestPathParity:
         x = oracle_wealth_row(sol, 0)[3]
         path = assert_same_outcome(sol, [], x)
         assert path.regulator[-1] < 1.0
+
+    @pytest.mark.parametrize("n_time", [1, 2])
+    def test_one_and_two_step_meshes(self, dear_params, n_time):
+        sol = solve_backward(
+            build_uniform(n_time, 60, dear_params.T), dear_params,
+            make_control_set(dear_params),
+        )
+        row = oracle_wealth_row(sol, 0)
+        for claims in ([], [0.5], [0.5, 0.6], [1.0]):
+            for x in (0.5, 1.0, float(np.median(row))):
+                path = assert_same_outcome(sol, claims, x)
+                assert isinstance(path, PolicyPath) and path.theta.size == n_time
+
+    def test_claims_sharing_a_step(self, obstacle_regime_solution, dear_refined_solution):
+        # 0.4 and 0.401 share step 20 of a 50-step mesh and step 80 of a
+        # 200-step one; 0.8, 0.8001 and 0.8002 share a step on both
+        schedule = ClaimSchedule(times=np.array([0.4, 0.401, 0.8, 0.8001, 0.8002]))
+        for sol in (dear_refined_solution, obstacle_regime_solution):
+            path = assert_same_outcome(sol, schedule, 1.0)
+            assert sorted(path.claim_flag[path.claim_flag > 0].tolist()) == [2, 3]
+
+    def test_unmappable_jumped_state_fails_before_a_later_escape(self):
+        # a zero control at step 1 makes that step's jumped state 0, which
+        # cannot be compactified; the per-step rules fail on it before the
+        # regulation of the same step walks off the lowest node
+        p = make_params(r=0.0)
+        states = np.linspace(0.2, 0.8, 6)
+        rows = np.vstack([1.0 - 0.5 * states] + [1.0 + 0.5 * states] * 4)
+        sol = make_solution(np.linspace(0.0, 1.0, 5), states, rows, 1.0, p)
+        control = sol.control.copy()
+        control[1] = 0.0
+        sol = dataclasses.replace(sol, control=control)
+        x = oracle_wealth_row(sol, 0)[3]
+        exc = assert_same_outcome(sol, [], x)
+        assert isinstance(exc, ValueError) and "y > 0" in str(exc)
+
+
+class TestPathArrays:
+    def test_arrays_are_fresh_and_writable(self, dear_refined_solution, two_claims):
+        # the read-off gathers from the solution's tables: no path array may
+        # be a view of them, of the grid, or of another path's arrays
+        sol = dear_refined_solution
+        first = evolve_path(sol, two_claims, 1.0)
+        second = evolve_path(sol, two_claims, 1.0)
+        shared = [sol.wealth, sol.control, sol.surface, sol.grid.times, sol.grid.states]
+        for name in PATH_ARRAYS:
+            a = getattr(first, name)
+            assert a.flags.writeable, name
+            for other in shared + [getattr(second, n) for n in PATH_ARRAYS]:
+                assert not np.shares_memory(a, other), name
+            for n in PATH_ARRAYS:
+                if n != name:
+                    assert not np.shares_memory(a, getattr(first, n)), (name, n)
 
 
 class TestWealthTable:

@@ -141,6 +141,21 @@ class TestClaimSnapping:
         )
         assert path.claim_flag.sum() == 0
 
+    def test_coinciding_claims_each_kick_the_density(self, dear_refined_solution):
+        # 0.4 and 0.401 are both nearest to step 20 of the 50-step mesh:
+        # the step counts two claims and the density takes rho once for each
+        sol = dear_refined_solution
+        g, p = sol.grid, sol.params
+        assert g.n_steps == 50
+        path = evolve_path(sol, ClaimSchedule(times=np.array([0.4, 0.401])), 1.0)
+        assert path.claim_flag.dtype == np.uint8
+        assert list(np.flatnonzero(path.claim_flag)) == [20]
+        assert path.claim_flag[20] == 2
+        rho = float(sol.control[20][path.state_index[20]])
+        growth = float(np.exp(-p.pi_intensity * g.h_t * (rho - 1.0)))
+        assert rho != 1.0
+        assert path.density[20] == path.density[19] * growth * rho**2
+
     def test_flags_follow_the_shared_rule(self, cheap_solution):
         # the path places claims exactly where the primal side does
         schedule = poisson_schedule(20.0, 1.0, seed=2001)

@@ -91,6 +91,20 @@ class TestIntegratePrimal:
         inc = np.diff(out)
         assert inc[4] == pytest.approx(p.alpha * p.T / 10.0 - 0.3, rel=1e-14)
 
+    def test_coinciding_claims_each_act(self):
+        # two claims nearest to one step both hit it
+        p = make_params(alpha=2.0, beta=1.5, delta=0.7)
+        out = integrate_primal(np.ones(10), p, [0.5, 0.52], 1.0)
+        inc = np.diff(out)
+        assert inc[4] == pytest.approx(p.alpha * p.T / 10.0 - 2 * 0.7, rel=1e-14)
+
+    def test_more_claims_at_one_step_than_the_count_holds(self):
+        p = make_params()
+        times = np.linspace(0.46, 0.54, 256) * p.T  # all nearest to step 5
+        integrate_primal(np.ones(10), p, times[:255], 1.0)
+        with pytest.raises(ValueError, match="255 claims"):
+            integrate_primal(np.ones(10), p, times, 1.0)
+
     def test_claim_at_horizon_ignored(self):
         p = make_params(alpha=2.0, beta=1.5)
         theta = np.ones(10)
@@ -119,8 +133,12 @@ class TestIntegratePrimal:
 
     @pytest.mark.parametrize(
         "claims",
-        ["two_claims", ClaimSchedule(times=np.array([0.405, 0.733]))],
-        ids=["on-grid", "off-grid"],
+        [
+            "two_claims",
+            ClaimSchedule(times=np.array([0.405, 0.733])),
+            ClaimSchedule(times=np.array([0.4, 0.401])),
+        ],
+        ids=["on-grid", "off-grid", "coinciding"],
     )
     def test_reproduces_reconstructed_increments(
         self, request, dear_refined_solution, dear_params, claims
