@@ -135,7 +135,14 @@ def compactify(y):
 
 
 def expand(state):
-    """Inverse of compactify: state / (1 - state), for state in (0, 1)."""
+    """Inverse of compactify: state / (1 - state), for state in (0, 1).
+
+    A float is mapped with Python arithmetic, to the same bits.
+    """
+    if isinstance(state, float):
+        if state <= 0.0 or state >= 1.0:
+            raise ValueError("model: expand requires a state strictly inside (0, 1)")
+        return float(state / (1.0 - state))
     state = np.asarray(state, dtype=float)
     if np.any((state <= 0.0) | (state >= 1.0)):
         raise ValueError("model: expand requires a state strictly inside (0, 1)")

@@ -18,27 +18,32 @@ Per step i >= 1 the evolution is
   3. density *= exp(-pi * h_t * (rho - 1)), and *= rho once per claim
      acting at this step,
   4. dual state = y_init * density * regulator; project it (node j''_i)
-     and project the jumped state rho * Y_{i-1} (node j'_i),
+     and project the jumped state rho^c * Y_{i-1} (node j'_i), with c the
+     number of claims acting at this step (rho * Y_{i-1} when c = 0),
   5. while wealth at node j''_i is negative, step j''_i down one node and
      shrink the regulator so the dual state sits on that node,
-  6. coverage theta_i = (wealth(j_i) - wealth(j'_i)) / delta and
+  6. coverage theta_i = (wealth(j_i) - wealth(j'_i)) / (max(c, 1) * delta),
+     each of the c claims covered at the step's mean retention, and
      wealth_i = wealth(j''_i).
 
-``evolve_path`` runs these rules in two phases. A loop does only what
-the next step depends on: per step it reads the control at the node the
-last step settled on, grows the density, projects and regulates the new
-dual state and checks the hull, all on Python floats (a projection
-bisects the grid's states, the control and the wealth are single table
-entries, and the growth factor is taken once per distinct control). No
-later step reads a jumped state or a coverage, so one read-off after the
-loop does them for every step at once with arrays: the nodes j_i are the
-settled nodes shifted by one, the jumped states go through one
-compactification and one projection, and coverage and wealth are
-gathers from the solution's wealth table. The wealth of every layer is
-read off once per solution, as one (n_steps, m) read-only table
+``evolve_path`` runs these rules in two phases. The first moves through
+claim-free stretches: from a step i settled on node j''_{i-1}, with rho
+the control there, the steps up to the next claim step are deterministic,
+so one array pass computes their densities (a sequential product of the
+growth factor, the bits of the per-step update), dual states and nodes.
+The stretch is accepted up to its first cut: a step whose control at the
+previous step's node is not rho, whose state is not positive and finite,
+leaves the node hull or needs regulation. The per-step rules, on Python
+floats, take the cut step and every claim step; a stretch never raises,
+so a path that fails does so with the error the per-step rules raise
+first. No step reads a jumped state or a coverage, so one read-off after
+the first phase does them for every step at once with arrays: the nodes
+j_i are the settled nodes shifted by one, the jumped states go through one
+compactification and one projection, and coverage and wealth are gathers
+from the solution's wealth table. The wealth of every layer is read off
+once per solution, as one (n_steps, m) read-only table
 (``DiscreteSolution.wealth``) that every path on that solution shares.
-The rules and the bits are those of the steps above, and a path that
-fails does so with the error the per-step rules raise first.
+The rules and the bits are those of the steps above.
 
 Claims act at the steps ``simulate.claim_steps`` gives them, each of the
 size delta the surface is solved for, and ``sde_residual`` checks the
@@ -48,6 +53,7 @@ wealth path against ``simulate.wealth_increments``: the rules
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,14 +140,47 @@ def find_initial_state(solution: DiscreteSolution, x: float):
     return j_init, expand(float(solution.grid.states[j_init]))
 
 
-def _jump_nodes(grid, rho, dual_state):
-    """Nodes of the jumped states rho[i] * dual_state[i - 1], i >= 0.
+def _jump_nodes(grid, kicks, dual_state):
+    """Nodes of the jumped states kicks[i] * dual_state[i - 1], i >= 0.
 
-    Step 0 jumps from dual_state[0]. Both are float arrays; ``rho`` may
+    Step 0 jumps from dual_state[0]. Both are float arrays; ``kicks`` may
     be the shorter, and no state past the last jump's is read.
     """
-    prev = np.concatenate((dual_state[:1], dual_state[: rho.size - 1]))
-    return project(grid, compactify(rho * prev))
+    prev = np.concatenate((dual_state[:1], dual_state[: kicks.size - 1]))
+    return project(grid, compactify(kicks * prev))
+
+
+def _stretch(solution, i, end, rho, growth, d, y_init, reg):
+    """Claim-free steps i .. end - 1 under the control rho, up to the first cut.
+
+    One array pass does what the per-step rules would: the densities
+    d * growth, d * growth * growth, ... (a sequential product, so the
+    bits of the per-step update), the dual states and their nodes. A step
+    is cut where its control is no longer rho, where its state is not
+    positive and finite, leaves the node hull or needs regulation. Returns
+    the densities, dual states and nodes of the steps before the first
+    cut; nothing here raises, so a failing step fails under the per-step
+    rules.
+    """
+    dens = np.full(end - i + 1, growth)
+    dens[0] = d
+    dens = dens.cumprod()[1:]
+    ys = y_init * dens * reg
+    ok = (ys > 0.0) & (ys < np.inf)
+    if not ok.all():
+        p = int(ok.argmin())
+        dens, ys = dens[:p], ys[:p]
+    target = compactify(ys)
+    nodes = project(solution.grid, target)
+    states = solution.grid.states
+    rows = np.arange(i, i + nodes.size)
+    cut = (target < states[0]) | (target > states[-1])
+    cut |= solution.wealth[rows, nodes] < 0.0
+    cut[1:] |= solution.control[rows[1:], nodes[:-1]] != rho
+    if cut.any():
+        m = int(cut.argmax())
+        return dens[:m], ys[:m], nodes[:m]
+    return dens, ys, nodes
 
 
 def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
@@ -159,31 +198,53 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
 
     flags = claim_steps(claims, grid.h_t, n)
     claim_count = flags.tolist()
+    stops = np.flatnonzero(flags).tolist() + [n]
     j_init, y_init = find_initial_state(solution, x)
+
+    density = np.empty(n)
+    regulator = np.empty(n)
+    dual_state = np.empty(n)
+    kicks = np.empty(n)  # factor of each step's jumped state: rho, or rho ** count
+    settled = np.empty(n, dtype=np.int64)
+    density[0] = regulator[0] = 1.0
+    dual_state[0] = y_init
+    kicks[0] = control(0, j_init)
+    settled[0] = j_init
 
     growth_of = {}
     d = reg = 1.0
-    y = y_init
     jpp = j_init
-    density = [d]
-    regulator = [reg]
-    dual_state = [y]
-    rhos = [control(0, j_init)]
-    settled = [j_init]
-
     escapes = 0
+    i, cut = 1, 0  # cut: the step the last stretch stopped at
     try:
-        for i in range(1, n):
-            # the previous step settled on node jpp: y is its state or, if
-            # regulated, within a few ulps of it, so projecting is redundant
+        while i < n:
+            # the previous step settled on node jpp: its state is that node's
+            # or, if regulated, within a few ulps of it, so projecting is redundant
             rho = control(i, jpp)
-            rhos.append(rho)
             growth = growth_of.get(rho)
             if growth is None:
                 growth = growth_of[rho] = float(np.exp(decay * (rho - 1.0)))
+            if i != cut and not claim_count[i]:
+                end = stops[bisect_left(stops, i)]
+                dens, ys, js = _stretch(solution, i, end, rho, growth, d, y_init, reg)
+                m = js.size
+                cut = i + m
+                if m:
+                    density[i:cut] = dens
+                    regulator[i:cut] = reg
+                    dual_state[i:cut] = ys
+                    kicks[i:cut] = rho
+                    settled[i:cut] = js
+                    d, jpp, escapes, i = float(dens[-1]), int(js[-1]), 0, cut
+                    continue
+
+            # the per-step rules: a claim step, or the step a stretch was cut at
+            kick = rho
             d = d * growth
             if claim_count[i]:
-                d = d * rho ** claim_count[i]
+                kick = rho ** claim_count[i]
+                d = d * kick
+            kicks[i] = kick
             y = y_init * d * reg
 
             target = compactify(y)
@@ -200,10 +261,10 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
                 reg = expand(nodes[jpp]) / (y_init * d)
                 y = y_init * d * reg
 
-            density.append(d)
-            regulator.append(reg)
-            dual_state.append(y)
-            settled.append(jpp)
+            density[i] = d
+            regulator[i] = reg
+            dual_state[i] = y
+            settled[i] = jpp
 
             escapes = escapes + 1 if (target < nodes[0] or target > nodes[-1]) else 0
             if escapes >= _MAX_HULL_ESCAPES:
@@ -212,23 +273,24 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
                     f"steps (step {i}, state {target:.6g} outside "
                     f"[{nodes[0]}, {nodes[-1]}])"
                 )
+            i += 1
     except PathEscapeError:
         # the per-step rules project a step's jumped state before its new
         # one: a jumped state up to this step that cannot be mapped fails first
-        _jump_nodes(grid, np.array(rhos), np.array(dual_state))
+        _jump_nodes(grid, kicks[: i + 1], dual_state)
         raise
 
     rows = np.arange(n)
     table = solution.wealth
-    dual_state = np.array(dual_state, dtype=float)
-    settled = np.array(settled, dtype=np.int64)
     state_index = np.concatenate((settled[:1], settled[:-1]))
-    jump_state_index = _jump_nodes(grid, np.array(rhos, dtype=float), dual_state)
-    theta = (table[rows, state_index] - table[rows, jump_state_index]) / params.delta
+    jump_state_index = _jump_nodes(grid, kicks, dual_state)
+    # each of a step's claims is covered at the step's mean retention
+    coverage = params.delta * np.maximum(flags, 1)
+    theta = (table[rows, state_index] - table[rows, jump_state_index]) / coverage
     return PolicyPath(
         times=grid.times[:n].copy(),
-        density=np.array(density, dtype=float),
-        regulator=np.array(regulator, dtype=float),
+        density=density,
+        regulator=regulator,
         dual_state=dual_state,
         state_index=state_index,
         jump_state_index=jump_state_index,

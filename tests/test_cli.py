@@ -256,18 +256,21 @@ class TestWorkCount:
         self, dear_refined_solution, two_claims, monkeypatch
     ):
         # the wealth read-off runs once per solution, for every layer
-        # together, however many paths and rows read it; every step after
-        # the first projects its new state, and one array projection after
-        # the loop places the jumped states of all steps (the previous
-        # state's node is the one it settled on)
+        # together, however many paths and rows read it; a path projects
+        # once per claim-free stretch (one before, between and after its
+        # claim steps: no stretch of this path is cut), once per claim step
+        # and once for the jumped states of all steps
         sol = dataclasses.replace(dear_refined_solution)  # nothing read off yet
         counts = count_calls(monkeypatch, "_wealth_table", "project")
-        policy.evolve_path(sol, two_claims, 1.0)
+        path = policy.evolve_path(sol, two_claims, 1.0)
         policy.evolve_path(sol, two_claims, 1.0)
         policy.find_initial_state(sol, 1.0)
         policy.wealth_row(sol, 1)
+        claimed = int(np.count_nonzero(path.claim_flag))
+        stretches = claimed + 1
+        assert claimed == 2
         assert counts["_wealth_table"] == 1
-        assert counts["project"] == 2 * sol.grid.n_steps
+        assert counts["project"] == 2 * (stretches + claimed + 1)
 
 
 class TestMain:

@@ -8,8 +8,10 @@ through the array branches of ``grid.project`` and ``model.compactify``,
 so the parity tests also pin the float branches the package now takes.
 Its density takes one factor rho per claim acting at a step (rho ** 0 is
 1.0 and rho ** 1 is rho, so a step with at most one claim keeps the bits
-of its first form). Every array of the path must agree bit for bit, and a
-failing reconstruction must fail with the same exception and message.
+of its first form), and a step with c >= 2 claims jumps by rho ** c and
+divides its coverage by c (the same bits as before for c <= 1). Every
+array of the path must agree bit for bit, and a failing reconstruction
+must fail with the same exception and message.
 """
 
 import dataclasses
@@ -109,11 +111,15 @@ def oracle_evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPa
         j_i = project(grid, target_prev)
         rho = float(solution.control[i][j_i])
         growth = np.exp(-params.pi_intensity * ht * (rho - 1.0))
-        density[i] = density[i - 1] * growth * rho ** int(flags[i])
+        claims_here = int(flags[i])
+        density[i] = density[i - 1] * growth * rho ** claims_here
         regulator[i] = regulator[i - 1]
         dual_state[i] = y_init * density[i] * regulator[i]
 
-        jp = project(grid, compactify(rho * dual_state[i - 1]))
+        # a step with c >= 1 claims jumps by rho ** c and covers each claim
+        # at the mean retention over the c claims
+        kick = rho ** claims_here if claims_here else rho
+        jp = project(grid, compactify(kick * dual_state[i - 1]))
         target = compactify(dual_state[i])
         jpp = project(grid, target)
         unregulated = jpp
@@ -134,7 +140,7 @@ def oracle_evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPa
         state_index[i] = j_i
         jump_state_index[i] = jp
         regulated_state_index[i] = jpp
-        theta[i] = (w[j_i] - w[jp]) / params.delta
+        theta[i] = (w[j_i] - w[jp]) / (params.delta * max(claims_here, 1))
         wealth[i] = w[jpp]
 
         escapes = escapes + 1 if (target < s[0] or target > s[-1]) else 0
@@ -277,6 +283,109 @@ class TestPathParity:
         assert isinstance(exc, ValueError) and "y > 0" in str(exc)
 
 
+def flat_solution(n_time, states, v, control, **params):
+    """Hand-built solution: the surface row v on every layer.
+
+    ``control`` is one value for every node or the whole (n_time, m) table.
+    """
+    sol = make_solution(
+        np.linspace(0.0, 1.0, n_time + 1), states, np.vstack([v] * (n_time + 1)),
+        1.0, make_params(r=0.0, **params),
+    )
+    table = np.broadcast_to(np.asarray(control, dtype=float), sol.control.shape)
+    return dataclasses.replace(sol, control=table.copy())
+
+
+@st.composite
+def schedules(draw):
+    """Claim times on (0, 1], some of them sharing a step with the next."""
+    times = set()
+    for t in draw(st.lists(st.floats(1e-3, 1.0), max_size=8)):
+        times.update(t + k * 1e-4 for k in range(draw(st.integers(1, 3))))
+    return ClaimSchedule(times=np.array(sorted(times)))
+
+
+class TestStretchCuts:
+    """Claim-free stretches stop where the per-step rules must take over."""
+
+    @pytest.mark.parametrize("table", ["by_layer", "by_node"])
+    def test_control_change_inside_a_stretch(self, dear_refined_solution, table):
+        # the control switches at layer 30, or alternates with the node the
+        # state settles on; the claim-free path must follow each switch
+        sol = dear_refined_solution
+        control = np.full(sol.control.shape, 1.075)
+        if table == "by_layer":
+            control[30:] = 1.5
+        else:
+            control[:, 1::2] = 1.25
+        sol = dataclasses.replace(sol, control=control)
+        path = assert_same_outcome(sol, [], 1.0)
+        rows = np.arange(1, sol.grid.n_steps)
+        used = control[rows, path.state_index[1:]]
+        assert np.unique(used).size == 2 and path.regulator[-1] == 1.0
+
+    def test_regulation_after_a_long_stretch(self):
+        # the state climbs at a fixed control until the wealth of its node
+        # turns negative (s > 0.6); from there every step is regulated
+        states = np.linspace(0.05, 0.95, 91)
+        sol = flat_solution(60, states, (states - 0.6) ** 2, 0.5, pi_intensity=8.0)
+        path = assert_same_outcome(sol, [], oracle_wealth_row(sol, 0)[10])
+        first = int(np.argmax(path.regulator < 1.0))
+        assert first > 30 and np.all(path.regulator[first:] < 1.0)
+
+    @pytest.mark.parametrize("turn", [None, 26])
+    def test_hull_escape_after_a_long_stretch(self, turn):
+        # the state climbs out of the hull after 21 steps; without a turn it
+        # stays out for the tolerated count, with one it comes back earlier
+        states = np.linspace(0.3, 0.7, 41)
+        control = np.full((60, states.size), 0.5)
+        if turn is not None:
+            control[turn:] = 1.5
+        sol = flat_solution(60, states, 1.0 - 0.5 * states, control, pi_intensity=8.0)
+        got = assert_same_outcome(sol, [], oracle_wealth_row(sol, 0)[5])
+        if turn is None:
+            assert isinstance(got, PathEscapeError) and "step 31," in str(got)
+        else:
+            assert isinstance(got, PolicyPath)
+            assert compactify(got.dual_state).max() > states[-1]
+
+    def test_escape_is_raised_before_the_state_underflows(self):
+        # a huge control shrinks the state by about 1e-31 a step: it is below
+        # the hull from step 1 and underflows to 0 at step 11, after the
+        # escape at step 10; a stretch must not compactify the zero first
+        states = np.linspace(0.45, 0.55, 11)
+        sol = flat_solution(15, states, 1.0 - 0.5 * states, 1072.0, pi_intensity=1.0)
+        growth = np.exp(-sol.params.pi_intensity * sol.grid.h_t * 1071.0)
+        assert 0.0 < growth**10 and growth**11 == 0.0
+        exc = assert_same_outcome(sol, [], oracle_wealth_row(sol, 0)[5])
+        assert isinstance(exc, PathEscapeError) and "step 10," in str(exc)
+
+    @pytest.mark.parametrize(
+        "fixture", ["dear_refined_solution", "obstacle_regime_solution"]
+    )
+    def test_claim_free_path_is_one_stretch(self, fixture, request, monkeypatch):
+        # one projection for the stretch to the last step, one for the jumps
+        sol = request.getfixturevalue(fixture)
+        calls = []
+
+        def counted(grid, state):
+            calls.append(np.shape(state))
+            return grid_module.project(grid, state)
+
+        monkeypatch.setattr(policy, "project", counted)
+        path = assert_same_outcome(sol, [], 1.0)
+        n = sol.grid.n_steps
+        assert calls == [(n - 1,), (n,)] and path.regulator[-1] == 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(schedules(), st.sampled_from([0.5, 1.0, 2.0]))
+    def test_random_schedules(
+        self, obstacle_regime_solution, dear_refined_solution, schedule, x
+    ):
+        for sol in (obstacle_regime_solution, dear_refined_solution):
+            assert_same_outcome(sol, schedule, x)
+
+
 class TestPathArrays:
     def test_arrays_are_fresh_and_writable(self, dear_refined_solution, two_claims):
         # the read-off gathers from the solution's tables: no path array may
@@ -370,6 +479,21 @@ class TestFloatBranches:
             want = model_module.compactify(np.asarray(y))
             from_numpy = model_module.compactify(np.float64(y))
         got = model_module.compactify(y)
+        assert type(got) is float and type(from_numpy) is float
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(from_numpy, want, equal_nan=True)
+
+    @given(st.floats())
+    def test_expand_float_equals_array(self, state):
+        if state <= 0.0 or state >= 1.0:
+            for arg in (state, np.float64(state), np.asarray(state)):
+                with pytest.raises(ValueError, match="strictly inside"):
+                    model_module.expand(arg)
+            return
+        # NaN passes through both branches
+        want = model_module.expand(np.asarray(state))
+        from_numpy = model_module.expand(np.float64(state))
+        got = model_module.expand(state)
         assert type(got) is float and type(from_numpy) is float
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(from_numpy, want, equal_nan=True)

@@ -156,6 +156,36 @@ class TestClaimSnapping:
         assert rho != 1.0
         assert path.density[20] == path.density[19] * growth * rho**2
 
+    @pytest.mark.parametrize(
+        "fixture", ["dear_refined_solution", "obstacle_regime_solution"]
+    )
+    def test_coinciding_claims_are_each_covered(self, fixture, request):
+        # c claims at one step take the state to rho ** c * Y_{i-1}, and each
+        # is covered at theta: the step's wealth drop is the drift minus
+        # c * theta * delta, up to the read-off error a claim-free step shows
+        # too (the move from the node after the claims to the new state's
+        # node, less the drift, and one node's change from layer i - 1 to i)
+        sol = request.getfixturevalue(fixture)
+        p, table = sol.params, sol.wealth
+        schedule = ClaimSchedule(times=np.array([0.4, 0.401, 0.8, 0.8001, 0.8002]))
+        for x in (0.5, 1.0, 2.0):
+            path = evolve_path(sol, schedule, x)
+            shared = np.flatnonzero(path.claim_flag >= 2)
+            assert shared.size == 2
+            for i in shared:
+                c, theta, j = int(path.claim_flag[i]), path.theta[i], path.state_index[i]
+                after = project(
+                    sol.grid, compactify(sol.control[i, j] ** c * path.dual_state[i - 1])
+                )
+                assert path.jump_state_index[i] == after
+                dt = path.times[i] - path.times[i - 1]
+                drift = (p.alpha - p.beta * (1.0 - theta)) * dt
+                drop = path.wealth[i] - path.wealth[i - 1]
+                read_off = abs(
+                    table[i, path.regulated_state_index[i]] - table[i, after] - drift
+                ) + abs(table[i, j] - table[i - 1, j])
+                assert abs(drop - (drift - c * theta * p.delta)) <= read_off + 1e-12
+
     def test_flags_follow_the_shared_rule(self, cheap_solution):
         # the path places claims exactly where the primal side does
         schedule = poisson_schedule(20.0, 1.0, seed=2001)
