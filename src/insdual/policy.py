@@ -27,22 +27,17 @@ Per step i >= 1 the evolution is
      wealth_i = wealth(j''_i).
 
 ``evolve_path`` runs these rules in two phases. The first moves through
-claim-free stretches: from a step i settled on node j''_{i-1}, with rho
-the control there, the steps up to the next claim step are deterministic,
-so one array pass computes their densities (a sequential product of the
-growth factor, the bits of the per-step update), dual states and nodes.
-The stretch is accepted up to its first cut: a step whose control at the
-previous step's node is not rho, whose state is not positive and finite,
-leaves the node hull or needs regulation. The per-step rules, on Python
-floats, take the cut step and every claim step; a stretch never raises,
-so a path that fails does so with the error the per-step rules raise
-first. No step reads a jumped state or a coverage, so one read-off after
-the first phase does them for every step at once with arrays: the nodes
-j_i are the settled nodes shifted by one, the jumped states go through one
-compactification and one projection, and coverage and wealth are gathers
-from the solution's wealth table. The wealth of every layer is read off
-once per solution, as one (n_steps, m) read-only table
-(``DiscreteSolution.wealth``) that every path on that solution shares.
+the path in array passes: from a step settled on a node, one pass takes
+every later step under that node's control rho, claim steps included (the
+densities are one sequential product of the growth factors and kicks
+rho^c, the bits of the per-step update), up to its first cut: a step whose
+control is not rho, whose state is not positive and finite, leaves the
+node hull or needs regulation. The per-step rules, on Python floats, take
+the cut step. A path with no cut is one pass; a pass never raises, so a
+failing path fails with the error the per-step rules raise first. One
+read-off after the first phase then does the jumped states, coverage and
+wealth of every step with arrays, from the (n_steps, m) read-only wealth
+table that is read off once per solution (``DiscreteSolution.wealth``).
 The rules and the bits are those of the steps above.
 
 Claims act at the steps ``simulate.claim_steps`` gives them, each of the
@@ -53,7 +48,6 @@ wealth path against ``simulate.wealth_increments``: the rules
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,37 +144,45 @@ def _jump_nodes(grid, kicks, dual_state):
     return project(grid, compactify(kicks * prev))
 
 
-def _stretch(solution, i, end, rho, growth, d, y_init, reg):
-    """Claim-free steps i .. end - 1 under the control rho, up to the first cut.
+def _kick(rho, c):
+    """rho ** c, the per-step power, or inf where the per-step rules overflow."""
+    try:
+        return rho ** c
+    except OverflowError:
+        return np.inf
 
-    One array pass does what the per-step rules would: the densities
-    d * growth, d * growth * growth, ... (a sequential product, so the
-    bits of the per-step update), the dual states and their nodes. A step
-    is cut where its control is no longer rho, where its state is not
-    positive and finite, leaves the node hull or needs regulation. Returns
-    the densities, dual states and nodes of the steps before the first
-    cut; nothing here raises, so a failing step fails under the per-step
-    rules.
+
+def _stretch(solution, i, rho, growth, d, y_init, reg, flags):
+    """Steps i .. n - 1 under the control rho, up to the first cut.
+
+    One array pass does what the per-step rules would, claim steps
+    included. The densities are one sequential product of d and, per
+    step, the growth factor and the kick rho ** c of a step with c claims
+    (the per-step power; 1.0, which keeps the bits, elsewhere). A step is
+    cut where its control is no longer rho, where its state is not
+    positive and finite, leaves the node hull or needs regulation.
+    Returns the densities, dual states, nodes and jump factors (rho, or
+    rho ** c) of the steps before the first cut; nothing here raises, so
+    a failing step fails under the per-step rules.
     """
-    dens = np.full(end - i + 1, growth)
-    dens[0] = d
-    dens = dens.cumprod()[1:]
+    at = flags[i:].nonzero()[0]
+    kicks = np.full(flags.size - i, rho)
+    kicks[at] = [_kick(rho, c) for c in flags[i + at].tolist()]
+    factors = np.ones(2 * kicks.size + 1)
+    factors[0], factors[1::2], factors[2 * at + 2] = d, growth, kicks[at]
+    dens = factors.cumprod()[2::2]
     ys = y_init * dens * reg
     ok = (ys > 0.0) & (ys < np.inf)
-    if not ok.all():
-        p = int(ok.argmin())
-        dens, ys = dens[:p], ys[:p]
-    target = compactify(ys)
+    # 1.0 stands in for a state compactify would reject: that step is cut
+    target = compactify(np.where(ok, ys, 1.0))
     nodes = project(solution.grid, target)
     states = solution.grid.states
     rows = np.arange(i, i + nodes.size)
-    cut = (target < states[0]) | (target > states[-1])
+    cut = ~ok | (target < states[0]) | (target > states[-1])
     cut |= solution.wealth[rows, nodes] < 0.0
     cut[1:] |= solution.control[rows[1:], nodes[:-1]] != rho
-    if cut.any():
-        m = int(cut.argmax())
-        return dens[:m], ys[:m], nodes[:m]
-    return dens, ys, nodes
+    m = int(cut.argmax()) if cut.any() else nodes.size
+    return dens[:m], ys[:m], nodes[:m], kicks[:m]
 
 
 def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
@@ -197,8 +199,6 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
     decay = -params.pi_intensity * grid.h_t
 
     flags = claim_steps(claims, grid.h_t, n)
-    claim_count = flags.tolist()
-    stops = np.flatnonzero(flags).tolist() + [n]
     j_init, y_init = find_initial_state(solution, x)
 
     density = np.empty(n)
@@ -211,38 +211,35 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
     kicks[0] = control(0, j_init)
     settled[0] = j_init
 
-    growth_of = {}
     d = reg = 1.0
     jpp = j_init
     escapes = 0
-    i, cut = 1, 0  # cut: the step the last stretch stopped at
+    i, cut = 1, 0  # cut: the step the last pass stopped at
     try:
         while i < n:
             # the previous step settled on node jpp: its state is that node's
             # or, if regulated, within a few ulps of it, so projecting is redundant
             rho = control(i, jpp)
-            growth = growth_of.get(rho)
-            if growth is None:
-                growth = growth_of[rho] = float(np.exp(decay * (rho - 1.0)))
-            if i != cut and not claim_count[i]:
-                end = stops[bisect_left(stops, i)]
-                dens, ys, js = _stretch(solution, i, end, rho, growth, d, y_init, reg)
-                m = js.size
-                cut = i + m
-                if m:
+            growth = float(np.exp(decay * (rho - 1.0)))
+            if i != cut:
+                dens, ys, js, ks = _stretch(
+                    solution, i, rho, growth, d, y_init, reg, flags
+                )
+                cut = i + js.size
+                if js.size:
                     density[i:cut] = dens
                     regulator[i:cut] = reg
                     dual_state[i:cut] = ys
-                    kicks[i:cut] = rho
+                    kicks[i:cut] = ks
                     settled[i:cut] = js
                     d, jpp, escapes, i = float(dens[-1]), int(js[-1]), 0, cut
                     continue
 
-            # the per-step rules: a claim step, or the step a stretch was cut at
+            # the per-step rules: the step a pass was cut at
             kick = rho
             d = d * growth
-            if claim_count[i]:
-                kick = rho ** claim_count[i]
+            if flags[i]:
+                kick = rho ** flags.item(i)
                 d = d * kick
             kicks[i] = kick
             y = y_init * d * reg

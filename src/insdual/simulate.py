@@ -69,15 +69,17 @@ def claim_steps(claims, h_t: float, n_steps: int):
     to even; one nearest to step 0 acts at step 1, and one past the last
     step n_steps - 1 is dropped. Claims nearest to one step all act there,
     so a step's count can exceed 1; more than 255 at one step (the count's
-    uint8 range) is a ValueError. ``claims`` is a ClaimSchedule or a bare
-    sequence of claim times.
+    uint8 range) is a ValueError, and so is a time that is not positive
+    (NaN included). ``claims`` is a ClaimSchedule or a bare sequence of
+    claim times.
     """
     times = np.asarray(getattr(claims, "times", claims), dtype=float).reshape(-1)
-    if np.isnan(times).any():
-        raise ValueError("simulate: claim times must not be NaN")
+    if not (times > 0.0).all():
+        rule = "not be NaN" if np.isnan(times).any() else "be strictly positive"
+        raise ValueError(f"simulate: claim times must {rule}")
     steps = np.maximum(np.rint(times / h_t), 1.0)
     counts = np.bincount(steps[steps < n_steps].astype(np.int64), minlength=n_steps)
-    if counts.max() > np.iinfo(np.uint8).max:
+    if times.size > 255 and counts.max() > np.iinfo(np.uint8).max:
         raise ValueError("simulate: more than 255 claims act at one time step")
     return counts.astype(np.uint8)
 

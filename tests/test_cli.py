@@ -257,20 +257,18 @@ class TestWorkCount:
     ):
         # the wealth read-off runs once per solution, for every layer
         # together, however many paths and rows read it; a path projects
-        # once per claim-free stretch (one before, between and after its
-        # claim steps: no stretch of this path is cut), once per claim step
-        # and once for the jumped states of all steps
+        # twice: once in its one pass (claim steps ride inside it, and no
+        # step of this path is cut) and once for the jumped states of all
+        # steps
         sol = dataclasses.replace(dear_refined_solution)  # nothing read off yet
         counts = count_calls(monkeypatch, "_wealth_table", "project")
         path = policy.evolve_path(sol, two_claims, 1.0)
         policy.evolve_path(sol, two_claims, 1.0)
         policy.find_initial_state(sol, 1.0)
         policy.wealth_row(sol, 1)
-        claimed = int(np.count_nonzero(path.claim_flag))
-        stretches = claimed + 1
-        assert claimed == 2
+        assert int(np.count_nonzero(path.claim_flag)) == 2
         assert counts["_wealth_table"] == 1
-        assert counts["project"] == 2 * (stretches + claimed + 1)
+        assert counts["project"] == 2 * 2
 
 
 class TestMain:

@@ -176,7 +176,7 @@ PATH_ARRAYS = (
 def outcome(reconstruct, solution, claims, x):
     try:
         return reconstruct(solution, claims, x)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         return exc
 
 
@@ -298,15 +298,38 @@ def flat_solution(n_time, states, v, control, **params):
 
 @st.composite
 def schedules(draw):
-    """Claim times on (0, 1], some of them sharing a step with the next."""
+    """Claim times on (0, 1], some of them sharing a step with the next.
+
+    Some fall near 0 (they act at step 1) and some at or just short of the
+    horizon (the last step, or past it and dropped).
+    """
     times = set()
-    for t in draw(st.lists(st.floats(1e-3, 1.0), max_size=8)):
+    near = st.one_of(
+        st.floats(1e-9, 1e-2), st.floats(1e-3, 1.0), st.floats(0.98, 1.0),
+        st.just(1.0),
+    )
+    for t in draw(st.lists(near, max_size=8)):
         times.update(t + k * 1e-4 for k in range(draw(st.integers(1, 3))))
     return ClaimSchedule(times=np.array(sorted(times)))
 
 
+def count_projections(monkeypatch):
+    """Shapes of the states ``policy.project`` is called with, in order."""
+    calls = []
+
+    def counted(grid, state):
+        calls.append(np.shape(state))
+        return grid_module.project(grid, state)
+
+    monkeypatch.setattr(policy, "project", counted)
+    return calls
+
+
 class TestStretchCuts:
-    """Claim-free stretches stop where the per-step rules must take over."""
+    """Passes stop only where the per-step rules must take over.
+
+    A pass runs to the last step; claim steps ride inside it.
+    """
 
     @pytest.mark.parametrize("table", ["by_layer", "by_node"])
     def test_control_change_inside_a_stretch(self, dear_refined_solution, table):
@@ -366,16 +389,110 @@ class TestStretchCuts:
     def test_claim_free_path_is_one_stretch(self, fixture, request, monkeypatch):
         # one projection for the stretch to the last step, one for the jumps
         sol = request.getfixturevalue(fixture)
-        calls = []
-
-        def counted(grid, state):
-            calls.append(np.shape(state))
-            return grid_module.project(grid, state)
-
-        monkeypatch.setattr(policy, "project", counted)
+        calls = count_projections(monkeypatch)
         path = assert_same_outcome(sol, [], 1.0)
         n = sol.grid.n_steps
         assert calls == [(n - 1,), (n,)] and path.regulator[-1] == 1.0
+
+    @pytest.mark.parametrize("claims", ["two_claims", "shared", "first_and_last"])
+    @pytest.mark.parametrize(
+        "fixture", ["dear_refined_solution", "obstacle_regime_solution"]
+    )
+    def test_path_with_claims_is_one_pass(self, fixture, claims, request, monkeypatch):
+        # claim steps ride inside the pass: two, three claims at one step
+        # (0.8, 0.8001 and 0.8002), and claims at step 1 and step n - 1
+        sol = request.getfixturevalue(fixture)
+        n, h = sol.grid.n_steps, sol.grid.h_t
+        schedule = {
+            "two_claims": request.getfixturevalue("two_claims"),
+            "shared": ClaimSchedule(
+                times=np.array([0.4, 0.401, 0.8, 0.8001, 0.8002])
+            ),
+            "first_and_last": ClaimSchedule(times=np.array([1e-6, h, (n - 1) * h])),
+        }[claims]
+        calls = count_projections(monkeypatch)
+        path = assert_same_outcome(sol, schedule, 1.0)
+        assert calls == [(n - 1,), (n,)] and path.regulator[-1] == 1.0
+        counts = path.claim_flag[path.claim_flag > 0].tolist()
+        assert counts == {"two_claims": [1, 1], "shared": [2, 3],
+                          "first_and_last": [2, 1]}[claims]
+        if claims == "first_and_last":
+            assert path.claim_flag[1] == 2 and path.claim_flag[-1] == 1
+
+    @pytest.mark.parametrize("times", [[0.5], [0.5, 0.501]])
+    def test_cut_falls_on_a_claim_step_that_needs_regulation(self, times, monkeypatch):
+        # the state drifts down at rho = 1.5 and the claim kick rho^c lifts
+        # it onto s = 0.6, where wealth turns negative: that claim step is
+        # the first regulated one, so the pass is cut exactly there
+        states = np.linspace(0.05, 0.95, 91)
+        sol = flat_solution(60, states, (states - 0.6) ** 2, 1.5, pi_intensity=0.5)
+        calls = count_projections(monkeypatch)
+        path = assert_same_outcome(sol, times, oracle_wealth_row(sol, 0)[50])
+        assert path.claim_flag[30] == len(times)
+        assert path.regulator[29] == 1.0 and path.regulator[30] < 1.0
+        assert calls == [(59,), (), (29,), (60,)]
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_claim_step_leaves_the_hull(self, count):
+        # the kick 0.5^c at step 2 drops the state below the hull; with two
+        # claims it climbs back in after seven steps, with three it stays
+        # out for the tolerated count
+        states = np.linspace(0.2, 0.8, 61)
+        sol = flat_solution(20, states, 1.0 - 0.5 * states, 0.5, pi_intensity=3.8)
+        times = [0.1, 0.101, 0.102][:count]
+        got = assert_same_outcome(sol, times, oracle_wealth_row(sol, 0)[10])
+        if count == 2:
+            assert isinstance(got, PolicyPath) and got.claim_flag[2] == 2
+            outside = compactify(got.dual_state) < states[0]
+            assert outside.tolist() == [False] * 2 + [True] * 7 + [False] * 11
+        else:
+            assert isinstance(got, PathEscapeError) and "step 11," in str(got)
+
+    @pytest.mark.parametrize("turn", [None, 5])
+    def test_overflowing_kick_past_a_cut(self, turn):
+        # with pi = 1e-160 a control of 1e155 barely moves the state, but two
+        # claims under it overflow rho ** 2. A pass from step 1 reaches the
+        # claim at step 8 under that control; with a turn to 1.5 at layer 5
+        # the claim is taken under 1.5 and the path is made, without one
+        # the per-step rules raise OverflowError at step 8
+        states = np.linspace(0.2, 0.8, 61)
+        control = np.full((12, states.size), 1e155)
+        if turn is not None:
+            control[turn:] = 1.5
+        sol = flat_solution(
+            12, states, 1.0 - 0.5 * states, control, pi_intensity=1e-160
+        )
+        x = oracle_wealth_row(sol, 0)[10]
+        got = assert_same_outcome(sol, [8 / 12, 8.001 / 12], x)
+        if turn is None:
+            assert isinstance(got, OverflowError)
+        else:
+            assert isinstance(got, PolicyPath) and got.claim_flag[8] == 2
+
+    def test_unmappable_jump_at_a_claim_step_fails_before_a_later_escape(self):
+        # the states span 300 decades, and a control of 1e-100 with a growth
+        # of e^60 a step keeps the state inside them. At step 2 the two
+        # claims' jump 1e-200 * Y_1 underflows to 0, while the state, one
+        # growth factor larger, stays on the hull: the pass goes past it. At
+        # step 3 the control turns to 1 (a mappable jump) and every node
+        # needs regulation; the per-step rules fail on the jumped state of
+        # step 2 before that escape
+        states = np.geomspace(1e-300, 0.5, 61)
+        v = np.concatenate(([0.0], np.cumsum(-np.arange(1, 61) * np.diff(states))))
+        n = 6
+        rows = np.vstack([v] * 3 + [-v] * (n - 2))
+        sol = make_solution(
+            np.linspace(0.0, 1.0, n + 1), states, rows, 1e-100,
+            make_params(r=0.0, pi_intensity=60.0 * n),
+        )
+        control = sol.control.copy()
+        control[3:] = 1.0
+        sol = dataclasses.replace(sol, control=control)
+        x = oracle_wealth_row(sol, 0)[30]
+        escape = assert_same_outcome(sol, [], x)
+        assert isinstance(escape, PathEscapeError) and "step 3 " in str(escape)
+        exc = assert_same_outcome(sol, [2.0 / n, 2.0001 / n], x)
+        assert isinstance(exc, ValueError) and "y > 0" in str(exc)
 
     @settings(max_examples=40, deadline=None)
     @given(schedules(), st.sampled_from([0.5, 1.0, 2.0]))

@@ -10,6 +10,7 @@ from insdual import (
     poisson_schedule,
     sde_residual,
 )
+from insdual.simulate import claim_steps
 from tests.test_model import make_params
 
 
@@ -61,6 +62,41 @@ class TestPoissonSchedule:
             poisson_schedule(0.0, 1.0, seed=1)
         with pytest.raises(ValueError, match="horizon"):
             poisson_schedule(1.0, -1.0, seed=1)
+
+
+class TestClaimSteps:
+    @pytest.mark.parametrize(
+        "times", [[-0.5, 0.0, 0.3], [0.0], [0.3, -1e-300], [-np.inf, 0.5]]
+    )
+    def test_rejects_times_that_are_not_positive(self, times):
+        # a bare sequence is held to the rule a ClaimSchedule checks
+        with pytest.raises(ValueError, match="strictly positive"):
+            claim_steps(times, 0.1, 10)
+        with pytest.raises(ValueError, match="strictly positive"):
+            integrate_primal(np.ones(10), make_params(), times, 1.0)
+
+    def test_rejects_times_that_are_not_positive_on_a_path(self, dear_refined_solution):
+        with pytest.raises(ValueError, match="strictly positive"):
+            evolve_path(dear_refined_solution, [-0.5, 0.0, 0.3], 1.0)
+
+    @pytest.mark.parametrize("times", [[np.nan], [0.5, np.nan], [-1.0, np.nan]])
+    def test_nan_keeps_its_message(self, times):
+        with pytest.raises(ValueError, match="NaN"):
+            claim_steps(times, 0.1, 10)
+
+    def test_smallest_positive_time_acts_at_step_one(self):
+        counts = claim_steps([5e-324, 0.04, 0.96, 1.2], 0.1, 10)
+        assert counts.dtype == np.uint8
+        assert counts.tolist() == [0, 2, 0, 0, 0, 0, 0, 0, 0, 0]
+        assert claim_steps([0.92], 0.1, 10).tolist() == [0] * 9 + [1]
+
+    def test_count_range_checked_past_255_times(self):
+        times = np.linspace(0.46, 0.54, 256)  # all nearest to step 5
+        assert claim_steps(times[:255], 0.1, 10)[5] == 255
+        with pytest.raises(ValueError, match="255 claims"):
+            claim_steps(times, 0.1, 10)
+        # many times spread over the steps are no error
+        assert claim_steps(np.linspace(0.01, 0.9, 300), 0.1, 10).sum() == 300
 
 
 class TestIntegratePrimal:
