@@ -4,12 +4,14 @@ State nodes live strictly inside (0, 1). A mesh can carry one locally
 refined window where a path reconstruction needs sub-cell accuracy.
 Projection resolves any off-grid state to the nearest stored node, with
 ties going to the lower index and out-of-hull values clamping to the
-extreme nodes, so jump targets always land on a stored column.
+extreme nodes, so jump targets always land on a stored column. It is one
+search over the cut of each cell, the last double of the cell that is no
+farther from its lower node than from its upper one under floating-point
+subtraction.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -75,6 +77,32 @@ class Grid:
         gaps = np.diff(self.states)
         gaps.setflags(write=False)
         return gaps
+
+    @cached_property
+    def cuts(self) -> np.ndarray:
+        """Read-only cut of each cell (a, b) = (states[j], states[j + 1]).
+
+        The largest double c in [a, b) with c - a <= b - c, both sides
+        rounded as computed: the nearest-node rule itself, not (a + b) / 2.
+        Rounding keeps c - a rising and b - c falling in c, so the rule holds
+        on [a, c] and nowhere past it, and one-ulp steps from the rounded
+        midpoint find c exactly, also where a subtraction rounds.
+        """
+        a, b = self.states[:-1], self.states[1:]
+        cuts = (a + b) / 2.0
+        while True:
+            far = cuts - a > b - cuts
+            if not far.any():
+                break
+            cuts[far] = np.nextafter(cuts[far], a[far])
+        while True:
+            up = np.nextafter(cuts, b)
+            near = (up < b) & (up - a <= b - up)
+            if not near.any():
+                break
+            cuts[near] = up[near]
+        cuts.setflags(write=False)
+        return cuts
 
 
 def build_uniform(n_time: int, n_state: int, horizon: float) -> Grid:
@@ -147,22 +175,10 @@ def project(grid: Grid, state):
 
     Ties break toward the lower index; values outside the node hull,
     +-inf included, clamp to the first or last node, and NaN gives the
-    last node. A float (Python or numpy) is resolved by bisection over
-    ``grid.state_tuple`` with no array work; anything else goes through
-    numpy and an array comes back for an array. Both give the same index.
+    last node. The index is the number of cell cuts (``Grid.cuts``) below
+    the state: one ``searchsorted``, which sorts NaN last. A scalar
+    (Python or numpy float, or a 0-d array) gives an int, an array an
+    array of indices.
     """
-    if isinstance(state, float):
-        nodes = grid.state_tuple
-        if not state <= nodes[-1]:
-            return len(nodes) - 1
-        hi = bisect_left(nodes, state)
-        if hi == 0:
-            return 0
-        return hi - 1 if abs(nodes[hi - 1] - state) <= abs(nodes[hi] - state) else hi
-    s = grid.states
-    x = np.asarray(state, dtype=float)
-    hi = np.minimum(np.searchsorted(s, x, side="left"), s.size - 1)
-    # above the hull (or NaN) both neighbours are the last node
-    lo = np.where(x <= s[-1], np.maximum(hi - 1, 0), hi)
-    pick = np.where(np.abs(s[lo] - x) <= np.abs(s[hi] - x), lo, hi)
+    pick = grid.cuts.searchsorted(state)
     return int(pick) if pick.ndim == 0 else pick

@@ -128,7 +128,7 @@ def compactify(y):
             raise ValueError("model: compactify requires y > 0")
         return float(y / (1.0 + y))
     y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0):
+    if (y <= 0.0).any():
         raise ValueError("model: compactify requires y > 0")
     out = y / (1.0 + y)
     return float(out) if out.ndim == 0 else out
@@ -144,7 +144,7 @@ def expand(state):
             raise ValueError("model: expand requires a state strictly inside (0, 1)")
         return float(state / (1.0 - state))
     state = np.asarray(state, dtype=float)
-    if np.any((state <= 0.0) | (state >= 1.0)):
+    if ((state <= 0.0) | (state >= 1.0)).any():
         raise ValueError("model: expand requires a state strictly inside (0, 1)")
     out = state / (1.0 - state)
     return float(out) if out.ndim == 0 else out

@@ -130,7 +130,7 @@ def find_initial_state(solution: DiscreteSolution, x: float):
             f"policy: starting wealth {x} outside the attainable range "
             f"[{lo:.6g}, {hi:.6g}] of the starting layer"
         )
-    j_init = int(np.argmin(np.abs(row - x)))
+    j_init = int(np.abs(row - x).argmin())
     return j_init, expand(float(solution.grid.states[j_init]))
 
 
@@ -170,8 +170,10 @@ def _stretch(solution, i, rho, growth, d, y_init, reg, flags):
     kicks[at] = [_kick(rho, c) for c in flags[i + at].tolist()]
     factors = np.ones(2 * kicks.size + 1)
     factors[0], factors[1::2], factors[2 * at + 2] = d, growth, kicks[at]
-    dens = factors.cumprod()[2::2]
-    ys = y_init * dens * reg
+    # the pass runs past its cut, where the per-step rules never compute
+    with np.errstate(over="ignore"):
+        dens = factors.cumprod()[2::2]
+        ys = y_init * dens * reg
     ok = (ys > 0.0) & (ys < np.inf)
     # 1.0 stands in for a state compactify would reject: that step is cut
     target = compactify(np.where(ok, ys, 1.0))
@@ -306,5 +308,9 @@ def sde_residual(path: PolicyPath, params) -> float:
     Compares every wealth increment with ``wealth_increments`` under the
     path's retention and claim steps; a path with no step has no defect.
     """
-    inc = wealth_increments(path.theta, path.claim_flag, np.diff(path.times), params)
-    return float(np.max(np.abs(np.diff(path.wealth) - inc), initial=0.0))
+    times, wealth = path.times, path.wealth
+    defect = wealth[1:] - wealth[:-1]
+    defect -= wealth_increments(
+        path.theta, path.claim_flag, times[1:] - times[:-1], params
+    )
+    return float(np.abs(defect).max(initial=0.0))

@@ -111,5 +111,8 @@ def integrate_primal(theta_path, params: ModelParams, claims, x: float):
     if theta.ndim != 1 or theta.size < 1:
         raise ValueError("simulate: theta_path must be a nonempty 1-d sequence")
     h = params.T / theta.size
-    inc = wealth_increments(theta, claim_steps(claims, h, theta.size), h, params)
-    return x + np.cumsum(np.concatenate(([0.0], inc)))
+    wealth = np.zeros(theta.size)
+    wealth[1:] = wealth_increments(theta, claim_steps(claims, h, theta.size), h, params)
+    wealth = wealth.cumsum()
+    wealth += x
+    return wealth

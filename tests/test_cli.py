@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -468,9 +469,11 @@ class TestMain:
         assert not (tmp_path / "o").exists()
 
     def test_module_entry_point(self, cheap_ini, tmp_path):
+        # run from the directory that holds the imported package, so the
+        # child finds it whether or not PYTHONPATH names it
         proc = subprocess.run(
             [sys.executable, "-m", "insdual.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, cwd=Path(cli.__file__).parents[1],
         )
         assert proc.returncode == 0
         assert "--no-refine" in proc.stdout

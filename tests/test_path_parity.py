@@ -3,9 +3,11 @@
 ``oracle_evolve_path`` is the reconstruction loop as it stood before
 ``evolve_path`` moved to one wealth table per path and float arithmetic
 per step: it rebuilds the wealth row of every layer and works on numpy
-arrays and 0-d values throughout. Its projection and compactification go
-through the array branches of ``grid.project`` and ``model.compactify``,
-so the parity tests also pin the float branches the package now takes.
+arrays and 0-d values throughout. Its projection is the nearest-node
+distance rule written out here (``project``), independent of the cell
+cuts ``grid.project`` searches, and its compactification goes through the
+array branch of ``model.compactify``, so the parity tests also pin the
+float branch the package now takes.
 Its density takes one factor rho per claim acting at a step (rho ** 0 is
 1.0 and rho ** 1 is rho, so a step with at most one claim keeps the bits
 of its first form), and a step with c >= 2 claims jumps by rho ** c and
@@ -15,6 +17,7 @@ must fail with the same exception and message.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -40,7 +43,18 @@ from tests.test_policy import make_solution
 
 
 def project(grid, state):
-    return grid_module.project(grid, np.asarray(state, dtype=float))
+    """The nearer of the two nodes around the state, by distance.
+
+    Ties go to the lower node; off the hull, +-inf included, the extreme
+    node; NaN the last node.
+    """
+    s = grid.states
+    x = np.asarray(state, dtype=float)
+    hi = np.minimum(np.searchsorted(s, x, side="left"), s.size - 1)
+    # above the hull (or NaN) both neighbours are the last node
+    lo = np.where(x <= s[-1], np.maximum(hi - 1, 0), hi)
+    pick = np.where(np.abs(s[lo] - x) <= np.abs(s[hi] - x), lo, hi)
+    return int(pick) if pick.ndim == 0 else pick
 
 
 def compactify(y):
@@ -383,6 +397,18 @@ class TestStretchCuts:
         exc = assert_same_outcome(sol, [], oracle_wealth_row(sol, 0)[5])
         assert isinstance(exc, PathEscapeError) and "step 10," in str(exc)
 
+    def test_no_overflow_warning_past_the_cut(self):
+        # a growth of e^10 a step takes the state off the hull at once and
+        # overflows the density product at step 71; the pass computes that
+        # far, the per-step rules stop at the escape of step 10
+        states = np.linspace(0.3, 0.7, 41)
+        sol = flat_solution(200, states, 1.0 - 0.5 * states, 0.5, pi_intensity=4000.0)
+        x = oracle_wealth_row(sol, 0)[5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exc = assert_same_outcome(sol, [], x)
+        assert isinstance(exc, PathEscapeError) and "step 10," in str(exc)
+
     @pytest.mark.parametrize(
         "fixture", ["dear_refined_solution", "obstacle_regime_solution"]
     )
@@ -557,6 +583,64 @@ def probes(g):
         *s.tolist(), *mid.tolist(), -0.5, 0.0, s[0] / 2.0,
         (s[-1] + 1.0) / 2.0, 1.0, 7.0, np.inf, -np.inf, np.nan,
     ]
+
+
+@st.composite
+def irregular_grids(draw):
+    """Geometric states from a tiny first node: every cell has b > 2a."""
+    first = draw(st.sampled_from([5e-324, 1e-310, 1e-300, 1e-200, 1e-17]))
+    last = draw(st.floats(0.01, 0.99))
+    states = np.unique(np.geomspace(first, last, draw(st.integers(2, 40))))
+    return grid_module.Grid(times=np.array([0.0, 1.0]), states=states)
+
+
+def ulp_probes(g):
+    """probes(g), and 1 to 4 ulps either side of each rounded midpoint."""
+    s = g.states
+    mid = (s[:-1] + s[1:]) / 2.0
+    near = [mid]
+    down, up = mid, mid
+    for _ in range(4):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        near += [down, up]
+    return probes(g) + np.concatenate(near).tolist()
+
+
+class TestProjectOracle:
+    """``grid.project`` against the distance rule it replaced, on every probe."""
+
+    def assert_same_nodes(self, g):
+        xs = ulp_probes(g)
+        want = project(g, np.array(xs))
+        assert np.array_equal(grid_module.project(g, np.array(xs)), want)
+        for x, j in zip(xs, want.tolist()):
+            assert grid_module.project(g, x) == j, x
+
+    @settings(max_examples=40, deadline=None)
+    @given(grids())
+    def test_uniform_and_refined_grids(self, g):
+        self.assert_same_nodes(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(irregular_grids())
+    def test_irregular_grids(self, g):
+        self.assert_same_nodes(g)
+
+    @pytest.mark.parametrize(
+        "states",
+        [[1e-300, 0.5], [1e-300, 3e-300, 1e-10, 0.3, 0.9], [5e-324, 1e-300, 0.5],
+         [0.1, 0.30000000000000004, 0.7, 0.9999999999999999]],
+    )
+    def test_hand_made_grids(self, states):
+        g = grid_module.Grid(times=np.array([0.0, 1.0]), states=np.array(states))
+        self.assert_same_nodes(g)
+
+    @given(irregular_grids())
+    def test_cuts_are_the_last_doubles_of_the_lower_node(self, g):
+        a, b = g.states[:-1], g.states[1:]
+        c, after = g.cuts, np.nextafter(g.cuts, np.inf)
+        assert np.all((a <= c) & (c < b) & (c - a <= b - c))
+        assert np.all((after == b) | (after - a > b - after))
 
 
 class TestFloatBranches:

@@ -238,6 +238,48 @@ class TestOperatorRow:
                 assert got == pytest.approx(row_oracle(v, s, j, rho, p), rel=1e-12)
 
 
+class TestManufacturedSolution:
+    """The stored rows against the continuous operator on a smooth v*.
+
+    v*(s) = e^{-2s} + s^3 under the one candidate rho = 0.5: the jump
+    target lies below s, so the drift is upwinded forward, and the top
+    node's forward difference reads the ghost v[m] := v[m - 2]. Both the
+    interior and the top node are first-order consistent.
+    """
+
+    RHO = 0.5
+
+    @staticmethod
+    def continuous(p, s, rho):
+        # pi (v*(J) - v*) + pi (1 - rho) s (1 - s) v*' + r v*, J = rho y in s
+        v = np.exp(-2.0 * s) + s**3
+        target = rho * s / (1.0 + s * (rho - 1.0))
+        jumped = np.exp(-2.0 * target) + target**3
+        slope = -2.0 * np.exp(-2.0 * s) + 3.0 * s**2
+        drift = p.pi_intensity * (1.0 - rho) * s * (1.0 - s) * slope
+        return p.pi_intensity * (jumped - v) + drift + p.r * v, v
+
+    def errors(self, m):
+        g = build_uniform(1, m, 1.0)
+        p = make_params()
+        tables = build_tables(g, p, ControlSet(np.array([self.RHO])))
+        want, v = self.continuous(p, g.states, self.RHO)
+        # the jump from the lowest nodes leaves the hull: no row there
+        rows = np.isfinite(tables.source[0])
+        assert rows[-1] and rows.sum() >= m - 3
+        got = operator_values(v, g, p, tables)[0, rows] - tables.source[0, rows]
+        err = np.abs(got - want[rows])
+        return err[:-1].max(), err[-1]
+
+    def test_observed_order_is_first(self):
+        meshes = (100, 400, 1600)
+        errs = np.array([self.errors(m) for m in meshes])
+        # the ghost node's constant is about nine times the interior's
+        assert errs[0, 0] < 1e-2 and errs[0, 1] < 1e-1
+        order = np.log(errs[:-1] / errs[1:]) / np.log(4.0)
+        assert np.all(order >= 0.9), order
+
+
 class TestObstacle:
     def test_constant_row(self):
         g = build_uniform(4, 20, 1.0)
