@@ -68,7 +68,7 @@ class Grid:
 
     @cached_property
     def state_tuple(self) -> tuple:
-        """The states as Python floats, made on first use (scalar projection)."""
+        """The states as Python floats, made on first use (per-step path rules)."""
         return tuple(self.states.tolist())
 
     @cached_property

@@ -607,7 +607,7 @@ def ulp_probes(g):
 
 
 class TestProjectOracle:
-    """``grid.project`` against the distance rule it replaced, on every probe."""
+    """``grid.project`` against the distance rule (``project`` above)."""
 
     def assert_same_nodes(self, g):
         xs = ulp_probes(g)
@@ -635,7 +635,7 @@ class TestProjectOracle:
         g = grid_module.Grid(times=np.array([0.0, 1.0]), states=np.array(states))
         self.assert_same_nodes(g)
 
-    @given(irregular_grids())
+    @given(st.one_of(grids(), irregular_grids()))
     def test_cuts_are_the_last_doubles_of_the_lower_node(self, g):
         a, b = g.states[:-1], g.states[1:]
         c, after = g.cuts, np.nextafter(g.cuts, np.inf)
