@@ -44,12 +44,7 @@ from .policy import (
     find_initial_state,
     sde_residual,
 )
-from .scheme import (
-    build_tables,
-    chosen_operator_values,
-    make_control_set,
-    operator_values,
-)
+from .scheme import build_tables, make_control_set, operator_values
 from .simulate import ClaimSchedule, poisson_schedule
 
 __all__ = ["ConfigError", "RunConfig", "run", "main"]
@@ -223,17 +218,16 @@ def _control_sensitivity(solution, config: RunConfig):
         count=config.control_count,
     )
     v0 = solution.surface[0]
+    # a solved layer's control row is the argmin of the store at its row,
+    # so both ladders are scanned alike
     base = solution.tables
-    # the solve's last pass at v0 already scanned the base ladder
-    base_k = np.searchsorted(base.controls, solution.control[0])
-    base_min = chosen_operator_values(v0, grid, params, base, base_k)
+    base_vals = operator_values(v0, grid, params, base)
     wide_vals = operator_values(v0, grid, params, build_tables(grid, params, wide))
-    wide_k = np.argmin(wide_vals, axis=0)
-    shift = grid.h_t * np.abs(base_min - wide_vals.min(axis=0))
+    shift = grid.h_t * np.abs(base_vals.min(axis=0) - wide_vals.min(axis=0))
     changed = np.sum(
         ~np.isclose(
-            base.controls[base_k],
-            wide.candidates[wide_k],
+            base.controls[base_vals.argmin(axis=0)],
+            wide.candidates[wide_vals.argmin(axis=0)],
             rtol=1e-12,
             atol=0.0,
         )

@@ -38,16 +38,19 @@ class Grid:
             raise ValueError("grid: need at least two time nodes")
         if times[0] != 0.0:
             raise ValueError("grid: times must start at 0")
+        # each check is written to fail on NaN
+        if not np.isfinite(times).all():
+            raise ValueError("grid: times must be finite")
         steps = np.diff(times)
-        if np.any(steps <= 0.0):
+        if not (steps > 0.0).all():
             raise ValueError("grid: times must be strictly increasing")
         if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
             raise ValueError("grid: times must be uniformly spaced")
         if states.ndim != 1 or states.size < 2:
             raise ValueError("grid: need at least two state nodes")
-        if np.any(states <= 0.0) or np.any(states >= 1.0):
+        if not ((states > 0.0) & (states < 1.0)).all():
             raise ValueError("grid: states must lie strictly inside (0, 1)")
-        if np.any(np.diff(states) <= 0.0):
+        if not (np.diff(states) > 0.0).all():
             raise ValueError("grid: states must be strictly increasing")
         times.setflags(write=False)
         states.setflags(write=False)
@@ -65,11 +68,6 @@ class Grid:
     @property
     def n_nodes(self) -> int:
         return self.states.size
-
-    @cached_property
-    def state_tuple(self) -> tuple:
-        """The states as Python floats, made on first use (per-step path rules)."""
-        return tuple(self.states.tolist())
 
     @cached_property
     def gaps(self) -> np.ndarray:

@@ -74,10 +74,9 @@ class HowardNonconvergence(RuntimeError):
     Also raised when an evaluation produces non-finite values.
     """
 
-    def __init__(self, message, time_index, change_history, last_iterate):
+    def __init__(self, message, time_index, last_iterate):
         super().__init__(message)
         self.time_index = time_index
-        self.change_history = change_history
         self.last_iterate = last_iterate
 
 
@@ -181,8 +180,8 @@ def solve_time_step(
     row v_next itself is this layer's first pass, and every pass and
     solve of the layer is stored back in it. Without a slot the layer
     uses a fresh one. Raises ValueError if max_iter < 1, and
-    HowardNonconvergence with the change history and last iterate if
-    max_iter sweeps finish without the layer ending.
+    HowardNonconvergence with the last iterate if max_iter sweeps finish
+    without the layer ending.
     """
     if max_iter < 1:
         raise ValueError(f"howard: max_iter must be >= 1, got {max_iter}")
@@ -191,7 +190,6 @@ def solve_time_step(
     v_next = np.asarray(v_next, dtype=float)
     v = v_next.copy()
     prev_sig = None
-    changes: list[float] = []
     for it in range(1, max_iter + 1):
         kstar, stationary, obstacle = _improve(v, v_next, grid, params, tables, slot)
         # the first node has no obstacle row: its obstacle value is +inf
@@ -206,11 +204,9 @@ def solve_time_step(
                 f"howard: policy evaluation produced non-finite values at "
                 f"time index {time_index}",
                 time_index,
-                changes,
                 v,
             )
         change = float(np.max(np.abs(v_new - v)))
-        changes.append(change)
         v = v_new
         prev_sig = sig
         if change == 0.0:
@@ -219,9 +215,8 @@ def solve_time_step(
     else:
         raise HowardNonconvergence(
             f"howard: no convergence within {max_iter} iterations at time index "
-            f"{time_index}; last sup-change {changes[-1]:.3e}",
+            f"{time_index}; last sup-change {change:.3e}",
             time_index,
-            changes,
             v,
         )
     diag = StepDiagnostics(it, True, *_extrema(stationary, obstacle))

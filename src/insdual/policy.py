@@ -195,7 +195,7 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
     grid = solution.grid
     params = solution.params
     n = grid.n_steps
-    nodes = grid.state_tuple
+    nodes = grid.states
     control = solution.control.item
     w = solution.wealth.item
     decay = -params.pi_intensity * grid.h_t

@@ -35,10 +35,9 @@ evaluation.
 OperatorTables holds the row of every admissible (node, candidate) pair
 once, node-major, in a fixed-width row store under one CSR matrix built
 once per store, where an inadmissible pair is an empty row: evaluating
-all candidates is one sparse product over the admissible rows,
-evaluating one chosen candidate per node gathers one row per node, and
-the policy system of a sweep gathers one row per continuation node from
-the same store.
+all candidates is one sparse product over the admissible rows, and the
+policy system of a sweep gathers one row per continuation node from the
+same store.
 
 The policy system eliminates its obstacle unknowns. An obstacle node
 only copies its lower neighbour, so it equals its anchor, the largest
@@ -69,7 +68,6 @@ __all__ = [
     "OperatorTables",
     "build_tables",
     "operator_values",
-    "chosen_operator_values",
     "obstacle_values",
     "solve_policy_system",
 ]
@@ -256,25 +254,6 @@ def operator_values(v, grid: Grid, params: ModelParams, tables: OperatorTables):
     out = (tables.matrix @ (v - top)).reshape(tables.source.shape[::-1]).T
     out += params.r * top
     out += tables.source
-    return out
-
-
-def chosen_operator_values(v, grid: Grid, params: ModelParams, tables: OperatorTables, kstar):
-    """(m,) array of (A(rho_k) v + l(rho_k))[j] with k = kstar[j], per node j.
-
-    Equal bit for bit to operator_values(...)[kstar[j], j]: the four
-    slots are summed left to right from zero, as the CSR product sums a
-    row, before r * v[-1] and then the income rate are added.
-    """
-    top = v[-1]
-    node = np.arange(v.size)
-    cols, weights = _stored_rows(tables, node, kstar)
-    terms = weights * (v - top)[cols]
-    out = np.zeros(v.size)
-    for slot in range(WIDTH):
-        out += terms[:, slot]
-    out += params.r * top
-    out += tables.source[kstar, node]
     return out
 
 

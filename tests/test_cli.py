@@ -236,7 +236,7 @@ class TestWorkCount:
         # one for its wide ladder (the base ladder reuses the refined
         # solve's); every Howard sweep evaluates the operator once, except
         # the first sweep of every layer but the first one solved, and the
-        # sensitivity scans only the wide ladder
+        # sensitivity scans both ladders at the time-0 row
         counts = count_calls(monkeypatch, "build_tables", "operator_values")
         solutions = []
         real_solve = howard.solve_backward
@@ -251,7 +251,7 @@ class TestWorkCount:
         sweeps = sum(d.iterations for sol in solutions for d in sol.diagnostics)
         started = sum(sol.grid.n_steps - 1 for sol in solutions)
         assert counts["build_tables"] == 3
-        assert counts["operator_values"] == sweeps - started + 1
+        assert counts["operator_values"] == sweeps - started + 2
 
     def test_one_wealth_table_per_solution(
         self, dear_refined_solution, two_claims, monkeypatch

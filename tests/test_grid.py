@@ -44,6 +44,18 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="inside"):
             Grid(times=np.array([0.0, 1.0]), states=np.array([0.0, 0.5]))
 
+    def test_nan_state_rejected(self):
+        # every comparison with NaN is false, so each check must fail on it
+        with pytest.raises(ValueError, match="inside"):
+            Grid(times=np.array([0.0, 1.0]), states=np.array([0.3, np.nan, 0.6]))
+
+    @pytest.mark.parametrize("last", [np.inf, np.nan])
+    def test_non_finite_time_rejected(self, last):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(times=np.array([0.0, last]), states=np.array([0.3, 0.6]))
+        with pytest.raises(ValueError, match="finite"):
+            Grid(times=np.array([0.0, 1.0, last]), states=np.array([0.3, 0.6]))
+
     def test_states_strictly_increasing(self):
         with pytest.raises(ValueError, match="increasing"):
             Grid(times=np.array([0.0, 1.0]), states=np.array([0.5, 0.5]))

@@ -22,7 +22,7 @@ from insdual import (
     terminal_condition,
 )
 from insdual.howard import solve_time_step
-from insdual.scheme import build_tables, source_term
+from insdual.scheme import build_tables, operator_values, source_term
 from tests.test_cli import count_calls
 from tests.test_model import make_params
 from tests.test_path_parity import oracle_wealth_row
@@ -283,7 +283,6 @@ class TestBackwardSweep:
             solve_backward(g, cheap_params, cs, max_iter=1)
         err = exc.value
         assert err.time_index == g.n_steps - 1
-        assert len(err.change_history) == 1
         assert err.last_iterate.shape == (g.n_nodes,)
 
 
@@ -376,15 +375,13 @@ class TestWarmStart:
     def test_one_scan_fewer_per_started_layer(self, dear_params, monkeypatch):
         # a pass per sweep, less one for every layer but the first one
         # solved: those take the last pass of the layer above as their
-        # first, chosen operator values included, so no layer evaluates a
-        # control row on its own
-        counts = count_calls(monkeypatch, "operator_values", "chosen_operator_values")
+        # first, chosen operator values included
+        counts = count_calls(monkeypatch, "operator_values")
         g = build_uniform(20, 60, dear_params.T)
         sol = solve_backward(g, dear_params, make_control_set(dear_params))
         assert all(d.policy_stable for d in sol.diagnostics)
         scans = counts["operator_values"]
         assert scans == sum(d.iterations for d in sol.diagnostics) - (g.n_steps - 1)
-        assert counts["chosen_operator_values"] == 0
 
     @pytest.mark.parametrize(
         "name", ["dear_coarse_solution", "obstacle_regime_solution"]
@@ -406,6 +403,21 @@ class TestWarmStart:
             np.testing.assert_array_equal(a, b)
         assert repr(alone[3]) == repr(slotted[3])
         np.testing.assert_array_equal(alone[0], sol.surface[i])
+
+
+class TestFixedPoint:
+    @pytest.mark.parametrize(
+        "name",
+        ["dear_coarse_solution", "obstacle_regime_solution", "dear_refined_solution"],
+    )
+    def test_control_row_is_the_argmin_at_the_returned_row(self, name, request):
+        # a layer ends on its own improvement at the row it returns, so a
+        # scan of the store there chooses the layer's control row again
+        sol = request.getfixturevalue(name)
+        g, p, tables = sol.grid, sol.params, sol.tables
+        for i in range(g.n_steps):
+            kstar = operator_values(sol.surface[i], g, p, tables).argmin(axis=0)
+            np.testing.assert_array_equal(tables.controls[kstar], sol.control[i])
 
 
 class TestSystemReuse:
