@@ -112,11 +112,14 @@ class DiscreteSolution:
                  solution was not made by solve_backward)
     wealth       (n_steps, m) wealth implied by the surface at layers
                  0 .. n_steps - 1 (not a field; see below)
+    start_range  (min, max) of wealth[0], the wealth the starting layer
+                 attains (not a field; see below)
 
     A solution's arrays are not modified after construction:
     solve_backward returns surface, control and region read-only. The
-    wealth table is read off the surface once, on first use, and kept;
-    dataclasses.replace makes a new solution that reads its own.
+    wealth table and the start range are read off the surface once, on
+    first use, and kept; dataclasses.replace makes a new solution that
+    reads its own.
     """
 
     grid: Grid
@@ -132,6 +135,12 @@ class DiscreteSolution:
     def wealth(self) -> np.ndarray:
         """Read-only wealth table, one row per non-terminal layer."""
         return _wealth_table(self)
+
+    @cached_property
+    def start_range(self) -> tuple[float, float]:
+        """(min, max) of the starting layer's wealth row, as floats."""
+        row = self.wealth[0]
+        return float(row.min()), float(row.max())
 
 
 def _wealth_table(solution: DiscreteSolution):

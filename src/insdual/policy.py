@@ -123,14 +123,13 @@ def find_initial_state(solution: DiscreteSolution, x: float):
     """
     if not x >= 0.0:  # NaN fails too
         raise ValueError(f"policy: starting wealth must be nonnegative, got {x}")
-    row = solution.wealth[0]
-    lo, hi = float(row.min()), float(row.max())
+    lo, hi = solution.start_range
     if not lo <= x <= hi:
         raise UnreachableWealthError(
             f"policy: starting wealth {x} outside the attainable range "
             f"[{lo:.6g}, {hi:.6g}] of the starting layer"
         )
-    j_init = int(np.abs(row - x).argmin())
+    j_init = int(np.abs(solution.wealth[0] - x).argmin())
     return j_init, expand(float(solution.grid.states[j_init]))
 
 

@@ -37,7 +37,9 @@ class ClaimSchedule:
             raise ValueError("simulate: claim times must not be NaN")
         if np.any(times <= 0.0):
             raise ValueError("simulate: claim times must be strictly positive")
-        if times.size > 1 and np.any(np.diff(times) <= 0.0):
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and fails the check
+            increasing = (np.diff(times) > 0.0).all()
+        if not increasing:
             raise ValueError("simulate: claim times must be strictly increasing")
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -48,11 +50,12 @@ def poisson_schedule(intensity: float, horizon: float, seed: int) -> ClaimSchedu
 
     Uses numpy's seeded default generator (PCG64), so one seed gives the
     same schedule on every platform. horizon = 0 yields an empty schedule.
+    Both arguments must be finite (NaN fails the checks).
     """
-    if intensity <= 0.0:
-        raise ValueError(f"simulate: intensity must be positive, got {intensity}")
-    if horizon < 0.0:
-        raise ValueError(f"simulate: horizon must be nonnegative, got {horizon}")
+    if not 0.0 < intensity < np.inf:
+        raise ValueError(f"simulate: intensity must be positive and finite, got {intensity}")
+    if not 0.0 <= horizon < np.inf:
+        raise ValueError(f"simulate: horizon must be nonnegative and finite, got {horizon}")
     rng = np.random.default_rng(seed)
     times = []
     t = rng.exponential(1.0 / intensity)
@@ -70,16 +73,27 @@ def claim_steps(claims, h_t: float, n_steps: int):
     step n_steps - 1 is dropped. Claims nearest to one step all act there,
     so a step's count can exceed 1; more than 255 at one step (the count's
     uint8 range) is a ValueError, and so is a time that is not positive
-    (NaN included). ``claims`` is a ClaimSchedule or a bare sequence of
-    claim times.
+    (NaN included), and so is a step h_t that is not positive. ``claims``
+    is a ClaimSchedule or a bare sequence of claim times.
+
+    The schedules are short, so the times are counted in one Python loop;
+    Python's ``round`` halves to even, like ``np.rint``.
     """
-    times = np.asarray(getattr(claims, "times", claims), dtype=float).reshape(-1)
-    if not (times > 0.0).all():
-        rule = "not be NaN" if np.isnan(times).any() else "be strictly positive"
-        raise ValueError(f"simulate: claim times must {rule}")
-    steps = np.maximum(np.rint(times / h_t), 1.0)
-    counts = np.bincount(steps[steps < n_steps].astype(np.int64), minlength=n_steps)
-    if times.size > 255 and counts.max() > np.iinfo(np.uint8).max:
+    if not h_t > 0.0:  # NaN fails too
+        raise ValueError(f"simulate: step h_t must be positive, got {h_t}")
+    times = np.asarray(getattr(claims, "times", claims), dtype=float).reshape(-1).tolist()
+    steps = []
+    for t in times:
+        if not t > 0.0:
+            rule = "not be NaN" if np.isnan(times).any() else "be strictly positive"
+            raise ValueError(f"simulate: claim times must {rule}")
+        q = t / h_t
+        if q < n_steps:  # also keeps inf away from round
+            step = max(round(q), 1)
+            if step < n_steps:
+                steps.append(step)
+    counts = np.bincount(steps, minlength=n_steps)
+    if len(times) > 255 and counts.max() > np.iinfo(np.uint8).max:
         raise ValueError("simulate: more than 255 claims act at one time step")
     return counts.astype(np.uint8)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,39 @@ class TestFindInitialState:
     def test_negative_rejected(self, cheap_solution):
         with pytest.raises(ValueError, match="nonnegative"):
             find_initial_state(cheap_solution, -0.5)
+
+    def test_start_range_is_the_first_row_range(self, cheap_solution):
+        row = cheap_solution.wealth[0]
+        lo, hi = cheap_solution.start_range
+        assert (lo, hi) == (row.min(), row.max())
+        assert type(lo) is float and type(hi) is float
+
+    @pytest.mark.parametrize("side", ["above", "below"])
+    def test_unreachable_message(self, cheap_solution, side):
+        row = cheap_solution.wealth[0]
+        lo, hi = float(row.min()), float(row.max())
+        x = 2.0 * hi if side == "above" else 0.5 * lo
+        assert x >= 0.0
+        expected = (
+            f"policy: starting wealth {x} outside the attainable range "
+            f"[{lo:.6g}, {hi:.6g}] of the starting layer"
+        )
+        with pytest.raises(UnreachableWealthError) as err:
+            find_initial_state(cheap_solution, x)
+        assert str(err.value) == expected
+
+    def test_replaced_solution_reads_its_own_range(self, cheap_solution):
+        lo, hi = cheap_solution.start_range
+        doubled = dataclasses.replace(cheap_solution, surface=2.0 * cheap_solution.surface)
+        assert doubled.start_range == (
+            float(doubled.wealth[0].min()), float(doubled.wealth[0].max())
+        )
+        assert doubled.start_range == (2.0 * lo, 2.0 * hi)
+        assert cheap_solution.start_range == (lo, hi)
+        # 1.5 * hi is out of reach on the first surface only
+        find_initial_state(doubled, 1.5 * hi)
+        with pytest.raises(UnreachableWealthError):
+            find_initial_state(cheap_solution, 1.5 * hi)
 
     def test_nan_rejected(self, cheap_solution):
         # a ValueError, not UnreachableWealthError: NaN is no wealth at all

@@ -1,10 +1,13 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from insdual import (
     ClaimSchedule,
+    build_uniform,
     evolve_path,
     integrate_primal,
     poisson_schedule,
@@ -22,6 +25,17 @@ class TestClaimSchedule:
             ClaimSchedule(times=np.array([0.0, 0.5]))
         with pytest.raises(ValueError, match="increasing"):
             ClaimSchedule(times=np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("times", [[1.0, np.inf, np.inf], [np.inf, np.inf]])
+    def test_repeated_infinite_times_rejected(self, times):
+        # the difference inf - inf is NaN, which must fail the order check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="increasing"):
+                ClaimSchedule(times=np.array(times))
+
+    def test_one_infinite_time_allowed(self):
+        assert ClaimSchedule(times=np.array([0.5, np.inf])).times.size == 2
 
     def test_frozen(self):
         s = ClaimSchedule(times=np.array([0.5]))
@@ -63,6 +77,20 @@ class TestPoissonSchedule:
         with pytest.raises(ValueError, match="horizon"):
             poisson_schedule(1.0, -1.0, seed=1)
 
+    @pytest.mark.parametrize(
+        "intensity,horizon,name",
+        [
+            (np.nan, 1.0, "intensity"),
+            (np.inf, 1.0, "intensity"),  # gaps of 0: the draw would never end
+            (-np.inf, 1.0, "intensity"),
+            (2.0, np.nan, "horizon"),
+            (2.0, np.inf, "horizon"),
+        ],
+    )
+    def test_rejects_non_finite(self, intensity, horizon, name):
+        with pytest.raises(ValueError, match=name):
+            poisson_schedule(intensity, horizon, seed=0)
+
 
 class TestClaimSteps:
     @pytest.mark.parametrize(
@@ -97,6 +125,92 @@ class TestClaimSteps:
             claim_steps(times, 0.1, 10)
         # many times spread over the steps are no error
         assert claim_steps(np.linspace(0.01, 0.9, 300), 0.1, 10).sum() == 300
+
+
+    @pytest.mark.parametrize("h_t", [0.0, -0.0, -0.1, np.nan, -np.inf])
+    def test_rejects_a_step_that_is_not_positive(self, h_t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="h_t must be positive"):
+                claim_steps([0.3, 0.5], h_t, 10)
+            with pytest.raises(ValueError, match="h_t must be positive"):
+                claim_steps([], h_t, 10)
+
+
+def array_claim_steps(claims, h_t, n_steps):
+    """The claim-step rule as one array pass, kept as the oracle of claim_steps."""
+    times = np.asarray(getattr(claims, "times", claims), dtype=float).reshape(-1)
+    if not (times > 0.0).all():
+        rule = "not be NaN" if np.isnan(times).any() else "be strictly positive"
+        raise ValueError(f"simulate: claim times must {rule}")
+    steps = np.maximum(np.rint(times / h_t), 1.0)
+    counts = np.bincount(steps[steps < n_steps].astype(np.int64), minlength=n_steps)
+    if times.size > 255 and counts.max() > np.iinfo(np.uint8).max:
+        raise ValueError("simulate: more than 255 claims act at one time step")
+    return counts.astype(np.uint8)
+
+
+@st.composite
+def step_cases(draw):
+    """(claims, h_t, n_steps): times on, between and past the steps, in every form."""
+    n = draw(st.integers(1, 300))
+    horizon = draw(st.sampled_from([1.0, 0.3, 2.5, 7.0]))
+    h = draw(st.sampled_from([build_uniform(n, 3, horizon).h_t, horizon / n]))
+    k = st.integers(-1, n + 2)
+    time = st.one_of(
+        k.map(lambda i: (i + 0.5) * h),  # exactly half a step
+        k.map(lambda i: i * h),
+        st.sampled_from([5e-324, np.inf, (n - 0.5) * h, n * h, 0.0, -1.0, np.nan]),
+        st.floats(0.0, 2.0 * horizon),
+        st.floats(allow_nan=False),
+    )
+    times = draw(st.lists(time, max_size=12))
+    repeat = draw(st.sampled_from([0, 0, 0, 255, 256, 300]))
+    if times and repeat:
+        times = times + [times[-1]] * repeat  # many claims at one step
+    form = draw(st.sampled_from(["schedule", "tuple", "list", "array", "0-d"]))
+    if form == "schedule" and all(t > 0.0 for t in times):
+        claims = ClaimSchedule(times=np.unique(times))
+    elif form == "tuple":
+        claims = tuple(times)
+    elif form == "array":
+        claims = np.array(times)
+    elif form == "0-d" and len(times) == 1:
+        claims = np.array(times[0])
+    else:
+        claims = list(times)
+    return claims, h, n
+
+
+def step_outcome(rule, claims, h_t, n_steps):
+    """Counts with their dtype, or the exception type and message."""
+    try:
+        counts = rule(claims, h_t, n_steps)
+    except ValueError as err:
+        return type(err), str(err)
+    return counts.dtype, counts.shape, counts.tolist()
+
+
+class TestClaimStepsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(step_cases())
+    @example(([-1.0, np.nan], 0.1, 10))
+    @example(([0.05, 0.15, 0.25, 0.95, 1.05], 0.1, 10))
+    @example(([5e-324, np.inf], 1.0, 1))
+    @example(([0.25, 0.75, 1.0], 0.5, 2))
+    @example((np.full(256, 0.5), 0.1, 10))
+    @example(([0.5] * 255, 0.1, 10))
+    @example((np.array(0.5), 0.1, 10))
+    def test_matches_the_array_rule(self, case):
+        claims, h_t, n_steps = case
+        with np.errstate(all="ignore"):
+            expected = step_outcome(array_claim_steps, claims, h_t, n_steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = step_outcome(claim_steps, claims, h_t, n_steps)
+        assert got == expected
+        if got[0] is not ValueError:
+            assert got[0] == np.uint8
 
 
 class TestIntegratePrimal:
