@@ -32,6 +32,7 @@ import numpy as np
 from .grid import _check_refinement, build_uniform, refine_around
 from .howard import (
     HowardNonconvergence,
+    StepDiagnostics,
     complementarity_extrema,
     growth_margins,
     solve_backward,
@@ -53,6 +54,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NONCONVERGENCE = 2
 EXIT_RECONSTRUCTION = 3
+
+REFINE_HALFWIDTH = 2
 
 
 class ConfigError(ValueError):
@@ -82,12 +85,10 @@ class RunConfig:
     n_time: int = _key("grid", 50)
     n_state: int = _key("grid", 100)
     refine: bool = _key("grid", True)
-    refine_halfwidth: int = _key("grid", 2)
     refine_step: float = _key("grid", 1.0 / 4000.0)
     control_low: float = _key("controls", 1e-3)
     control_high: float = _key("controls", 1e3)
     control_count: int = _key("controls", 101)
-    max_iter: int = _key("solver", 200)
     # the starting wealth is this package's choice, not a published value:
     # 1.0 lands the starting node mid-mesh under the default parameters
     x0: float = _key("experiment", 1.0)
@@ -126,7 +127,9 @@ def _convert(section, key, kind, raw):
 
 def load_config(path) -> RunConfig:
     """Read an INI file into a RunConfig, rejecting unknown keys."""
-    parser = configparser.ConfigParser()
+    # values are read as written, and no header can open the default
+    # section "": [DEFAULT] is an unknown section, not keys for every one
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path) as f:
             parser.read_file(f)
@@ -137,14 +140,15 @@ def load_config(path) -> RunConfig:
     sections = {section for section, _ in _KEYS}
     overrides = {}
     for section in parser.sections():
-        if section not in sections:
-            raise ConfigError(f"cli: unknown section [{section}] in {path}")
+        # keys first, so a key set in an unknown section is named
         for key, raw in parser.items(section):
             if (section, key) not in _KEYS:
                 raise ConfigError(
                     f"cli: unknown key '{key}' in section [{section}] of {path}"
                 )
             overrides[key] = _convert(section, key, _KEYS[section, key], raw)
+        if section not in sections:
+            raise ConfigError(f"cli: unknown section [{section}] in {path}")
     return RunConfig(**overrides)
 
 
@@ -245,6 +249,7 @@ def run(config: RunConfig, out_dir=None) -> dict:
 
     Returns the diagnostics dictionary that was written to
     diagnostics.json. Raises ConfigError or ValueError for bad inputs,
+    OSError when the output directory cannot be made (before any solve),
     HowardNonconvergence when a layer fails to converge, and
     UnreachableWealthError or PathEscapeError when reconstruction fails.
     """
@@ -263,23 +268,19 @@ def run(config: RunConfig, out_dir=None) -> dict:
         claims = poisson_schedule(params.pi_intensity, params.T, config.seed)
     if not config.x0 >= 0.0:  # NaN fails too
         raise ValueError(f"cli: starting wealth must be nonnegative, got {config.x0}")
-    if config.max_iter < 1:
-        raise ValueError(f"cli: max_iter must be >= 1, got {config.max_iter}")
     coarse_grid = build_uniform(config.n_time, config.n_state, params.T)
     if config.refine:
         # the coarse mesh is uniform, so the spacing refine_around checks at
         # the start node is known before the solve; its widest cell never
         # rejects a step refine_around takes
-        _check_refinement(
-            config.refine_halfwidth, config.refine_step, coarse_grid.gaps.max()
-        )
-    coarse = solve_backward(coarse_grid, params, controls, max_iter=config.max_iter)
+        _check_refinement(REFINE_HALFWIDTH, config.refine_step, coarse_grid.gaps.max())
+    # an unusable output path fails here, not after both solves
+    os.makedirs(out, exist_ok=True)
+    coarse = solve_backward(coarse_grid, params, controls)
     j0, _ = find_initial_state(coarse, config.x0)
     if config.refine:
-        fine_grid = refine_around(
-            coarse_grid, j0, config.refine_halfwidth, config.refine_step
-        )
-        solution = solve_backward(fine_grid, params, controls, max_iter=config.max_iter)
+        fine_grid = refine_around(coarse_grid, j0, REFINE_HALFWIDTH, config.refine_step)
+        solution = solve_backward(fine_grid, params, controls)
     else:
         solution = coarse
 
@@ -297,9 +298,7 @@ def run(config: RunConfig, out_dir=None) -> dict:
         },
         "howard": {
             "iterations": [d.iterations for d in solution.diagnostics],
-            "policy_stable": bool(
-                all(d.policy_stable for d in solution.diagnostics)
-            ),
+            "policy_stable": StepDiagnostics.policy_stable,
         },
         "complementarity": {
             "lowest_argument": lowest,
@@ -321,7 +320,6 @@ def run(config: RunConfig, out_dir=None) -> dict:
         },
     }
 
-    os.makedirs(out, exist_ok=True)
     _write_table(
         os.path.join(out, "surface.csv"),
         _surface_columns(solution),
@@ -394,7 +392,7 @@ def main(argv=None) -> int:
     except (UnreachableWealthError, PathEscapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RECONSTRUCTION
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -20,7 +20,7 @@ unchanged: either way the returned row is an exact fixed point of its
 own improvement, and the complementarity conditions hold to
 linear-solver precision. A finite ladder and a monotone scheme bound the
 number of sweeps (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal.
-47(4), 2009); a layer that has not stopped after ``max_iter`` sweeps
+47(4), 2009); a layer that has not stopped after MAX_SWEEPS sweeps
 raises HowardNonconvergence.
 
 Each layer records how many sweeps it took and its complementarity
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -68,8 +69,15 @@ __all__ = [
     "growth_margins",
 ]
 
+# sweeps a layer may take; no layer of the dear, alpha = 5 or kappa = 3
+# problems takes more than 5 on any mesh from 50x100 to 200x2000
+MAX_SWEEPS = 200
+
+GROWTH_BAND = (0.05, 0.95)
+
+
 class HowardNonconvergence(RuntimeError):
-    """Raised when a layer's policy system has not repeated within max_iter sweeps.
+    """Raised when a layer's policy system has not repeated within MAX_SWEEPS sweeps.
 
     Also raised when an evaluation produces non-finite values.
     """
@@ -86,15 +94,15 @@ class StepDiagnostics:
 
     A layer's time index is its position in DiscreteSolution.diagnostics.
     iterations counts the improvement passes the layer took.
-    policy_stable is true for every layer that returns: a layer ends only
-    on a repeated policy system (or an unchanged row) and raises otherwise.
+    policy_stable, a class constant, is true: a layer ends only on a
+    repeated policy system (or an unchanged row) and raises otherwise.
     lowest_argument is the smallest value either argument of the
     pointwise minimum takes on the layer, largest_minimum the largest
     value of the minimum itself (see complementarity_extrema).
     """
 
     iterations: int
-    policy_stable: bool
+    policy_stable: ClassVar[bool] = True
     lowest_argument: float = np.nan
     largest_minimum: float = np.nan
 
@@ -175,7 +183,6 @@ def solve_time_step(
     grid: Grid,
     params: ModelParams,
     tables: OperatorTables,
-    max_iter: int = 200,
     time_index: int | None = None,
     slot: _SystemSlot | None = None,
 ):
@@ -188,18 +195,15 @@ def solve_time_step(
     and last improvement pass (see _SystemSlot): a pass it holds for the
     row v_next itself is this layer's first pass, and every pass and
     solve of the layer is stored back in it. Without a slot the layer
-    uses a fresh one. Raises ValueError if max_iter < 1, and
-    HowardNonconvergence with the last iterate if max_iter sweeps finish
-    without the layer ending.
+    uses a fresh one. Raises HowardNonconvergence with the last iterate
+    if MAX_SWEEPS sweeps finish without the layer ending.
     """
-    if max_iter < 1:
-        raise ValueError(f"howard: max_iter must be >= 1, got {max_iter}")
     if slot is None:
         slot = _SystemSlot()
     v_next = np.asarray(v_next, dtype=float)
     v = v_next.copy()
     prev_sig = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_SWEEPS + 1):
         kstar, stationary, obstacle = _improve(v, v_next, grid, params, tables, slot)
         # the first node has no obstacle row: its obstacle value is +inf
         region = stationary > obstacle
@@ -223,12 +227,12 @@ def solve_time_step(
             break
     else:
         raise HowardNonconvergence(
-            f"howard: no convergence within {max_iter} iterations at time index "
+            f"howard: no convergence within {MAX_SWEEPS} iterations at time index "
             f"{time_index}; last sup-change {change:.3e}",
             time_index,
             v,
         )
-    diag = StepDiagnostics(it, True, *_extrema(stationary, obstacle))
+    diag = StepDiagnostics(it, *_extrema(stationary, obstacle))
     return v, tables.controls[kstar], region, diag
 
 
@@ -264,17 +268,14 @@ def solve_backward(
     grid: Grid,
     params: ModelParams,
     controls: ControlSet,
-    max_iter: int = 200,
 ) -> DiscreteSolution:
     """Full backward sweep from the terminal layer to time zero.
 
     Every layer of the sweep shares one _SystemSlot, made for this call
     only, so a repeated policy system is not assembled again and each
     layer's last improvement pass is the next layer's first. Raises
-    ValueError if max_iter < 1 or h_t * r >= 1.
+    ValueError if h_t * r >= 1.
     """
-    if max_iter < 1:
-        raise ValueError(f"howard: max_iter must be >= 1, got {max_iter}")
     if grid.h_t * params.r >= 1.0:
         raise ValueError(
             f"howard: h_t * r = {grid.h_t * params.r} must stay below 1"
@@ -290,7 +291,7 @@ def solve_backward(
     slot = _SystemSlot()
     for i in range(n - 1, -1, -1):
         v, rho_row, region_row, diag = solve_time_step(
-            surface[i + 1], grid, params, tables, max_iter, time_index=i, slot=slot
+            surface[i + 1], grid, params, tables, time_index=i, slot=slot
         )
         surface[i] = v
         control[i] = rho_row
@@ -328,8 +329,8 @@ def complementarity_extrema(solution: DiscreteSolution):
     )
 
 
-def growth_margins(solution: DiscreteSolution, band=(0.05, 0.95)):
-    """Worst slack of the linear-in-y growth envelope over a state band.
+def growth_margins(solution: DiscreteSolution):
+    """Worst slack of the linear-in-y growth envelope over GROWTH_BAND.
 
     The undiscounted surface must sit between conjugate_utility(y) plus
     (alpha - beta) * y * (T - t) from below and plus the same with the
@@ -339,9 +340,9 @@ def growth_margins(solution: DiscreteSolution, band=(0.05, 0.95)):
     """
     grid = solution.grid
     params = solution.params
-    mask = (grid.states >= band[0]) & (grid.states <= band[1])
+    mask = (grid.states >= GROWTH_BAND[0]) & (grid.states <= GROWTH_BAND[1])
     if not mask.any():
-        raise ValueError(f"howard: no mesh nodes inside the band {band}")
+        raise ValueError(f"howard: no mesh nodes inside the band {GROWTH_BAND}")
     y = expand(grid.states[mask])
     base = conjugate_utility(params, y)
     k_upper = params.alpha - params.beta + max(

@@ -22,7 +22,7 @@ __all__ = ["ClaimSchedule", "poisson_schedule", "claim_steps", "wealth_increment
 
 @dataclass(frozen=True)
 class ClaimSchedule:
-    """Arrival times of claims: one-dimensional, positive, strictly increasing.
+    """Claim arrival times: one-dimensional, finite, positive, strictly increasing.
 
     Each claim has size ``ModelParams.delta``.
     """
@@ -37,10 +37,10 @@ class ClaimSchedule:
             raise ValueError("simulate: claim times must not be NaN")
         if np.any(times <= 0.0):
             raise ValueError("simulate: claim times must be strictly positive")
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and fails the check
-            increasing = (np.diff(times) > 0.0).all()
-        if not increasing:
+        if not (times[1:] > times[:-1]).all():
             raise ValueError("simulate: claim times must be strictly increasing")
+        if np.isinf(times).any():
+            raise ValueError("simulate: claim times must be finite")
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
 

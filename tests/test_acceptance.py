@@ -130,7 +130,7 @@ def test_4_growth_sandwich(
         dear_refined_solution,
     ):
         slack = 10.0 * sol.grid.h_t
-        below, above = growth_margins(sol, band=(0.05, 0.95))
+        below, above = growth_margins(sol)
         assert below <= slack
         assert above <= slack
         worst = max(worst, below / slack, above / slack)

@@ -50,11 +50,9 @@ class TestLoadConfig:
             "eta = 0.4\nalpha = 2.5\nbeta = 2.6\nr = 0.03\ndelta = 0.9\n"
             "intensity = 3.0\nhorizon = 2.0\n"
             "[grid]\n"
-            "n_time = 20\nn_state = 50\nrefine = true\n"
-            "refine_halfwidth = 3\nrefine_step = 0.001\n"
+            "n_time = 20\nn_state = 50\nrefine = true\nrefine_step = 0.001\n"
             "[controls]\n"
             "control_low = 0.01\ncontrol_high = 50\ncontrol_count = 11\n"
-            "[solver]\nmax_iter = 77\n"
             "[experiment]\n"
             "x0 = 1.5\nclaim_times = 0.5, 1.5\nseed = 4\n"
             "[output]\nout_dir = artifacts\n"
@@ -70,12 +68,10 @@ class TestLoadConfig:
         assert config.n_time == 20
         assert config.n_state == 50
         assert config.refine is True
-        assert config.refine_halfwidth == 3
         assert config.refine_step == 0.001
         assert config.control_low == 0.01
         assert config.control_high == 50.0
         assert config.control_count == 11
-        assert config.max_iter == 77
         assert config.x0 == 1.5
         assert config.claim_times == (0.5, 1.5)
         assert config.seed == 4
@@ -99,6 +95,23 @@ class TestLoadConfig:
         path = tmp_path / "old.ini"
         path.write_text("[solver]\ntol = 1e-9\nmax_iter = 200\n")
         with pytest.raises(ConfigError, match=r"'tol' in section \[solver\]"):
+            load_config(path)
+
+    def test_percent_is_read_as_written(self, tmp_path):
+        path = tmp_path / "percent.ini"
+        path.write_text("[output]\nout_dir = run_100%\n")
+        assert load_config(path).out_dir == "run_100%"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[DEFAULT]\neta = 0.7\n", "[DEFAULT]\neta = 0.7\n[model]\nalpha = 2.0\n"],
+        ids=["alone", "with-sections"],
+    )
+    def test_default_section_keys_rejected(self, text, tmp_path):
+        # read as-is they would be ignored, or copied into every section
+        path = tmp_path / "default.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
             load_config(path)
 
     def test_unknown_key_named(self, tmp_path):
@@ -318,9 +331,13 @@ class TestMain:
     @pytest.mark.parametrize(
         "old, new, named",
         [
-            ("refine = no", "refine = no\n\n[solver]\nmax_iter = 0", "max_iter must be >= 1"),
-            ("refine = no", "refine = no\n\n[solver]\nmax_iter = -3", "max_iter must be >= 1"),
-            ("refine = no", "refine = yes\nrefine_halfwidth = 0", "halfwidth must be >= 1"),
+            # the sweep cap and the refine half-width are constants now
+            ("refine = no", "refine = no\n\n[solver]\nmax_iter = 0",
+             "'max_iter' in section [solver]"),
+            ("refine = no", "refine = no\n\n[solver]\nmax_iter = -3",
+             "'max_iter' in section [solver]"),
+            ("refine = no", "refine = yes\nrefine_halfwidth = 0",
+             "'refine_halfwidth' in section [grid]"),
             ("refine = no", "refine = yes\nrefine_step = 0.5", "fine_step must lie in"),
         ],
         ids=["max_iter-0", "max_iter-neg", "refine_halfwidth", "refine_step"],
@@ -336,6 +353,25 @@ class TestMain:
         assert named in capsys.readouterr().err
         assert calls["solve_backward"] == 0
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "ini_tail, out",
+        [("\n[output]\nout_dir =\n", None), ("", "file/sub")],
+        ids=["empty", "below-a-file"],
+    )
+    def test_unusable_output_directory_rejected_before_any_solve(
+        self, ini_tail, out, tmp_path, monkeypatch, capsys
+    ):
+        calls = count_calls(monkeypatch, "solve_backward")
+        ini = tmp_path / "run.ini"
+        ini.write_text(CHEAP_INI + ini_tail)
+        (tmp_path / "file").write_text("")
+        argv = ["--config", str(ini)]
+        if out is not None:
+            argv += ["--out", str(tmp_path / out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls["solve_backward"] == 0
 
     @pytest.mark.parametrize("x0", ["nan", "-1"])
     def test_nan_starting_wealth_is_a_validation_failure(
@@ -377,10 +413,9 @@ class TestMain:
         assert main(["--help"]) == 0
         assert "--no-refine" in capsys.readouterr().out
 
-    def test_nonconvergence_exit(self, cheap_ini, tmp_path, capsys):
-        bad = tmp_path / "stall.ini"
-        bad.write_text(CHEAP_INI + "\n[solver]\nmax_iter = 1\n")
-        code = main(["--config", str(bad), "--out", str(tmp_path / "o")])
+    def test_nonconvergence_exit(self, cheap_ini, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(howard, "MAX_SWEEPS", 1)
+        code = main(["--config", str(cheap_ini), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "howard" in capsys.readouterr().err
 
@@ -440,9 +475,10 @@ class TestMain:
         [
             "claim_times = 0.8, 0.4",
             "claim_times = 0.4, nan",
+            "claim_times = 0.4, inf",
             "claim_times = 0.3, 0.7\nclaim_mark = 0.8",
         ],
-        ids=["unsorted", "nan", "mark"],
+        ids=["unsorted", "nan", "inf", "mark"],
     )
     def test_claims_rejected_before_any_solve(
         self, experiment, tmp_path, monkeypatch, capsys

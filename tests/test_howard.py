@@ -40,7 +40,7 @@ def toy_problem():
     return grid, params, controls
 
 
-def oracle_growth_margins(solution, band=(0.05, 0.95)):
+def oracle_growth_margins(solution, band):
     """growth_margins as a loop over the time layers, one layer at a time."""
     grid = solution.grid
     params = solution.params
@@ -263,25 +263,16 @@ class TestBackwardSweep:
         with pytest.raises(ValueError, match="h_t"):
             solve_backward(g, cheap_params, make_control_set(cheap_params))
 
-    @pytest.mark.parametrize("max_iter", [0, -3])
-    def test_max_iter_below_one_rejected(self, cheap_params, max_iter, monkeypatch):
-        counts = count_calls(monkeypatch, "build_tables", "solve_policy_system")
-        g = build_uniform(10, 40, cheap_params.T)
-        cs = make_control_set(cheap_params)
-        with pytest.raises(ValueError, match="max_iter must be >= 1"):
-            solve_backward(g, cheap_params, cs, max_iter=max_iter)
-        assert counts["build_tables"] == 0
-        tables = build_tables(g, cheap_params, cs)
-        with pytest.raises(ValueError, match="max_iter must be >= 1"):
-            solve_time_step(np.ones(g.n_nodes), g, cheap_params, tables, max_iter=max_iter)
-        assert counts["solve_policy_system"] == 0
-
-    def test_nonconvergence_carries_diagnostics(self, cheap_params):
+    def test_nonconvergence_carries_diagnostics(self, cheap_params, monkeypatch):
+        monkeypatch.setattr(howard, "MAX_SWEEPS", 1)
         g = build_uniform(50, 100, cheap_params.T)
         cs = make_control_set(cheap_params)
         with pytest.raises(HowardNonconvergence) as exc:
-            solve_backward(g, cheap_params, cs, max_iter=1)
+            solve_backward(g, cheap_params, cs)
         err = exc.value
+        assert str(err).startswith(
+            f"howard: no convergence within 1 iterations at time index {g.n_steps - 1};"
+        )
         assert err.time_index == g.n_steps - 1
         assert err.last_iterate.shape == (g.n_nodes,)
 
@@ -332,18 +323,22 @@ class TestDiagnostics:
         coarse_worst = max(growth_margins(coarse))
         assert fine_worst <= coarse_worst + 1e-12
 
-    def test_growth_margins_empty_band(self, cheap_solution):
+    def test_growth_margins_empty_band(self, cheap_solution, monkeypatch):
+        monkeypatch.setattr(howard, "GROWTH_BAND", (0.995, 0.999))
         with pytest.raises(ValueError, match="band"):
-            growth_margins(cheap_solution, band=(0.995, 0.999))
+            growth_margins(cheap_solution)
 
     @pytest.mark.parametrize(
         "fixture",
         ["cheap_solution", "dear_refined_solution", "obstacle_regime_solution"],
     )
     @pytest.mark.parametrize("band", [(0.05, 0.95), (0.0, 1.0), (0.3, 0.31)])
-    def test_growth_margins_match_the_layer_loop(self, fixture, band, request):
+    def test_growth_margins_match_the_layer_loop(
+        self, fixture, band, request, monkeypatch
+    ):
+        monkeypatch.setattr(howard, "GROWTH_BAND", band)
         sol = request.getfixturevalue(fixture)
-        assert growth_margins(sol, band) == oracle_growth_margins(sol, band)
+        assert growth_margins(sol) == oracle_growth_margins(sol, band)
 
 
 class TestSolutionArrays:

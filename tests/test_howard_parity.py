@@ -11,12 +11,12 @@ Surface, control and region must agree bit for bit, and every
 across a sweep of the model parameters. A failing sweep must fail with
 the same exception and message.
 
-The oracle also keeps the second stopping rule the sweep once had, the
-soft stop: it accepted a layer after ``ORACLE_SOFT_STOP_SWEEPS``
-consecutive sweeps whose change was at or below ``ORACLE_TOL`` without
-the policy repeating, and flagged it ``policy_stable=False``. The sweep
-now ends a layer only on a repeated policy, so a parameter set on which
-the old rule would have fired fails parity here.
+The oracle also keeps, as a failing assertion, the second stopping rule
+the sweep once had, the soft stop: it accepted a layer after
+``ORACLE_SOFT_STOP_SWEEPS`` consecutive sweeps whose change was at or
+below ``ORACLE_TOL`` without the policy repeating. The sweep now ends a
+layer only on a repeated policy, so a parameter set on which the old
+rule would have fired fails parity here.
 """
 
 import warnings
@@ -72,17 +72,18 @@ def oracle_extrema(stationary, obstacle):
     )
 
 
-def oracle_solve_time_step(v_next, grid, params, max_iter, tables, time_index):
+def oracle_solve_time_step(v_next, grid, params, tables, time_index):
     v_next = np.asarray(v_next, dtype=float)
     v = v_next.copy()
     prev_sig = None
     soft = 0
+    max_iter = howard.MAX_SWEEPS
     for it in range(1, max_iter + 1):
         kstar, stationary, obstacle = oracle_improve(v, v_next, grid, params, tables)
         region = stationary > obstacle
         sig = kstar.tobytes() + region.tobytes()
         if sig == prev_sig:
-            diag = StepDiagnostics(it, True, *oracle_extrema(stationary, obstacle))
+            diag = StepDiagnostics(it, *oracle_extrema(stationary, obstacle))
             return v, tables.controls[kstar], region, diag
         v_new = solve_policy_system(v_next, grid, params, tables, kstar, region)
         if not np.all(np.isfinite(v_new)):
@@ -96,12 +97,11 @@ def oracle_solve_time_step(v_next, grid, params, max_iter, tables, time_index):
         v = v_new
         prev_sig = sig
         soft = soft + 1 if change <= ORACLE_TOL else 0
-        if change == 0.0 or soft >= ORACLE_SOFT_STOP_SWEEPS:
-            if change != 0.0:
-                _, stationary, obstacle = oracle_improve(v, v_next, grid, params, tables)
-            diag = StepDiagnostics(
-                it, change == 0.0, *oracle_extrema(stationary, obstacle)
-            )
+        assert change == 0.0 or soft < ORACLE_SOFT_STOP_SWEEPS, (
+            f"the soft stop fires at time index {time_index}"
+        )
+        if change == 0.0:
+            diag = StepDiagnostics(it, *oracle_extrema(stationary, obstacle))
             return v, tables.controls[kstar], region, diag
     raise HowardNonconvergence(
         f"howard: no convergence within {max_iter} iterations at time index "
@@ -111,7 +111,7 @@ def oracle_solve_time_step(v_next, grid, params, max_iter, tables, time_index):
     )
 
 
-def oracle_solve_backward(grid, params, controls, max_iter=200):
+def oracle_solve_backward(grid, params, controls):
     tables = build_tables(grid, params, controls)
     n = grid.n_steps
     m = grid.n_nodes
@@ -122,7 +122,7 @@ def oracle_solve_backward(grid, params, controls, max_iter=200):
     diags = []
     for i in range(n - 1, -1, -1):
         v, rho_row, region_row, diag = oracle_solve_time_step(
-            surface[i + 1], grid, params, max_iter, tables, i
+            surface[i + 1], grid, params, tables, i
         )
         surface[i] = v
         control[i] = rho_row
@@ -144,17 +144,17 @@ def assert_same_solution(got, expected):
     assert repr(got.diagnostics) == repr(expected.diagnostics)
 
 
-def assert_same_outcome(grid, params, controls, **kwargs):
+def assert_same_outcome(grid, params, controls):
     try:
-        expected = oracle_solve_backward(grid, params, controls, **kwargs)
+        expected = oracle_solve_backward(grid, params, controls)
     except HowardNonconvergence as exc:
         with pytest.raises(HowardNonconvergence) as got:
-            solve_backward(grid, params, controls, **kwargs)
+            solve_backward(grid, params, controls)
         assert str(got.value) == str(exc)
         assert got.value.time_index == exc.time_index
         np.testing.assert_array_equal(got.value.last_iterate, exc.last_iterate)
         return
-    assert_same_solution(solve_backward(grid, params, controls, **kwargs), expected)
+    assert_same_solution(solve_backward(grid, params, controls), expected)
 
 
 class TestSweepParity:

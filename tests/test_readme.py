@@ -1,6 +1,7 @@
 """The README's examples run against the package as it is."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -28,3 +29,7 @@ def test_ini_example_is_the_default_config(tmp_path):
     path = tmp_path / "readme.ini"
     path.write_text(blocks[0])
     assert load_config(path) == RunConfig()
+    # and every RunConfig field must be shown: a commented line counts, for
+    # a default such as seed's None that no value can write
+    shown = set(re.findall(r"^;?\s*(\w+)\s*=", blocks[0], re.M))
+    assert shown == {f.name for f in fields(RunConfig)}

@@ -14,8 +14,10 @@ from insdual import (
     scheme,
     terminal_condition,
 )
+from insdual.howard import solve_time_step
 from insdual.scheme import (
     build_tables,
+    jump_target,
     obstacle_values,
     operator_values,
     solve_policy_system,
@@ -278,6 +280,48 @@ class TestManufacturedSolution:
         assert errs[0, 0] < 1e-2 and errs[0, 1] < 1e-1
         order = np.log(errs[:-1] / errs[1:]) / np.log(4.0)
         assert np.all(order >= 0.9), order
+
+
+class TestManufacturedLayerSolve:
+    """One solved layer against a smooth stationary v*, through the solver.
+
+    v*(s) = e^{-2s} is strictly decreasing, so the obstacle stays
+    inactive. The store's income is replaced by a manufactured one: minus
+    the continuous operator at v* for the candidate RHO, and minus r v*
+    for rho = 1, whose row is exactly r v. rho = 1 alone is admissible
+    where the jump of RHO leaves the hull; wherever RHO is admissible,
+    rho = 1 earns MARGIN more and never wins. v* with v_next = v* then
+    solves the continuous layer, and the solved row's error, through the
+    control choice and the policy solve, is first order in m.
+    """
+
+    RHO = 0.5
+    MARGIN = 1.0
+
+    def error(self, m):
+        g = build_uniform(1, m, 1.0)  # h_t = 1: the layer error is not scaled down
+        p = make_params()
+        s = g.states
+        tables = build_tables(g, p, ControlSet(np.array([self.RHO, 1.0])))
+        v = np.exp(-2.0 * s)
+        jumped = np.exp(-2.0 * jump_target(s, self.RHO))
+        drift = (1.0 - self.RHO) * s * (1.0 - s) * (-2.0 * v)
+        continuous = p.pi_intensity * (jumped - v + drift) + p.r * v
+        jumps = tables.admissible[0]
+        income = np.stack([-continuous, -p.r * v + self.MARGIN * jumps])
+        manufactured = dataclasses.replace(
+            tables, source=np.where(tables.admissible, income, np.inf)
+        )
+        got, rho_row, region, _ = solve_time_step(v, g, p, manufactured)
+        assert not region.any()
+        np.testing.assert_array_equal(rho_row, np.where(jumps, self.RHO, 1.0))
+        return np.abs(got - v).max()
+
+    def test_observed_order_is_first(self):
+        errs = np.array([self.error(m) for m in (100, 400, 1600)])
+        assert errs[0] < 1e-2
+        order = np.log(errs[:-1] / errs[1:]) / np.log(4.0)
+        assert np.all(order >= 0.9), (errs, order)
 
 
 class TestObstacle:
