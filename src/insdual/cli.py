@@ -55,8 +55,6 @@ EXIT_VALIDATION = 1
 EXIT_NONCONVERGENCE = 2
 EXIT_RECONSTRUCTION = 3
 
-REFINE_HALFWIDTH = 2
-
 
 class ConfigError(ValueError):
     """Configuration file or flag rejected before any computation."""
@@ -248,10 +246,11 @@ def run(config: RunConfig, out_dir=None) -> dict:
     """Execute one full run and write all artifacts into out_dir.
 
     Returns the diagnostics dictionary that was written to
-    diagnostics.json. Raises ConfigError or ValueError for bad inputs,
-    OSError when the output directory cannot be made (before any solve),
-    HowardNonconvergence when a layer fails to converge, and
-    UnreachableWealthError or PathEscapeError when reconstruction fails.
+    diagnostics.json. Raises, before any solve, ConfigError or ValueError
+    for bad inputs or an output directory that cannot be made; after it,
+    HowardNonconvergence when a layer fails to converge,
+    UnreachableWealthError or PathEscapeError when reconstruction fails,
+    and OSError when an artifact cannot be written.
     """
     out = config.out_dir if out_dir is None else out_dir
     params = _model_params(config)
@@ -273,13 +272,18 @@ def run(config: RunConfig, out_dir=None) -> dict:
         # the coarse mesh is uniform, so the spacing refine_around checks at
         # the start node is known before the solve; its widest cell never
         # rejects a step refine_around takes
-        _check_refinement(REFINE_HALFWIDTH, config.refine_step, coarse_grid.gaps.max())
+        _check_refinement(config.refine_step, coarse_grid.gaps.max())
     # an unusable output path fails here, not after both solves
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cli: cannot make output directory '{out}': {exc.strerror}"
+        ) from None
     coarse = solve_backward(coarse_grid, params, controls)
     j0, _ = find_initial_state(coarse, config.x0)
     if config.refine:
-        fine_grid = refine_around(coarse_grid, j0, REFINE_HALFWIDTH, config.refine_step)
+        fine_grid = refine_around(coarse_grid, j0, config.refine_step)
         solution = solve_backward(fine_grid, params, controls)
     else:
         solution = coarse

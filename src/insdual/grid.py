@@ -14,52 +14,53 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
 __all__ = ["Grid", "build_uniform", "refine_around", "project"]
+
+# coarse cells a refined window spans on each side of its centre node
+REFINE_HALFWIDTH = 2
 
 
 @dataclass(frozen=True)
 class Grid:
     """Uniform time mesh paired with a strictly increasing state mesh.
 
-    times   t_0 = 0 < t_1 < ... < t_N = horizon, equally spaced
-    states  interior state nodes, strictly increasing inside (0, 1)
+    horizon  T, finite and positive
+    n_steps  N, an integer >= 1; the time nodes are t_i = T * i / N,
+             i = 0 .. N (``times``, made on first use)
+    states   interior state nodes, strictly increasing inside (0, 1)
     """
 
-    times: np.ndarray
+    horizon: float
+    n_steps: int
     states: np.ndarray
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        states = np.array(self.states, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise ValueError("grid: need at least two time nodes")
-        if times[0] != 0.0:
-            raise ValueError("grid: times must start at 0")
         # each check is written to fail on NaN
-        if not np.isfinite(times).all():
-            raise ValueError("grid: times must be finite")
-        steps = np.diff(times)
-        if not (steps > 0.0).all():
-            raise ValueError("grid: times must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
-            raise ValueError("grid: times must be uniformly spaced")
+        if not (isinstance(self.n_steps, Integral) and self.n_steps >= 1):
+            raise ValueError(f"grid: n_steps must be an integer >= 1, got {self.n_steps!r}")
+        if not 0.0 < self.horizon < np.inf:
+            raise ValueError(f"grid: horizon must be finite and positive, got {self.horizon}")
+        states = np.array(self.states, dtype=float)
         if states.ndim != 1 or states.size < 2:
             raise ValueError("grid: need at least two state nodes")
         if not ((states > 0.0) & (states < 1.0)).all():
             raise ValueError("grid: states must lie strictly inside (0, 1)")
         if not (np.diff(states) > 0.0).all():
             raise ValueError("grid: states must be strictly increasing")
-        times.setflags(write=False)
         states.setflags(write=False)
-        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "n_steps", int(self.n_steps))
         object.__setattr__(self, "states", states)
 
-    @property
-    def n_steps(self) -> int:
-        return self.times.size - 1
+    @cached_property
+    def times(self) -> np.ndarray:
+        """Read-only time nodes horizon * i / n_steps, i = 0 .. n_steps."""
+        times = self.horizon * np.arange(self.n_steps + 1) / self.n_steps
+        times.setflags(write=False)
+        return times
 
     @property
     def h_t(self) -> float:
@@ -109,22 +110,14 @@ def build_uniform(n_time: int, n_state: int, horizon: float) -> Grid:
     The state endpoints 0 and 1 are never stored; the mesh holds the
     n_state - 1 interior nodes j/n_state, j = 1 .. n_state - 1.
     """
-    if n_time < 1:
-        raise ValueError(f"grid: n_time must be >= 1, got {n_time}")
     if n_state < 3:
         raise ValueError(f"grid: n_state must be >= 3, got {n_state}")
-    if horizon <= 0.0:
-        raise ValueError(f"grid: horizon must be positive, got {horizon}")
-    times = horizon * np.arange(n_time + 1) / n_time
-    states = np.arange(1, n_state) / n_state
-    return Grid(times=times, states=states)
+    return Grid(horizon, n_time, np.arange(1, n_state) / n_state)
 
 
-def _check_refinement(halfwidth: int, fine_step: float, coarse: float) -> None:
+def _check_refinement(fine_step: float, coarse: float) -> None:
     """Raise ValueError unless refine_around can refine a node whose local
-    coarse spacing is ``coarse`` by ``halfwidth`` cells at ``fine_step``."""
-    if halfwidth < 1:
-        raise ValueError(f"grid: halfwidth must be >= 1, got {halfwidth}")
+    coarse spacing is ``coarse`` at ``fine_step``."""
     if not 0.0 < fine_step <= coarse * (1.0 + 1e-12):
         raise ValueError(
             f"grid: fine_step must lie in (0, local coarse spacing {coarse}], "
@@ -132,10 +125,10 @@ def _check_refinement(halfwidth: int, fine_step: float, coarse: float) -> None:
         )
 
 
-def refine_around(grid: Grid, center_index: int, halfwidth: int, fine_step: float) -> Grid:
+def refine_around(grid: Grid, center_index: int, fine_step: float) -> Grid:
     """Refine the state mesh to spacing fine_step near one node.
 
-    The window spans halfwidth local coarse cells on each side of
+    The window spans REFINE_HALFWIDTH local coarse cells on each side of
     ``states[center_index]``, clipped to (0, 1). Every original node is
     retained; each coarse cell inside the window is subdivided so the
     fine mesh passes exactly through the coarse nodes. ``fine_step``
@@ -146,9 +139,9 @@ def refine_around(grid: Grid, center_index: int, halfwidth: int, fine_step: floa
     if not 0 <= center_index < m:
         raise IndexError(f"grid: center_index {center_index} outside stored nodes")
     coarse = s[center_index] - s[center_index - 1] if center_index > 0 else s[1] - s[0]
-    _check_refinement(halfwidth, fine_step, coarse)
-    lo = max(s[center_index] - halfwidth * coarse, 0.0)
-    hi = min(s[center_index] + halfwidth * coarse, 1.0)
+    _check_refinement(fine_step, coarse)
+    lo = max(s[center_index] - REFINE_HALFWIDTH * coarse, 0.0)
+    hi = min(s[center_index] + REFINE_HALFWIDTH * coarse, 1.0)
 
     inside = s[(s > lo) & (s < hi)]
     anchors = [lo, *inside.tolist(), hi]
@@ -165,7 +158,7 @@ def refine_around(grid: Grid, center_index: int, halfwidth: int, fine_step: floa
     merged = np.sort(np.concatenate([s, np.asarray(new_nodes, dtype=float)]))
     keep = np.ones(merged.size, dtype=bool)
     keep[1:] = np.diff(merged) > fine_step * 1e-6
-    return Grid(times=grid.times, states=merged[keep])
+    return Grid(grid.horizon, grid.n_steps, merged[keep])
 
 
 def project(grid: Grid, state):

@@ -15,10 +15,10 @@ v, given the already-solved later row v_next. The iteration alternates
 
 The loop stops when the policy system repeats, that is the region and
 the controls at the continuation nodes (the controls at obstacle nodes
-do not enter it), or one evaluation earlier when a sweep leaves the row
-unchanged: either way the returned row is an exact fixed point of its
-own improvement, and the complementarity conditions hold to
-linear-solver precision. A finite ladder and a monotone scheme bound the
+do not enter it): solving it again would give the same row bit for
+bit, so the returned row is an exact fixed point of its own
+improvement, and the complementarity conditions hold to linear-solver
+precision. A finite ladder and a monotone scheme bound the
 number of sweeps (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal.
 47(4), 2009); a layer that has not stopped after MAX_SWEEPS sweeps
 raises HowardNonconvergence.
@@ -95,7 +95,7 @@ class StepDiagnostics:
     A layer's time index is its position in DiscreteSolution.diagnostics.
     iterations counts the improvement passes the layer took.
     policy_stable, a class constant, is true: a layer ends only on a
-    repeated policy system (or an unchanged row) and raises otherwise.
+    repeated policy system and raises otherwise.
     lowest_argument is the smallest value either argument of the
     pointwise minimum takes on the layer, largest_minimum the largest
     value of the minimum itself (see complementarity_extrema).
@@ -189,14 +189,13 @@ def solve_time_step(
     """One backward layer: returns (v, control_row, region_row, diagnostics).
 
     Warm starts from v_next and evaluates the operator store ``tables``.
-    The layer ends when its policy system repeats, or when a sweep leaves
-    the row unchanged; either way the returned row is a fixed point of
-    its own improvement. ``slot`` carries the sweep's last policy system
-    and last improvement pass (see _SystemSlot): a pass it holds for the
-    row v_next itself is this layer's first pass, and every pass and
-    solve of the layer is stored back in it. Without a slot the layer
-    uses a fresh one. Raises HowardNonconvergence with the last iterate
-    if MAX_SWEEPS sweeps finish without the layer ending.
+    The layer ends when its policy system repeats, so the returned row is
+    a fixed point of its own improvement. ``slot`` carries the sweep's
+    last policy system and last improvement pass (see _SystemSlot): a
+    pass it holds for the row v_next itself is this layer's first pass,
+    and every pass and solve of the layer is stored back in it. Without
+    a slot the layer uses a fresh one. Raises HowardNonconvergence with
+    the last iterate if MAX_SWEEPS sweeps finish without the layer ending.
     """
     if slot is None:
         slot = _SystemSlot()
@@ -219,13 +218,10 @@ def solve_time_step(
                 time_index,
                 v,
             )
-        change = float(np.max(np.abs(v_new - v)))
-        v = v_new
+        v_prev, v = v, v_new
         prev_sig = sig
-        if change == 0.0:
-            # the last pass saw this row already: the system would repeat
-            break
     else:
+        change = float(np.max(np.abs(v - v_prev)))
         raise HowardNonconvergence(
             f"howard: no convergence within {MAX_SWEEPS} iterations at time index "
             f"{time_index}; last sup-change {change:.3e}",

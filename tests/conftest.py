@@ -62,9 +62,7 @@ def dear_coarse_solution(dear_params):
 @pytest.fixture(scope="session")
 def dear_refined_solution(dear_params, dear_coarse_solution):
     j0, _ = find_initial_state(dear_coarse_solution, 1.0)
-    fine_grid = refine_around(
-        dear_coarse_solution.grid, j0, halfwidth=2, fine_step=1.0 / 4000.0
-    )
+    fine_grid = refine_around(dear_coarse_solution.grid, j0, fine_step=1.0 / 4000.0)
     return solve_backward(fine_grid, dear_params, make_control_set(dear_params))
 
 

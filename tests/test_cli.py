@@ -141,6 +141,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.ini")
 
+    def test_malformed_file_named(self, tmp_path):
+        path = tmp_path / "headless.ini"
+        path.write_text("eta = 0.5\n")
+        with pytest.raises(ConfigError, match="malformed config file .*headless.ini"):
+            load_config(path)
+
+    def test_empty_unknown_section_named(self, tmp_path):
+        # no key to name, so the section itself is rejected
+        path = tmp_path / "empty.ini"
+        path.write_text("[model]\neta = 0.5\n[foo]\n")
+        with pytest.raises(ConfigError, match=r"unknown section \[foo\]"):
+            load_config(path)
+
 
 COUNTED_MODULES = (scheme, howard, grid, policy, cli)
 
@@ -370,7 +383,10 @@ class TestMain:
         if out is not None:
             argv += ["--out", str(tmp_path / out)]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        named = "" if out is None else str(tmp_path / out)
+        assert capsys.readouterr().err.startswith(
+            f"error: cli: cannot make output directory '{named}': "
+        )
         assert calls["solve_backward"] == 0
 
     @pytest.mark.parametrize("x0", ["nan", "-1"])
@@ -398,6 +414,12 @@ class TestMain:
     def test_grid_flag_rejects_garbage(self, cheap_ini, capsys):
         assert main(["--config", str(cheap_ini), "--grid", "wide"]) == 1
         assert "--grid" in capsys.readouterr().err
+
+    def test_grid_flag_rejects_a_non_integer(self, cheap_ini, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, "solve_backward")
+        assert main(["--config", str(cheap_ini), "--grid", "8,x"]) == 1
+        assert "--grid expects two integers, got '8,x'" in capsys.readouterr().err
+        assert calls["solve_backward"] == 0
 
     @pytest.mark.parametrize(
         "argv, named",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -25,40 +27,59 @@ class TestBuildUniform:
         assert np.all(g.states > 0) and np.all(g.states < 1)
         assert np.all(np.diff(g.states) > 0)
 
-    @pytest.mark.parametrize("nt,ns,T", [(0, 10, 1.0), (10, 2, 1.0), (10, 10, 0.0)])
-    def test_rejects(self, nt, ns, T):
-        with pytest.raises(ValueError, match="grid"):
+    @pytest.mark.parametrize(
+        "nt,ns,T,named",
+        [
+            (0, 10, 1.0, "n_steps must be an integer >= 1, got 0"),
+            (10, 2, 1.0, "n_state must be >= 3, got 2"),
+            (10, 10, 0.0, "horizon must be finite and positive, got 0.0"),
+            # 2.5 steps would make times 0, 0.4, 0.8, 1.2, past the horizon
+            (2.5, 10, 1.0, "n_steps must be an integer >= 1, got 2.5"),
+            (2.0, 10, 1.0, "n_steps must be an integer >= 1, got 2.0"),
+            (50, 10, np.nan, "horizon must be finite and positive, got nan"),
+        ],
+        ids=["0-10-1.0", "10-2-1.0", "10-10-0.0", "2.5-10-1.0", "2.0-10-1.0", "50-10-nan"],
+    )
+    def test_rejects(self, nt, ns, T, named):
+        with pytest.raises(ValueError, match=f"grid: {re.escape(named)}"):
             build_uniform(nt, ns, T)
 
 
 class TestGridValidation:
-    def test_times_must_start_at_zero(self):
-        with pytest.raises(ValueError, match="start at 0"):
-            Grid(times=np.array([0.1, 0.2]), states=np.array([0.3, 0.6]))
-
-    def test_times_must_be_uniform(self):
-        with pytest.raises(ValueError, match="uniformly spaced"):
-            Grid(times=np.array([0.0, 0.1, 0.3]), states=np.array([0.3, 0.6]))
+    @pytest.mark.parametrize("n,T", [(50, 1.0), (200, 1.0), (1, 1.0), (10, 2.0)])
+    def test_times_are_the_uniform_expression(self, n, T):
+        g = Grid(T, np.int64(n), np.array([0.3, 0.6]))
+        want = T * np.arange(n + 1) / n
+        assert np.array_equal(g.times, want)
+        assert g.times[0] == 0.0 and g.times[-1] == T
+        assert g.h_t == want[1] - want[0]
+        assert g.n_steps == n and type(g.n_steps) is int
+        assert g.times is g.times
+        with pytest.raises(ValueError, match="read-only"):
+            g.times[0] = 0.1
 
     def test_states_inside_unit_interval(self):
         with pytest.raises(ValueError, match="inside"):
-            Grid(times=np.array([0.0, 1.0]), states=np.array([0.0, 0.5]))
+            Grid(1.0, 1, np.array([0.0, 0.5]))
 
     def test_nan_state_rejected(self):
         # every comparison with NaN is false, so each check must fail on it
         with pytest.raises(ValueError, match="inside"):
-            Grid(times=np.array([0.0, 1.0]), states=np.array([0.3, np.nan, 0.6]))
+            Grid(1.0, 1, np.array([0.3, np.nan, 0.6]))
 
     @pytest.mark.parametrize("last", [np.inf, np.nan])
     def test_non_finite_time_rejected(self, last):
-        with pytest.raises(ValueError, match="finite"):
-            Grid(times=np.array([0.0, last]), states=np.array([0.3, 0.6]))
-        with pytest.raises(ValueError, match="finite"):
-            Grid(times=np.array([0.0, 1.0, last]), states=np.array([0.3, 0.6]))
+        # the last time node is the horizon
+        with pytest.raises(ValueError, match=f"horizon must be finite and positive, got {last}"):
+            Grid(last, 1, np.array([0.3, 0.6]))
+
+    def test_one_state_rejected(self):
+        with pytest.raises(ValueError, match="at least two state nodes"):
+            Grid(1.0, 1, np.array([0.5]))
 
     def test_states_strictly_increasing(self):
         with pytest.raises(ValueError, match="increasing"):
-            Grid(times=np.array([0.0, 1.0]), states=np.array([0.5, 0.5]))
+            Grid(1.0, 1, np.array([0.5, 0.5]))
 
     def test_immutable_arrays(self):
         g = build_uniform(2, 10, 1.0)
@@ -71,7 +92,7 @@ class TestGaps:
         "g",
         [
             build_uniform(3, 10, 1.0),
-            refine_around(build_uniform(3, 40, 1.0), 12, 3, 1.0 / 400.0),
+            refine_around(build_uniform(3, 40, 1.0), 12, 1.0 / 400.0),
         ],
     )
     def test_cell_widths_read_only(self, g):
@@ -84,7 +105,7 @@ class TestGaps:
 class TestRefineAround:
     def test_desk_scale_window(self):
         g = build_uniform(50, 100, 1.0)
-        f = refine_around(g, 40, halfwidth=2, fine_step=1 / 4000)
+        f = refine_around(g, 40, fine_step=1 / 4000)
         lo, hi = g.states[40] - 0.02, g.states[40] + 0.02
         inside = f.states[(f.states >= lo - 1e-12) & (f.states <= hi + 1e-12)]
         # 160 fine intervals across the window
@@ -96,27 +117,28 @@ class TestRefineAround:
     def test_node_counting(self):
         # coarse-outside + fine-inside - shared coarse nodes
         g = build_uniform(50, 100, 1.0)
-        f = refine_around(g, 40, halfwidth=2, fine_step=1 / 4000)
+        f = refine_around(g, 40, fine_step=1 / 4000)
         expected = 99 + 4 * 39  # 4 coarse cells, 39 new nodes each
         assert f.n_nodes == expected
 
     def test_noop_refinement(self):
         g = build_uniform(10, 50, 1.0)
-        f = refine_around(g, 20, halfwidth=2, fine_step=1 / 50)
+        f = refine_around(g, 20, fine_step=1 / 50)
         np.testing.assert_allclose(f.states, g.states, rtol=0, atol=1e-12)
 
     def test_window_clipped_at_origin(self):
         g = build_uniform(10, 100, 1.0)
-        f = refine_around(g, 1, halfwidth=3, fine_step=1 / 400)
+        # the window [s_0 - 0.02, s_0 + 0.02] reaches below 0
+        f = refine_around(g, 0, fine_step=1 / 400)
         assert f.states[0] > 0.0
         assert np.all(np.isin(g.states, f.states))
 
     def test_rejects_bad_step(self):
         g = build_uniform(10, 100, 1.0)
         with pytest.raises(ValueError, match="fine_step"):
-            refine_around(g, 40, halfwidth=2, fine_step=0.5)
+            refine_around(g, 40, fine_step=0.5)
         with pytest.raises(IndexError):
-            refine_around(g, 400, halfwidth=2, fine_step=1 / 4000)
+            refine_around(g, 400, fine_step=1 / 4000)
 
 
 class TestProject:

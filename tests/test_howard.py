@@ -31,8 +31,7 @@ from tests.test_scheme import admissible_oracle, complementarity_row, stationary
 
 def toy_problem():
     """Four interior nodes, two candidates, one backward step."""
-    grid = Grid(times=np.array([0.0, 0.5]),
-                states=np.array([0.2, 0.4, 0.6, 0.8]))
+    grid = Grid(0.5, 1, np.array([0.2, 0.4, 0.6, 0.8]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         params = make_params(alpha=2.1, beta=2.15)
@@ -270,11 +269,30 @@ class TestBackwardSweep:
         with pytest.raises(HowardNonconvergence) as exc:
             solve_backward(g, cheap_params, cs)
         err = exc.value
-        assert str(err).startswith(
-            f"howard: no convergence within 1 iterations at time index {g.n_steps - 1};"
+        # one sweep from the terminal row: its change is the distance to it
+        change = np.max(np.abs(err.last_iterate - terminal_condition(cheap_params, g.states)))
+        assert str(err) == (
+            f"howard: no convergence within 1 iterations at time index {g.n_steps - 1}; "
+            f"last sup-change {change:.3e}"
         )
+        assert change > 0.0
         assert err.time_index == g.n_steps - 1
         assert err.last_iterate.shape == (g.n_nodes,)
+
+    def test_non_finite_evaluation_carries_diagnostics(self, cheap_params, monkeypatch):
+        monkeypatch.setattr(
+            howard, "solve_policy_system", lambda v_next, *args: np.full_like(v_next, np.nan)
+        )
+        g = build_uniform(10, 30, cheap_params.T)
+        with pytest.raises(HowardNonconvergence) as exc:
+            solve_backward(g, cheap_params, make_control_set(cheap_params))
+        err = exc.value
+        assert str(err) == (
+            f"howard: policy evaluation produced non-finite values at time index {g.n_steps - 1}"
+        )
+        assert err.time_index == g.n_steps - 1
+        # the iterate before the failed evaluation: the layer's start row
+        assert np.array_equal(err.last_iterate, terminal_condition(cheap_params, g.states))
 
 
 class TestDiagnostics:
@@ -485,6 +503,32 @@ class TestSystemReuse:
                 for _, kstar, region, _ in solves[first:stop]
             ]
             assert all(a != b for a, b in zip(sigs, sigs[1:])), first
+        np.testing.assert_array_equal(again.surface, sol.surface)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["dear_coarse_solution", "dear_refined_solution", "obstacle_regime_solution"],
+    )
+    def test_every_layer_takes_one_pass_more_than_it_solves(
+        self, name, request, monkeypatch
+    ):
+        # a layer ends only when a pass finds the policy system of its last
+        # solve again, so every pass but that last one is followed by a solve
+        sol = request.getfixturevalue(name)
+        solves, _ = self.record_solves(monkeypatch)
+        per_layer = []
+        step = howard.solve_time_step
+
+        def record_layer(*args, **kwargs):
+            first = len(solves)
+            out = step(*args, **kwargs)
+            per_layer.append(len(solves) - first)
+            return out
+
+        monkeypatch.setattr(howard, "solve_time_step", record_layer)
+        again = solve_backward(sol.grid, sol.params, sol.controls)
+        per_layer.reverse()
+        assert [d.iterations for d in again.diagnostics] == [k + 1 for k in per_layer]
         np.testing.assert_array_equal(again.surface, sol.surface)
 
     def test_each_backward_sweep_has_its_own_slot(self, cheap_params, monkeypatch):

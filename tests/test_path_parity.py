@@ -236,7 +236,7 @@ class TestPathParity:
         p = make_params(r=0.0)
         states = np.linspace(0.2, 0.8, 6)
         rows = np.vstack([1.0 - 0.5 * states] + [1.0 + 0.5 * states] * 4)
-        sol = make_solution(np.linspace(0.0, 1.0, 5), states, rows, 1.0, p)
+        sol = make_solution(4, states, rows, 1.0, p)
         x = oracle_wealth_row(sol, 0)[3]
         assert isinstance(assert_same_outcome(sol, [], x), PathEscapeError)
 
@@ -245,7 +245,7 @@ class TestPathParity:
         states = np.linspace(0.45, 0.55, 11)
         n = 15
         rows = np.vstack([1.0 - 0.5 * states] * (n + 1))
-        sol = make_solution(np.linspace(0.0, 1.0, n + 1), states, rows, 0.01, p)
+        sol = make_solution(n, states, rows, 0.01, p)
         x = oracle_wealth_row(sol, 0)[5]
         exc = assert_same_outcome(sol, [1.0 / n], x)
         assert isinstance(exc, PathEscapeError) and "hull" in str(exc)
@@ -256,7 +256,7 @@ class TestPathParity:
         row = np.array([5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.6, 0.8, 1.1])
         n = 8
         rows = np.vstack([row] * (n + 1))
-        sol = make_solution(np.linspace(0.0, 1.0, n + 1), states, rows, 0.5, p)
+        sol = make_solution(n, states, rows, 0.5, p)
         x = oracle_wealth_row(sol, 0)[3]
         path = assert_same_outcome(sol, [], x)
         assert path.regulator[-1] < 1.0
@@ -288,7 +288,7 @@ class TestPathParity:
         p = make_params(r=0.0)
         states = np.linspace(0.2, 0.8, 6)
         rows = np.vstack([1.0 - 0.5 * states] + [1.0 + 0.5 * states] * 4)
-        sol = make_solution(np.linspace(0.0, 1.0, 5), states, rows, 1.0, p)
+        sol = make_solution(4, states, rows, 1.0, p)
         control = sol.control.copy()
         control[1] = 0.0
         sol = dataclasses.replace(sol, control=control)
@@ -303,7 +303,7 @@ def flat_solution(n_time, states, v, control, **params):
     ``control`` is one value for every node or the whole (n_time, m) table.
     """
     sol = make_solution(
-        np.linspace(0.0, 1.0, n_time + 1), states, np.vstack([v] * (n_time + 1)),
+        n_time, states, np.vstack([v] * (n_time + 1)),
         1.0, make_params(r=0.0, **params),
     )
     table = np.broadcast_to(np.asarray(control, dtype=float), sol.control.shape)
@@ -508,7 +508,7 @@ class TestStretchCuts:
         n = 6
         rows = np.vstack([v] * 3 + [-v] * (n - 2))
         sol = make_solution(
-            np.linspace(0.0, 1.0, n + 1), states, rows, 1e-100,
+            n, states, rows, 1e-100,
             make_params(r=0.0, pi_intensity=60.0 * n),
         )
         control = sol.control.copy()
@@ -569,9 +569,7 @@ def grids(draw):
     if draw(st.booleans()):
         center = draw(st.integers(0, g.n_nodes - 1))
         coarse = g.states[1] - g.states[0]
-        g = refine_around(
-            g, center, draw(st.integers(1, 3)), coarse / draw(st.integers(1, 9))
-        )
+        g = refine_around(g, center, coarse / draw(st.integers(1, 9)))
     return g
 
 
@@ -591,7 +589,7 @@ def irregular_grids(draw):
     first = draw(st.sampled_from([5e-324, 1e-310, 1e-300, 1e-200, 1e-17]))
     last = draw(st.floats(0.01, 0.99))
     states = np.unique(np.geomspace(first, last, draw(st.integers(2, 40))))
-    return grid_module.Grid(times=np.array([0.0, 1.0]), states=states)
+    return grid_module.Grid(1.0, 1, states)
 
 
 def ulp_probes(g):
@@ -632,7 +630,7 @@ class TestProjectOracle:
          [0.1, 0.30000000000000004, 0.7, 0.9999999999999999]],
     )
     def test_hand_made_grids(self, states):
-        g = grid_module.Grid(times=np.array([0.0, 1.0]), states=np.array(states))
+        g = grid_module.Grid(1.0, 1, np.array(states))
         self.assert_same_nodes(g)
 
     @given(st.one_of(grids(), irregular_grids()))

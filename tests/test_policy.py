@@ -21,10 +21,9 @@ from insdual.simulate import claim_steps, poisson_schedule
 from tests.test_model import make_params
 
 
-def make_solution(times, states, rows, control_value, params):
-    """Hand-built DiscreteSolution with a uniform control assignment."""
-    grid = Grid(times=np.asarray(times, dtype=float),
-                states=np.asarray(states, dtype=float))
+def make_solution(n_steps, states, rows, control_value, params):
+    """Hand-built DiscreteSolution on a unit horizon, one control everywhere."""
+    grid = Grid(1.0, n_steps, states)
     n, m = grid.n_steps, grid.n_nodes
     surface = np.asarray(rows, dtype=float)
     assert surface.shape == (n + 1, m)
@@ -43,7 +42,7 @@ class TestDiscreteWealth:
     def test_constant_row_is_penniless(self):
         p = make_params(r=0.0)
         rows = np.ones((3, 5))
-        sol = make_solution([0.0, 0.5, 1.0], np.linspace(0.2, 0.8, 5), rows, 1.0, p)
+        sol = make_solution(2, np.linspace(0.2, 0.8, 5), rows, 1.0, p)
         assert np.all(wealth_row(sol, 0) == 0.0)
         assert wealth_row(sol, 1)[3] == 0.0
 
@@ -51,7 +50,7 @@ class TestDiscreteWealth:
         p = make_params(r=0.1)
         states = np.array([0.25, 0.5, 0.75])
         rows = np.array([[3.0, 2.0, 1.5]] * 3)
-        sol = make_solution([0.0, 0.5, 1.0], states, rows, 1.0, p)
+        sol = make_solution(2, states, rows, 1.0, p)
         # node 1: -(1 - 0.5)^2 * (2 - 3) / 0.25 * e^{0.05}
         expected = 0.25 * 4.0 * np.exp(0.1 * 0.5)
         assert wealth_row(sol, 1)[1] == pytest.approx(expected, rel=1e-14)
@@ -60,7 +59,7 @@ class TestDiscreteWealth:
         p = make_params(r=0.0)
         states = np.array([0.2, 0.4, 0.6])
         rows = np.array([[5.0, 3.0, 2.0]] * 2)
-        sol = make_solution([0.0, 1.0], states, rows, 1.0, p)
+        sol = make_solution(1, states, rows, 1.0, p)
         expected = -((1.0 - 0.2) ** 2) * (3.0 - 5.0) / 0.2
         assert wealth_row(sol, 0)[0] == pytest.approx(expected, rel=1e-14)
 
@@ -313,7 +312,7 @@ class TestRegulation:
         good = 1.0 - 0.5 * states
         bad = 1.0 + 0.5 * states
         rows = np.vstack([good] + [bad] * 4)
-        sol = make_solution(np.linspace(0.0, 1.0, 5), states, rows, 1.0, p)
+        sol = make_solution(4, states, rows, 1.0, p)
         x = wealth_row(sol, 0)[3]
         with pytest.raises(PathEscapeError, match="lowest node"):
             evolve_path(sol, [], x)
@@ -326,7 +325,7 @@ class TestRegulation:
         row = 1.0 - 0.5 * states
         n = 15
         rows = np.vstack([row] * (n + 1))
-        sol = make_solution(np.linspace(0.0, 1.0, n + 1), states, rows, 0.01, p)
+        sol = make_solution(n, states, rows, 0.01, p)
         x = wealth_row(sol, 0)[5]
         with pytest.raises(PathEscapeError, match="hull"):
             evolve_path(sol, [1.0 / n], x)
@@ -340,7 +339,7 @@ class TestRegulation:
         row = np.array([5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.6, 0.8, 1.1])
         n = 8
         rows = np.vstack([row] * (n + 1))
-        sol = make_solution(np.linspace(0.0, 1.0, n + 1), states, rows, 0.5, p)
+        sol = make_solution(n, states, rows, 0.5, p)
         x = wealth_row(sol, 0)[3]
         path = evolve_path(sol, [], x)
         assert np.all(path.wealth >= 0.0)

@@ -210,8 +210,7 @@ class TestOperatorRow:
             )
 
     def test_five_node_dense_oracle(self):
-        g = Grid(times=np.array([0.0, 0.5, 1.0]),
-                 states=np.array([1, 2, 3, 4, 5]) / 6.0)
+        g = Grid(1.0, 2, np.array([1, 2, 3, 4, 5]) / 6.0)
         p = dear_params()
         tables = build_tables(g, p, ControlSet(np.array([2.0])))
         v = g.states.copy()
