@@ -265,8 +265,8 @@ def run(config: RunConfig, out_dir=None) -> dict:
         claims = ClaimSchedule(times=config.claim_times)
     else:
         claims = poisson_schedule(params.pi_intensity, params.T, config.seed)
-    if not config.x0 >= 0.0:  # NaN fails too
-        raise ValueError(f"cli: starting wealth must be nonnegative, got {config.x0}")
+    if not 0.0 <= config.x0 < np.inf:  # NaN fails too
+        raise ValueError(f"cli: starting wealth must be finite, >= 0, got {config.x0}")
     coarse_grid = build_uniform(config.n_time, config.n_state, params.T)
     if config.refine:
         # the coarse mesh is uniform, so the spacing refine_around checks at

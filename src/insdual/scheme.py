@@ -5,7 +5,7 @@ One backward time step solves, node by node on the compact state mesh,
     min( v_next[j] - v[j] + h_t * min_rho (A(rho) v + l(rho))[j],
          (B v)[j] ) = 0
 
-where, for a candidate intensity multiplier rho > 0, A(rho) collects,
+where, for a candidate intensity multiplier rho >= 1, A(rho) collects,
 inside one factor of the arrival intensity pi, the claim-jump difference
 v[at jump(rho, s_j)] - v[j] and the upwinded drift (1 - rho) * s_j *
 (1 - s_j) * Dv, plus the discount absorption r * v[j]; l(rho) is the
@@ -16,17 +16,17 @@ which has no row at the first node.
 The jump value is interpolated linearly between the two bracketing mesh
 nodes (snapping to the nearest node wastes up to half a cell of jump
 distance while the drift compensator stays exact, which bends the solved
-surface well below the true one). The drift takes the forward difference
-where its coefficient is positive and the backward one where negative;
-the last node's forward difference uses the ghost v[m] := v[m-2], and a
-negative drift at the first node is dropped. Every off-diagonal
-coefficient is then nonnegative and every row of A(rho) sums to r, so
-I - h_t * A(rho) is strictly diagonally dominant whenever h_t * r < 1.
+surface well below the true one). With rho >= 1 the drift coefficient
+is never positive, so it always takes the backward difference, and the
+first node, which has no lower neighbour, admits rho = 1 only. Every
+off-diagonal coefficient is then nonnegative and every row of A(rho)
+sums to r, so I - h_t * A(rho) is strictly diagonally dominant whenever
+h_t * r < 1.
 
-A candidate is admissible at a node only if its jump target stays inside
-the state hull (a clamped projection would discard most of the jump
-difference and make extreme candidates look spuriously cheap) and, at
-the first node, its drift is nonnegative. rho = 1 is admissible at every
+A candidate is admissible at a node only if its jump target, which never
+lies below the node, stays under the top of the state hull (a clamped
+projection would discard most of the jump difference and make extreme
+candidates look spuriously cheap). rho = 1 is admissible at every
 node, so the restricted search is never empty. The store carries an
 income rate of +inf at every inadmissible pair, so such a pair scores
 +inf and never wins the minimization, with no mask applied per
@@ -75,7 +75,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ControlSet:
-    """Finite ladder of candidate intensity multipliers rho, finite and > 0."""
+    """Finite ladder of candidate intensity multipliers rho, finite and >= 1."""
 
     candidates: np.ndarray
 
@@ -86,10 +86,10 @@ class ControlSet:
         bad = cand[~np.isfinite(cand)]
         if bad.size:
             raise ValueError(f"scheme: control candidates must be finite, got {bad[0]}")
-        if np.any(cand <= 0.0):
-            raise ValueError("scheme: control candidates must be positive")
         if np.any(np.diff(cand) <= 0.0):
             raise ValueError("scheme: control candidates must be strictly increasing")
+        if cand[0] < 1.0:
+            raise ValueError(f"scheme: control candidates must be >= 1, got {cand[0]}")
         cand.setflags(write=False)
         object.__setattr__(self, "candidates", cand)
 
@@ -103,7 +103,10 @@ def make_control_set(
     premium kink beta / (delta * pi_intensity), where the running income
     rate loses its positive part, are always inserted; candidates of the
     geometric ladder that collide with them within 1e-9 relative are
-    dropped in their favour.
+    dropped in their favour. Candidates below 1 are dropped too (``low``
+    only sets the spacing above 1): the node's Hamiltonian has the
+    rho-derivative pi y (v'(rho y) - v'(y) - delta 1{rho < kink}), which a
+    convex v makes negative below 1, so no such candidate can win.
     """
     # by value, before geomspace turns an infinite end into NaN candidates
     if not 0.0 < low < high < np.inf:
@@ -116,11 +119,11 @@ def make_control_set(
     base = np.geomspace(low, high, count)
     special = [1.0]
     kink = params.beta / (params.delta * params.pi_intensity)
-    if kink > 0.0 and not np.isclose(kink, 1.0, rtol=1e-9, atol=0.0):
+    if kink > 1.0 and not np.isclose(kink, 1.0, rtol=1e-9, atol=0.0):
         special.append(kink)
     special = np.asarray(special, dtype=float)
     fresh = base[~np.any(np.isclose(base[:, None], special[None, :], rtol=1e-9, atol=0.0), axis=1)]
-    return ControlSet(np.unique(np.concatenate([fresh, special])))
+    return ControlSet(np.unique(np.concatenate([fresh[fresh >= 1.0], special])))
 
 
 def jump_target(state, rho):
@@ -198,7 +201,7 @@ def build_tables(grid: Grid, params: ModelParams, controls: ControlSet) -> Opera
     gap = grid.gaps
     state = s[:, None]
     target = jump_target(state, rho)
-    admissible = (target >= s[0]) & (target <= s[-1])
+    admissible = target <= s[-1]
     admissible[0] &= rho <= 1.0
     node = np.broadcast_to(np.arange(m)[:, None], admissible.shape)[admissible]
     cols = np.empty((node.size, WIDTH), dtype=np.int32)
@@ -218,14 +221,11 @@ def build_tables(grid: Grid, params: ModelParams, controls: ControlSet) -> Opera
     np.multiply(pi, work, out=weights[:, 2])
     np.subtract(pi, weights[:, 2], out=weights[:, 1])
 
-    # upwind neighbour: j + 1 (the ghost's mirror m - 2 at the top) or
-    # j - 1 (none at the first node)
-    work = ((1.0 - rho) * ((1.0 - s) * s)[:, None])[admissible]
-    down = work < 0.0
-    up = np.append(np.arange(1, m), m - 2)[node]
-    cols[:, 3] = np.where(down, np.maximum(node - 1, 0), up)
-    np.abs(work, out=work)
-    work /= np.where(down, np.append(np.inf, gap)[node], np.append(gap, gap[-1])[node])
+    # the drift (1 - rho) s (1 - s) <= 0 is upwinded to j - 1; the first node
+    # has no j - 1, and there only the driftless rho = 1 is admissible
+    work = ((rho - 1.0) * ((1.0 - s) * s)[:, None])[admissible]
+    cols[:, 3] = np.maximum(node - 1, 0)
+    work /= np.append(np.inf, gap)[node]
     np.multiply(pi, work, out=weights[:, 3])
     np.subtract(params.r - pi, weights[:, 3], out=weights[:, 0])
     source = source_term(params, state, rho)

@@ -389,12 +389,12 @@ class TestMain:
         )
         assert calls["solve_backward"] == 0
 
-    @pytest.mark.parametrize("x0", ["nan", "-1"])
+    @pytest.mark.parametrize("x0", ["nan", "-1", "inf"])
     def test_nan_starting_wealth_is_a_validation_failure(
         self, x0, tmp_path, monkeypatch, capsys
     ):
-        # not an unreachable wealth (exit 3): a NaN or negative x0 is no
-        # wealth at all, and is rejected before any solve
+        # not an unreachable wealth (exit 3): a NaN, negative or infinite
+        # x0 is no wealth at all, and is rejected before any solve
         calls = count_calls(monkeypatch, "solve_backward")
         bad = tmp_path / "nan.ini"
         bad.write_text(CHEAP_INI.replace("x0 = 1.0", f"x0 = {x0}"))

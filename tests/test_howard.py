@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import spsolve
 
 from insdual import (
@@ -213,6 +214,27 @@ class TestBackwardSweep:
         for sol in (cheap_solution, dear_coarse_solution):
             forward = np.diff(sol.surface, axis=1)
             assert np.max(forward) <= 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        eta=st.floats(0.1, 0.9),
+        alpha=st.floats(0.0, 6.0),
+        beta=st.floats(0.0, 6.0),
+        pi=st.floats(0.2, 5.0),
+    )
+    def test_parameter_space(self, eta, alpha, beta, pi):
+        # a finite surface, every control on the ladder (so >= 1), and no
+        # layer rising in the state beyond rounding of its row
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            p = make_params(eta=eta, alpha=alpha, beta=beta, pi_intensity=pi)
+        cs = make_control_set(p)
+        sol = solve_backward(build_uniform(10, 30, p.T), p, cs)
+        assert np.all(np.isfinite(sol.surface))
+        assert np.all(np.isin(sol.control, cs.candidates))
+        assert sol.control.min() >= 1.0
+        rise = np.diff(sol.surface, axis=1).max(axis=1)
+        assert np.all(rise <= 1e-10 * np.abs(sol.surface).max(axis=1))
 
     def test_deterministic(self, cheap_params):
         g = build_uniform(10, 30, cheap_params.T)

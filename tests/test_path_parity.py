@@ -80,7 +80,7 @@ def oracle_find_initial_state(solution: DiscreteSolution, x: float):
     if x < 0.0:
         raise ValueError(f"policy: starting wealth must be nonnegative, got {x}")
     row = oracle_wealth_row(solution, 0)
-    lo, hi = float(row.min()), float(row.max())
+    lo, hi = float(row.min()) + 0.0, float(row.max())  # 0, never -0
     if not lo <= x <= hi:
         raise UnreachableWealthError(
             f"policy: starting wealth {x} outside the attainable range "
@@ -241,6 +241,7 @@ class TestPathParity:
         assert isinstance(assert_same_outcome(sol, [], x), PathEscapeError)
 
     def test_hull_escape(self):
+        # make_solution puts the control 0.01 in the table over the ladder {1}
         p = make_params(pi_intensity=2.0, r=0.0)
         states = np.linspace(0.45, 0.55, 11)
         n = 15
@@ -251,6 +252,7 @@ class TestPathParity:
         assert isinstance(exc, PathEscapeError) and "hull" in str(exc)
 
     def test_successful_regulation(self):
+        # make_solution puts the control 0.5 in the table over the ladder {1}
         p = make_params(pi_intensity=20.0, r=0.0)
         states = np.linspace(0.1, 0.9, 9)
         row = np.array([5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.6, 0.8, 1.1])
@@ -502,7 +504,8 @@ class TestStretchCuts:
         # growth factor larger, stays on the hull: the pass goes past it. At
         # step 3 the control turns to 1 (a mappable jump) and every node
         # needs regulation; the per-step rules fail on the jumped state of
-        # step 2 before that escape
+        # step 2 before that escape. make_solution puts the control 1e-100
+        # in the table over the ladder {1}
         states = np.geomspace(1e-300, 0.5, 61)
         v = np.concatenate(([0.0], np.cumsum(-np.arange(1, 61) * np.diff(states))))
         n = 6

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,11 @@ from tests.test_model import make_params
 
 
 def make_solution(n_steps, states, rows, control_value, params):
-    """Hand-built DiscreteSolution on a unit horizon, one control everywhere."""
+    """Hand-built DiscreteSolution on a unit horizon, one control everywhere.
+
+    The path rules read the control table, never the ladder, so a control
+    below 1, which no ladder may hold, fills the table over the ladder {1}.
+    """
     grid = Grid(1.0, n_steps, states)
     n, m = grid.n_steps, grid.n_nodes
     surface = np.asarray(rows, dtype=float)
@@ -30,7 +35,7 @@ def make_solution(n_steps, states, rows, control_value, params):
     return DiscreteSolution(
         grid=grid,
         params=params,
-        controls=ControlSet(np.array([control_value])),
+        controls=ControlSet(np.array([max(control_value, 1.0)])),
         surface=surface,
         control=np.full((n, m), control_value),
         region=np.zeros((n, m), dtype=np.uint8),
@@ -120,6 +125,15 @@ class TestFindInitialState:
         lo, hi = cheap_solution.start_range
         assert (lo, hi) == (row.min(), row.max())
         assert type(lo) is float and type(hi) is float
+
+    def test_zero_start_range_end_is_positive_zero(self, dear_coarse_solution):
+        # the top node's flat difference reads -0.0; range and message
+        # report it as 0
+        assert dear_coarse_solution.wealth[0].min() == 0.0
+        lo, hi = dear_coarse_solution.start_range
+        assert math.copysign(1.0, lo) == 1.0
+        with pytest.raises(UnreachableWealthError, match=r"range \[0, "):
+            find_initial_state(dear_coarse_solution, 2.0 * hi)
 
     @pytest.mark.parametrize("side", ["above", "below"])
     def test_unreachable_message(self, cheap_solution, side):
@@ -319,7 +333,8 @@ class TestRegulation:
 
     def test_hull_escape(self):
         # a tiny retention at the claim collapses the dual state far
-        # below a deliberately narrow hull; ten stranded steps abort
+        # below a deliberately narrow hull; ten stranded steps abort (the
+        # control 0.01 sits in the table over the ladder {1})
         p = make_params(pi_intensity=2.0, r=0.0)
         states = np.linspace(0.45, 0.55, 11)
         row = 1.0 - 0.5 * states
@@ -333,7 +348,8 @@ class TestRegulation:
     def test_successful_regulation_clamps_to_node(self):
         # ceding half of each claim makes the density grow, pushing the
         # dual state into the insolvent upper nodes; the regulator must
-        # shrink monotonically and park the state on a solvent node
+        # shrink monotonically and park the state on a solvent node (the
+        # control 0.5 sits in the table over the ladder {1})
         p = make_params(pi_intensity=20.0, r=0.0)
         states = np.linspace(0.1, 0.9, 9)
         row = np.array([5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.6, 0.8, 1.1])

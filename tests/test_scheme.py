@@ -14,7 +14,7 @@ from insdual import (
     scheme,
     terminal_condition,
 )
-from insdual.howard import solve_time_step
+from insdual.howard import solve_backward, solve_time_step
 from insdual.scheme import (
     build_tables,
     jump_target,
@@ -34,7 +34,12 @@ def dear_params():
 
 
 def row_oracle(v, s, j, rho, params):
-    """Scalar re-implementation of one stationary operator row."""
+    """Scalar re-implementation of one stationary operator row.
+
+    It also scores rho < 1, which no ladder holds, the way the store once
+    did: the drift takes the forward difference, the top node reads the
+    ghost v[m] := v[m - 2]. TestSubUnitCandidates scores with it.
+    """
     m = len(s)
     y = s[j]
     tgt = rho * y / (1.0 + y * (rho - 1.0))
@@ -61,8 +66,9 @@ def row_oracle(v, s, j, rho, params):
 
 
 def admissible_oracle(s, j, rho):
-    """Scalar admissibility rule: the jump target stays inside the hull,
-    and the first node admits no negative drift (it has no lower neighbour)."""
+    """Scalar admissibility rule: the jump target stays inside the hull
+    (for rho < 1 its lower end matters too), and the first node admits no
+    negative drift (it has no lower neighbour)."""
     tgt = rho * s[j] / (1.0 + s[j] * (rho - 1.0))
     return s[0] <= tgt <= s[-1] and not (j == 0 and rho > 1.0)
 
@@ -117,7 +123,7 @@ class TestControlSet:
     def test_rejects(self):
         with pytest.raises(ValueError, match="increasing"):
             ControlSet(np.array([1.0, 1.0]))
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=">= 1, got -1.0"):
             ControlSet(np.array([-1.0, 1.0]))
         with pytest.raises(ValueError, match="finite, got nan"):
             ControlSet(np.array([np.nan]))
@@ -137,6 +143,73 @@ class TestControlSet:
         # candidates it makes of an infinite end
         with pytest.raises(ValueError, match="candidates must be finite"):
             make_control_set(make_params(), low=low, high=high)
+
+
+def parent_ladder(params, low=1e-3, high=1e3, count=101):
+    """The ladder make_control_set built before it dropped rho < 1."""
+    base = np.geomspace(low, high, count)
+    special = [1.0]
+    kink = params.beta / (params.delta * params.pi_intensity)
+    if kink > 0.0 and not np.isclose(kink, 1.0, rtol=1e-9, atol=0.0):
+        special.append(kink)
+    special = np.asarray(special, dtype=float)
+    near = np.isclose(base[:, None], special[None, :], rtol=1e-9, atol=0.0)
+    return np.unique(np.concatenate([base[~np.any(near, axis=1)], special]))
+
+
+class TestSubUnitCandidates:
+    """The ladder starts at 1, because no candidate below 1 can win.
+
+    The rho-derivative of a node's Hamiltonian is
+    pi y (v'(rho y) - v'(y) - delta 1{rho < kink}), negative below 1 on a
+    convex v. On solved surfaces, every sub-1 candidate of the default
+    geometric ladder, scored by the scalar oracle the way the store once
+    scored it, must lose to the chosen control at every continuation node.
+    """
+
+    @pytest.mark.parametrize(
+        "params, kw",
+        [
+            (dear_params(), {}),
+            (make_params(), {}),
+            (make_params(alpha=5.0, beta=2.15), {}),
+            (make_params(alpha=3.0, beta=3.0, pi_intensity=1.0), {}),
+            (dear_params(), dict(low=0.01, high=100.0, count=17)),
+            (make_params(alpha=3.0, beta=3.0, pi_intensity=5.0), {}),
+        ],
+    )
+    def test_ladder_is_the_parent_rule_from_one_up(self, params, kw):
+        want = parent_ladder(params, **kw)
+        got = make_control_set(params, **kw).candidates
+        np.testing.assert_array_equal(got, want[want >= 1.0])
+        assert got[0] == 1.0
+
+    def test_control_set_starts_at_one(self):
+        with pytest.raises(ValueError, match=">= 1, got 0.999"):
+            ControlSet(np.array([0.999, 1.0]))
+        assert ControlSet(np.array([1.0])).candidates.tolist() == [1.0]
+
+    @pytest.fixture(scope="class")
+    def kappa_three_solution(self):
+        p = make_params(alpha=3.0, beta=3.0, pi_intensity=1.0)
+        return solve_backward(build_uniform(50, 200, p.T), p, make_control_set(p))
+
+    @pytest.mark.parametrize(
+        "name",
+        ["dear_coarse_solution", "obstacle_regime_solution", "kappa_three_solution"],
+    )
+    def test_no_sub_unit_candidate_wins(self, name, request):
+        sol = request.getfixturevalue(name)
+        p, s = sol.params, list(sol.grid.states)
+        rhos = [float(r) for r in np.geomspace(1e-3, 1e3, 101) if r < 1.0]
+        n = sol.grid.n_steps
+        for i in (0, n // 2, n - 1):
+            v = sol.surface[i]
+            for j in np.flatnonzero(~sol.region[i]):
+                chosen = stationary_oracle(v, s, j, float(sol.control[i, j]), p)
+                for rho in rhos:
+                    if admissible_oracle(s, j, rho):
+                        assert stationary_oracle(v, s, j, rho, p) > chosen, (i, j, rho)
 
 
 class TestSourceTerm:
@@ -172,20 +245,22 @@ class TestAdmissibility:
         assert tables.admissible.all()
 
     def test_first_node_only_identity(self):
-        # rho > 1 fails the drift rule there, rho < 1 sends the jump
-        # target below the hull: the first node cannot retain risk
+        # rho > 1 fails the drift rule there: the first node has no lower
+        # neighbour for the backward difference
         g = build_uniform(10, 100, 1.0)
-        cs = ControlSet(np.array([0.999, 1.0, 1.0001]))
+        cs = ControlSet(np.array([1.0, 1.0001, 1.5]))
         tables = build_tables(g, make_params(), cs)
-        assert tables.admissible[:, 0].tolist() == [False, True, False]
+        assert tables.admissible[:, 0].tolist() == [True, False, False]
 
     def test_hull_containment(self):
+        # a jump never goes down, so only the top of the hull bars a pair
         g = build_uniform(10, 100, 1.0)
-        cs = ControlSet(np.array([1e-3, 1.5, 1000.0]))
+        cs = ControlSet(np.array([1.0, 1.5, 1000.0]))
         admissible = build_tables(g, make_params(), cs).admissible
-        assert not admissible[2, g.n_nodes - 1]
-        assert not admissible[0, 0]
-        assert admissible[1, 50]
+        top = g.n_nodes - 1
+        assert admissible[:, top].tolist() == [True, False, False]
+        assert admissible[:, 50].tolist() == [True, True, False]
+        assert admissible[:, 1].all()
 
 
 class TestOperatorRow:
@@ -201,7 +276,7 @@ class TestOperatorRow:
     def test_constant_row_is_discounted_constant(self):
         g = build_uniform(10, 50, 1.0)
         p = make_params()
-        cs = ControlSet(np.array([0.8, 1.3, 2.0]))
+        cs = ControlSet(np.array([1.1, 1.3, 2.0]))
         vals = operator_values(np.full(g.n_nodes, 3.7), g, p, build_tables(g, p, cs))
         for j, k in ((5, 0), (20, 1), (40, 2)):
             rho = cs.candidates[k]
@@ -225,7 +300,7 @@ class TestOperatorRow:
     def test_matches_oracle_on_random_rows(self):
         g = build_uniform(4, 37, 1.0)
         p = dear_params()
-        cs = ControlSet(np.array([0.4, 0.93, 1.0, 1.075, 1.8, 6.0]))
+        cs = ControlSet(np.array([1.0, 1.03, 1.075, 1.8, 6.0, 40.0]))
         tables = build_tables(g, p, cs)
         rng = np.random.default_rng(11)
         v = np.sort(rng.uniform(0.1, 9.0, g.n_nodes))[::-1].copy()
@@ -242,13 +317,12 @@ class TestOperatorRow:
 class TestManufacturedSolution:
     """The stored rows against the continuous operator on a smooth v*.
 
-    v*(s) = e^{-2s} + s^3 under the one candidate rho = 0.5: the jump
-    target lies below s, so the drift is upwinded forward, and the top
-    node's forward difference reads the ghost v[m] := v[m - 2]. Both the
-    interior and the top node are first-order consistent.
+    v*(s) = e^{-2s} + s^3 under the one candidate rho = 1.5: the jump
+    target lies above s, so the drift is upwinded backward, and every
+    stored row is first-order consistent.
     """
 
-    RHO = 0.5
+    RHO = 1.5
 
     @staticmethod
     def continuous(p, s, rho):
@@ -260,23 +334,22 @@ class TestManufacturedSolution:
         drift = p.pi_intensity * (1.0 - rho) * s * (1.0 - s) * slope
         return p.pi_intensity * (jumped - v) + drift + p.r * v, v
 
-    def errors(self, m):
+    def error(self, m):
         g = build_uniform(1, m, 1.0)
         p = make_params()
         tables = build_tables(g, p, ControlSet(np.array([self.RHO])))
         want, v = self.continuous(p, g.states, self.RHO)
-        # the jump from the lowest nodes leaves the hull: no row there
+        # the first node admits rho = 1 only, and the jump from the top
+        # nodes leaves the hull: no row there
         rows = np.isfinite(tables.source[0])
-        assert rows[-1] and rows.sum() >= m - 3
+        assert not rows[0] and rows[1] and rows.sum() >= m - 3
         got = operator_values(v, g, p, tables)[0, rows] - tables.source[0, rows]
-        err = np.abs(got - want[rows])
-        return err[:-1].max(), err[-1]
+        return np.abs(got - want[rows]).max()
 
     def test_observed_order_is_first(self):
         meshes = (100, 400, 1600)
-        errs = np.array([self.errors(m) for m in meshes])
-        # the ghost node's constant is about nine times the interior's
-        assert errs[0, 0] < 1e-2 and errs[0, 1] < 1e-1
+        errs = np.array([self.error(m) for m in meshes])
+        assert errs[0] < 1e-2
         order = np.log(errs[:-1] / errs[1:]) / np.log(4.0)
         assert np.all(order >= 0.9), order
 
@@ -287,27 +360,28 @@ class TestManufacturedLayerSolve:
     v*(s) = e^{-2s} is strictly decreasing, so the obstacle stays
     inactive. The store's income is replaced by a manufactured one: minus
     the continuous operator at v* for the candidate RHO, and minus r v*
-    for rho = 1, whose row is exactly r v. rho = 1 alone is admissible
-    where the jump of RHO leaves the hull; wherever RHO is admissible,
-    rho = 1 earns MARGIN more and never wins. v* with v_next = v* then
-    solves the continuous layer, and the solved row's error, through the
-    control choice and the policy solve, is first order in m.
+    for rho = 1, whose row is exactly r v. rho = 1 alone is admissible at
+    the first node and where the jump of RHO leaves the hull; wherever RHO
+    is admissible, rho = 1 earns MARGIN more and never wins. v* with
+    v_next = v* then solves the continuous layer, and the solved row's
+    error, through the control choice and the policy solve, is first order
+    in m.
     """
 
-    RHO = 0.5
+    RHO = 1.5
     MARGIN = 1.0
 
     def error(self, m):
         g = build_uniform(1, m, 1.0)  # h_t = 1: the layer error is not scaled down
         p = make_params()
         s = g.states
-        tables = build_tables(g, p, ControlSet(np.array([self.RHO, 1.0])))
+        tables = build_tables(g, p, ControlSet(np.array([1.0, self.RHO])))
         v = np.exp(-2.0 * s)
         jumped = np.exp(-2.0 * jump_target(s, self.RHO))
         drift = (1.0 - self.RHO) * s * (1.0 - s) * (-2.0 * v)
         continuous = p.pi_intensity * (jumped - v + drift) + p.r * v
-        jumps = tables.admissible[0]
-        income = np.stack([-continuous, -p.r * v + self.MARGIN * jumps])
+        jumps = tables.admissible[1]
+        income = np.stack([-p.r * v + self.MARGIN * jumps, -continuous])
         manufactured = dataclasses.replace(
             tables, source=np.where(tables.admissible, income, np.inf)
         )
@@ -372,7 +446,7 @@ class TestMinimize:
         rng = np.random.default_rng(23)
         # convex decreasing row
         v = np.sort(rng.uniform(0.2, 8.0, g.n_nodes))[::-1].copy()
-        cs = ControlSet(np.sort(np.append(np.geomspace(0.05, 20.0, 50), 1.0)))
+        cs = ControlSet(np.geomspace(1.0, 20.0, 50))
         s = list(g.states)
         rho_got, val_got = best_candidates(v, g, p, cs)
         for j in range(g.n_nodes):
@@ -407,27 +481,26 @@ class TestMinimize:
             assert rho[j] == 1.0
 
     def test_tie_takes_smallest(self):
-        # constant row, cheap params: every rho >= 1 scores r*c exactly,
-        # rho < 1 pays a positive premium refund
+        # constant row, cheap params: every rho scores r*c exactly
         g = build_uniform(10, 50, 1.0)
         p = make_params()
         v = np.full(g.n_nodes, 2.0)
-        cs = ControlSet(np.array([0.5, 1.0, 1.5, 2.0]))
+        cs = ControlSet(np.array([1.0, 1.5, 2.0, 3.0]))
         rho, val = best_candidates(v, g, p, cs)
         assert rho[25] == 1.0
         assert val[25] == pytest.approx(p.r * 2.0, rel=1e-13)
 
     @pytest.mark.parametrize("c", [3.7, 1.0 / 3.0, 123.456])
     def test_constant_rows_tie_exactly(self, c):
-        # on a constant row every admissible rho >= 1 must score the same
-        # bits at every node, so the argmin takes rho = 1 everywhere
+        # on a constant row every admissible rho must score the same bits
+        # at every node, so the argmin takes rho = 1 everywhere
         g = build_uniform(10, 50, 1.0)
         p = make_params()
-        cs = ControlSet(np.array([0.5, 1.0, 1.5, 2.0]))
+        cs = ControlSet(np.array([1.0, 1.5, 2.0, 3.0]))
         tables = build_tables(g, p, cs)
         vals = operator_values(np.full(g.n_nodes, c), g, p, tables)
         for j in range(g.n_nodes):
-            kept = vals[1:, j][tables.admissible[1:, j]]
+            kept = vals[:, j][tables.admissible[:, j]]
             assert np.all(kept == kept[0])
         np.testing.assert_array_equal(cs.candidates[np.argmin(vals, axis=0)], 1.0)
 
@@ -566,7 +639,7 @@ class TestPolicySystem:
         # obstacle rows
         g = build_uniform(4, 20, 1.0)
         p = dear_params()
-        cs = ControlSet(np.array([0.7, 1.0, 1.3]))
+        cs = ControlSet(np.array([1.0, 1.3, 1.7]))
         tables = build_tables(g, p, cs)
         rng = np.random.default_rng(9)
         v_next = np.sort(rng.uniform(0.5, 6.0, g.n_nodes))[::-1].copy()
