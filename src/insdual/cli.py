@@ -13,7 +13,9 @@ Poisson draw; every claim has size delta), and writes
     strategy.dat      two-column (t, theta) series
     wealth.dat        two-column (t, wealth) series
 
-Floats are written with 17 significant digits and a fixed newline so two
+Floats are written as ``%.17g``: 17 significant digits with trailing zeros
+dropped (0.5 is ``0.5``), in exponent form from 1e17 up and below 1e-4
+(``1e+17``, ``1.0000000000000001e-05``). With a fixed newline, two
 identical runs produce byte-identical files.
 """
 
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import itertools
 import json
 import os
 import sys
@@ -163,44 +164,56 @@ def _model_params(config: RunConfig) -> ModelParams:
 
 
 def _cells(values):
-    """Artifact text of a float array, row-major: 17 significant digits."""
-    return list(map("{:.17g}".format, np.ravel(values).tolist()))
+    """Artifact text of a 1-d float array: ``%.17g`` per value."""
+    return list(map("%.17g".__mod__, values.tolist()))
 
 
-# rows joined per write: one write per row costs a call each, and one
-# string for the whole table holds every row's text at once
-_BLOCK_ROWS = 4096
+def _interleave(*columns):
+    """Equal-length columns as one row-major list of their cells."""
+    flat = [None] * (len(columns) * len(columns[0]))
+    for k, column in enumerate(columns):
+        flat[k :: len(columns)] = column
+    return flat
 
 
-def _write_table(path, columns, header=None, sep=","):
-    """Write equal-length columns of text cells as rows, newline "\\n"."""
-    rows = zip(*columns)
-    with open(path, "w", newline="\n") as f:
-        if header is not None:
-            f.write(header + "\n")
-        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
-            f.write("\n".join(map(sep.join, block)) + "\n")
+def _write_rows(filename, header, row, columns):
+    """Write columns as rows of the % template ``row``, in one format call."""
+    with open(filename, "w", newline="\n") as f:
+        f.write(header + (row * len(columns[0])) % tuple(_interleave(*columns)))
 
 
-def _surface_columns(solution):
-    """Columns of surface.csv; the terminal layer has no control or region."""
+def _write_surface(filename, solution):
+    """Write surface.csv, one format call per layer of ``%.17g`` values."""
     grid = solution.grid
     m = grid.n_nodes
-    blank = [""] * m
-    # the control column holds only ladder candidates: format each once
+    # the control row holds only ladder candidates: each (candidate, region)
+    # pair's text is made once; the terminal layer has neither
     rho, index = np.unique(solution.control, return_inverse=True)
-    rho = _cells(rho)
-    return [
-        [t for t in _cells(grid.times) for _ in range(m)],
-        _cells(grid.states) * (grid.n_steps + 1),
-        _cells(solution.surface),
-        [rho[k] for k in index.ravel().tolist()] + blank,
-        [
-            "jump" if obstacle else "no-jump"
-            for obstacle in solution.region.ravel().tolist()
-        ]
-        + blank,
-    ]
+    pairs = [f",{r},{label}\n" for r in _cells(rho) for label in ("no-jump", "jump")]
+    pairs = np.array(pairs, dtype=object)
+    codes = 2 * index.reshape(solution.control.shape) + solution.region
+    heads = [f",{s},%.17g" for s in _cells(grid.states)]
+    with open(filename, "w", newline="\n") as f:
+        f.write("t,state,value,rho,region\n")
+        for i, t in enumerate(_cells(grid.times)):
+            tail = pairs[codes[i]].tolist() if i < grid.n_steps else [",,\n"] * m
+            template = "".join(_interleave([t] * m, heads, tail))
+            f.write(template % tuple(solution.surface[i].tolist()))
+
+
+def _write_tables(out, solution, path):
+    """Write surface.csv, path.csv, strategy.dat and wealth.dat into out."""
+    _write_surface(os.path.join(out, "surface.csv"), solution)
+    t, theta, wealth = path.times.tolist(), path.theta.tolist(), path.wealth.tolist()
+    _write_rows(
+        os.path.join(out, "path.csv"),
+        "t,theta,wealth,density,regulator,dual_state,claim\n",
+        "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n",
+        [t, theta, wealth, path.density.tolist(), path.regulator.tolist(),
+         path.dual_state.tolist(), path.claim_flag.tolist()],
+    )
+    _write_rows(os.path.join(out, "strategy.dat"), "", "%.17g %.17g\n", [t, theta])
+    _write_rows(os.path.join(out, "wealth.dat"), "", "%.17g %.17g\n", [t, wealth])
 
 
 def _control_sensitivity(solution, config: RunConfig):
@@ -324,20 +337,7 @@ def run(config: RunConfig, out_dir=None) -> dict:
         },
     }
 
-    _write_table(
-        os.path.join(out, "surface.csv"),
-        _surface_columns(solution),
-        header="t,state,value,rho,region",
-    )
-    t, theta, wealth = _cells(path.times), _cells(path.theta), _cells(path.wealth)
-    _write_table(
-        os.path.join(out, "path.csv"),
-        [t, theta, wealth, _cells(path.density), _cells(path.regulator),
-         _cells(path.dual_state), [str(c) for c in path.claim_flag.tolist()]],
-        header="t,theta,wealth,density,regulator,dual_state,claim",
-    )
-    _write_table(os.path.join(out, "strategy.dat"), [t, theta], sep=" ")
-    _write_table(os.path.join(out, "wealth.dat"), [t, wealth], sep=" ")
+    _write_tables(out, solution, path)
     with open(os.path.join(out, "diagnostics.json"), "w", newline="\n") as f:
         json.dump(diagnostics, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -87,7 +87,7 @@ class ModelParams:
 def utility(params: ModelParams, x):
     """CRRA terminal utility x**eta / eta, defined for wealth x >= 0."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
+    if not np.all(x >= 0.0):  # NaN fails too
         raise ValueError("model: utility requires wealth x >= 0")
     out = np.power(x, params.eta) / params.eta
     return float(out) if out.ndim == 0 else out
@@ -99,7 +99,7 @@ def conjugate_utility(params: ModelParams, y):
     Equals sup_x (utility(x) - x*y); convex and decreasing on (0, inf).
     """
     y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0):
+    if not np.all(y > 0.0):  # NaN fails too
         raise ValueError("model: conjugate_utility requires y > 0")
     out = np.power(y, -params.gamma) / params.gamma
     return float(out) if out.ndim == 0 else out
@@ -112,7 +112,7 @@ def inverse_marginal(params: ModelParams, y):
     the conjugate, so conjugate_utility(y) = utility(I(y)) - y * I(y).
     """
     y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0):
+    if not np.all(y > 0.0):  # NaN fails too
         raise ValueError("model: inverse_marginal requires y > 0")
     out = np.power(y, 1.0 / (params.eta - 1.0))
     return float(out) if out.ndim == 0 else out
@@ -157,7 +157,7 @@ def terminal_condition(params: ModelParams, state):
     discounted conjugate utility evaluated at y = expand(state).
     """
     state = np.asarray(state, dtype=float)
-    if np.any((state <= 0.0) | (state >= 1.0)):
+    if not np.all((state > 0.0) & (state < 1.0)):  # NaN fails too
         raise ValueError(
             "model: terminal_condition requires a state strictly inside (0, 1)"
         )

@@ -240,13 +240,6 @@ class TestRun:
             assert len(rows) == 10
             assert all(len(r.split(" ")) == 2 for r in rows)
 
-    def test_control_column_matches_per_cell_format(self, obstacle_regime_solution):
-        # the distinct candidates are formatted once; the column must read
-        # exactly as formatting every cell would
-        sol = obstacle_regime_solution
-        rho = cli._surface_columns(sol)[3]
-        assert rho == cli._cells(sol.control) + [""] * sol.grid.n_nodes
-
     def test_byte_identical_reruns(self, cheap_run_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run(cheap_run_config, out_dir=str(a))
@@ -576,10 +569,130 @@ class TestControlSensitivity:
 class TestWriteTable:
     @pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097, 10000])
     def test_bytes_match_one_line_per_row(self, n_rows, tmp_path):
-        columns = [[f"{i}" for i in range(n_rows)], [f"x{i}" for i in range(n_rows)]]
+        columns = [list(range(n_rows)), [f"x{i}" for i in range(n_rows)]]
         path = tmp_path / "t.csv"
-        cli._write_table(path, columns, header="a,b")
+        cli._write_rows(path, "a,b\n", "%d,%s\n", columns)
         lines = "".join(f"{i},x{i}\n" for i in range(n_rows))
         assert path.read_bytes() == ("a,b\n" + lines).encode()
-        cli._write_table(path, columns, sep=" ")
+        cli._write_rows(path, "", "%d %s\n", columns)
         assert path.read_bytes() == lines.replace(",", " ").encode()
+
+
+def oracle_surface(solution):
+    """surface.csv written one formatted cell and one joined row at a time."""
+    cell = "{:.17g}".format
+    g = solution.grid
+    lines = ["t,state,value,rho,region"]
+    for i, t in enumerate(g.times.tolist()):
+        for j, state in enumerate(g.states.tolist()):
+            row = [cell(t), cell(state), cell(solution.surface[i, j].item())]
+            if i < g.n_steps:
+                region = "jump" if solution.region[i, j] else "no-jump"
+                row += [cell(solution.control[i, j].item()), region]
+            else:
+                row += ["", ""]
+            lines.append(",".join(row))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def oracle_tables(out, solution, path):
+    """The four text artifacts, written by the oracle into the directory out."""
+    cell = "{:.17g}".format
+    (out / "surface.csv").write_bytes(oracle_surface(solution))
+    columns = [
+        path.times, path.theta, path.wealth, path.density, path.regulator,
+        path.dual_state,
+    ]
+    rows = [[cell(c[k].item()) for c in columns] for k in range(path.times.size)]
+    claims = [str(int(n)) for n in path.claim_flag]
+    for name, header, lines in [
+        ("path.csv", ["t,theta,wealth,density,regulator,dual_state,claim"],
+         [",".join([*row, n]) for row, n in zip(rows, claims)]),
+        ("strategy.dat", [], [f"{row[0]} {row[1]}" for row in rows]),
+        ("wealth.dat", [], [f"{row[0]} {row[2]}" for row in rows]),
+    ]:
+        text = "".join(line + "\n" for line in header + lines)
+        (out / name).write_bytes(text.encode())
+
+
+def assert_same_text_artifacts(a, b):
+    for name in ("surface.csv", "path.csv", "strategy.dat", "wealth.dat"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestArtifactText:
+    @pytest.mark.parametrize(
+        "fixture", ["dear_refined_solution", "obstacle_regime_solution"]
+    )
+    def test_matches_oracle(self, fixture, two_claims, request, tmp_path):
+        sol = request.getfixturevalue(fixture)
+        path = policy.evolve_path(sol, two_claims, 1.0)
+        written, oracle = tmp_path / "written", tmp_path / "oracle"
+        written.mkdir()
+        oracle.mkdir()
+        cli._write_tables(str(written), sol, path)
+        oracle_tables(oracle, sol, path)
+        assert_same_text_artifacts(written, oracle)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_no_refine_run_matches_oracle(self, tmp_path, monkeypatch):
+        tables = []
+        real = cli._write_tables
+
+        def capture(out, solution, path):
+            tables.append((solution, path))
+            real(out, solution, path)
+
+        monkeypatch.setattr(cli, "_write_tables", capture)
+        written, oracle = tmp_path / "written", tmp_path / "oracle"
+        assert main(["--no-refine", "--out", str(written)]) == 0
+        oracle.mkdir()
+        oracle_tables(oracle, *tables[0])
+        assert_same_text_artifacts(written, oracle)
+
+    def test_hand_made_tables(self, dear_params, tmp_path):
+        # every ladder candidate under both region labels, and values %g
+        # writes in fixed form and in exponent form, in every float column
+        controls = scheme.make_control_set(dear_params, count=7)
+        k = controls.candidates.size
+        g = grid.build_uniform(1, 2 * k + 1, dear_params.T)
+        extremes = [-0.0, 5e-324, 1e-5, 0.5, 1e17, 1.7976931348623157e308]
+        values = (extremes * g.n_nodes)[: 2 * g.n_nodes]
+        sol = howard.DiscreteSolution(
+            grid=g,
+            params=dear_params,
+            controls=controls,
+            surface=np.array(values).reshape(2, g.n_nodes),
+            control=np.repeat(controls.candidates, 2)[None, :],
+            region=np.tile([False, True], k)[None, :],
+        )
+        column = [np.roll(extremes, shift) for shift in range(6)]
+        index = np.zeros(6, dtype=np.int64)
+        path = policy.PolicyPath(
+            times=column[0], density=column[1], regulator=column[2],
+            dual_state=column[3], state_index=index, jump_state_index=index,
+            regulated_state_index=index, theta=column[4], wealth=column[5],
+            claim_flag=np.array([0, 1, 2, 3, 255, 0], dtype=np.uint8),
+            y_init=1.0, j_init=0,
+        )
+        written, oracle = tmp_path / "written", tmp_path / "oracle"
+        written.mkdir()
+        oracle.mkdir()
+        cli._write_tables(str(written), sol, path)
+        oracle_tables(oracle, sol, path)
+        assert_same_text_artifacts(written, oracle)
+        texts = {
+            "-0", "4.9406564584124654e-324", "1.0000000000000001e-05", "0.5",
+            "1e+17", "1.7976931348623157e+308",
+        }
+        lines = (written / "path.csv").read_text().splitlines()[1:]
+        for j in range(6):
+            assert {line.split(",")[j] for line in lines} == texts
+        lines = (written / "surface.csv").read_text().splitlines()[1:]
+        assert {line.split(",")[2] for line in lines} == texts
+        rows = [line.split(",")[3:] for line in lines]
+        assert {(float(rho), region) for rho, region in rows[:-g.n_nodes]} == {
+            (rho, region) for rho in controls.candidates.tolist()
+            for region in ("jump", "no-jump")
+        }
+        assert all(row == ["", ""] for row in rows[-g.n_nodes:])

@@ -72,6 +72,11 @@ class TestUtility:
         with pytest.raises(ValueError, match="x >= 0"):
             utility(make_params(), -1e-12)
 
+    @pytest.mark.parametrize("value", [np.nan, [1.0, np.nan]], ids=["scalar", "array"])
+    def test_nan_wealth_rejected(self, value):
+        with pytest.raises(ValueError, match="x >= 0"):
+            utility(make_params(), value)
+
     def test_vectorized(self):
         p = make_params()
         np.testing.assert_allclose(utility(p, [1.0, 4.0]), [2.0, 4.0])
@@ -94,6 +99,11 @@ class TestConjugate:
     def test_domain(self):
         with pytest.raises(ValueError, match="y > 0"):
             conjugate_utility(make_params(), 0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, [1.0, np.nan]], ids=["scalar", "array"])
+    def test_nan_rejected(self, value):
+        with pytest.raises(ValueError, match="conjugate_utility requires y > 0"):
+            conjugate_utility(make_params(), value)
 
     @given(
         y1=st.floats(0.05, 50.0),
@@ -131,6 +141,11 @@ class TestInverseMarginal:
     def test_domain(self):
         with pytest.raises(ValueError, match="y > 0"):
             inverse_marginal(make_params(), -2.0)
+
+    @pytest.mark.parametrize("value", [np.nan, [1.0, np.nan]], ids=["scalar", "array"])
+    def test_nan_rejected(self, value):
+        with pytest.raises(ValueError, match="inverse_marginal requires y > 0"):
+            inverse_marginal(make_params(), value)
 
 
 class TestCompactification:
@@ -181,3 +196,8 @@ class TestTerminalCondition:
     def test_domain(self):
         with pytest.raises(ValueError):
             terminal_condition(make_params(), 1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, [0.5, np.nan]], ids=["scalar", "array"])
+    def test_nan_rejected(self, value):
+        with pytest.raises(ValueError, match="strictly inside"):
+            terminal_condition(make_params(), value)
