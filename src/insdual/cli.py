@@ -27,6 +27,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,7 +47,8 @@ from .policy import (
     find_initial_state,
     sde_residual,
 )
-from .scheme import build_tables, make_control_set, operator_values
+from .scheme import CONTROL_COUNT, CONTROL_HIGH, CONTROL_LOW, build_tables
+from .scheme import make_control_set, operator_values
 from .simulate import ClaimSchedule, poisson_schedule
 
 __all__ = ["ConfigError", "RunConfig", "run", "main"]
@@ -85,9 +87,6 @@ class RunConfig:
     n_state: int = _key("grid", 100)
     refine: bool = _key("grid", True)
     refine_step: float = _key("grid", 1.0 / 4000.0)
-    control_low: float = _key("controls", 1e-3)
-    control_high: float = _key("controls", 1e3)
-    control_count: int = _key("controls", 101)
     # the starting wealth is this package's choice, not a published value:
     # 1.0 lands the starting node mid-mesh under the default parameters
     x0: float = _key("experiment", 1.0)
@@ -95,6 +94,10 @@ class RunConfig:
     claim_times: tuple = _key("experiment", (0.4, 0.8))
     seed: int | None = _key("experiment", None)
     out_dir: str = _key("output", "out")
+    # not keys: the run's fixed ladder, read here by perfbench's default_problem
+    control_low: ClassVar[float] = CONTROL_LOW
+    control_high: ClassVar[float] = CONTROL_HIGH
+    control_count: ClassVar[int] = CONTROL_COUNT
 
 
 # (section, key) -> kind; annotations are strings under postponed evaluation
@@ -216,7 +219,7 @@ def _write_tables(out, solution, path):
     _write_rows(os.path.join(out, "wealth.dat"), "", "%.17g %.17g\n", [t, wealth])
 
 
-def _control_sensitivity(solution, config: RunConfig):
+def _control_sensitivity(solution):
     """Rerun the starting-layer minimization with a doubled candidate range.
 
     Reports how far the per-node minimized stationary value moves (h_t
@@ -226,12 +229,8 @@ def _control_sensitivity(solution, config: RunConfig):
     """
     grid = solution.grid
     params = solution.params
-    wide = make_control_set(
-        params,
-        low=config.control_low / 2.0,
-        high=config.control_high * 2.0,
-        count=config.control_count,
-    )
+    low, high = CONTROL_LOW / 2.0, CONTROL_HIGH * 2.0
+    wide = make_control_set(params, low=low, high=high)
     v0 = solution.surface[0]
     # a solved layer's control row is the argmin of the store at its row,
     # so both ladders are scanned alike
@@ -248,8 +247,8 @@ def _control_sensitivity(solution, config: RunConfig):
         )
     )
     return {
-        "low": config.control_low / 2.0,
-        "high": config.control_high * 2.0,
+        "low": low,
+        "high": high,
         "max_value_shift": float(shift.max()),
         "changed_nodes": int(changed),
     }
@@ -267,12 +266,7 @@ def run(config: RunConfig, out_dir=None) -> dict:
     """
     out = config.out_dir if out_dir is None else out_dir
     params = _model_params(config)
-    controls = make_control_set(
-        params,
-        low=config.control_low,
-        high=config.control_high,
-        count=config.control_count,
-    )
+    controls = make_control_set(params)
     # validated here, so a bad schedule or wealth is rejected before any solve
     if config.seed is None:
         claims = ClaimSchedule(times=config.claim_times)
@@ -322,7 +316,7 @@ def run(config: RunConfig, out_dir=None) -> dict:
             "largest_minimum": largest,
         },
         "growth_bounds": {"below_lower": below, "above_upper": above},
-        "control_sensitivity": _control_sensitivity(solution, config),
+        "control_sensitivity": _control_sensitivity(solution),
         "path": {
             "starting_wealth": config.x0,
             "sde_residual": sde_residual(path, params),

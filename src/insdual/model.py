@@ -93,16 +93,28 @@ def utility(params: ModelParams, x):
     return float(out) if out.ndim == 0 else out
 
 
+def _finite(params: ModelParams, name, out):
+    """``out`` if every value is finite, else a ValueError that names eta."""
+    if not np.isfinite(out).all():
+        raise ValueError(
+            f"model: {name} overflows the largest double at eta = {params.eta} "
+            f"(gamma = {params.gamma:.6g}); take a smaller eta"
+        )
+    return float(out) if out.ndim == 0 else out
+
+
 def conjugate_utility(params: ModelParams, y):
     """Convex conjugate of the utility, y**(-gamma) / gamma for y > 0.
 
     Equals sup_x (utility(x) - x*y); convex and decreasing on (0, inf).
+    A value past the largest double (small y, eta near 1) is a ValueError.
     """
     y = np.asarray(y, dtype=float)
     if not np.all(y > 0.0):  # NaN fails too
         raise ValueError("model: conjugate_utility requires y > 0")
-    out = np.power(y, -params.gamma) / params.gamma
-    return float(out) if out.ndim == 0 else out
+    with np.errstate(over="ignore"):
+        out = np.power(y, -params.gamma) / params.gamma
+    return _finite(params, "conjugate_utility", out)
 
 
 def inverse_marginal(params: ModelParams, y):
@@ -154,16 +166,20 @@ def terminal_condition(params: ModelParams, state):
     """Discounted terminal row of the backward solve, on compact states.
 
     exp(-r*T) * ((1 - state) / state)**gamma / gamma, which is the
-    discounted conjugate utility evaluated at y = expand(state).
+    discounted conjugate utility evaluated at y = expand(state). A value
+    past the largest double (a low state, eta near 1) is a ValueError.
     """
     state = np.asarray(state, dtype=float)
     if not np.all((state > 0.0) & (state < 1.0)):  # NaN fails too
         raise ValueError(
             "model: terminal_condition requires a state strictly inside (0, 1)"
         )
-    out = (
-        np.exp(-params.r * params.T)
-        * np.power((1.0 - state) / state, params.gamma)
-        / params.gamma
-    )
-    return float(out) if out.ndim == 0 else out
+    # an overflow is reported by name, not as a warning; 0 * inf (an
+    # underflowed discount) is NaN, reported alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (
+            np.exp(-params.r * params.T)
+            * np.power((1.0 - state) / state, params.gamma)
+            / params.gamma
+        )
+    return _finite(params, "terminal_condition", out)

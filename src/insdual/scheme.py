@@ -72,6 +72,10 @@ __all__ = [
     "solve_policy_system",
 ]
 
+CONTROL_LOW = 1e-3
+CONTROL_HIGH = 1e3
+CONTROL_COUNT = 101
+
 
 @dataclass(frozen=True)
 class ControlSet:
@@ -95,7 +99,8 @@ class ControlSet:
 
 
 def make_control_set(
-    params: ModelParams, low: float = 1e-3, high: float = 1e3, count: int = 101
+    params: ModelParams, low: float = CONTROL_LOW, high: float = CONTROL_HIGH,
+    count: int = CONTROL_COUNT,
 ) -> ControlSet:
     """Geometric candidate ladder plus the two structurally special values.
 

@@ -50,8 +50,11 @@ def poisson_schedule(intensity: float, horizon: float, seed: int) -> ClaimSchedu
 
     Uses numpy's seeded default generator (PCG64), so one seed gives the
     same schedule on every platform. horizon = 0 yields an empty schedule.
-    Both arguments must be finite (NaN fails the checks).
+    Both arguments must be finite (NaN fails the checks), and the seed an
+    integer >= 0.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"simulate: seed must be a nonnegative integer, got {seed}")
     if not 0.0 < intensity < np.inf:
         raise ValueError(f"simulate: intensity must be positive and finite, got {intensity}")
     if not 0.0 <= horizon < np.inf:

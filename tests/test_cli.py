@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -26,9 +27,6 @@ n_time = 10
 n_state = 40
 refine = no
 
-[controls]
-control_count = 21
-
 [experiment]
 x0 = 1.0
 claim_times = 0.3, 0.7
@@ -51,8 +49,6 @@ class TestLoadConfig:
             "intensity = 3.0\nhorizon = 2.0\n"
             "[grid]\n"
             "n_time = 20\nn_state = 50\nrefine = true\nrefine_step = 0.001\n"
-            "[controls]\n"
-            "control_low = 0.01\ncontrol_high = 50\ncontrol_count = 11\n"
             "[experiment]\n"
             "x0 = 1.5\nclaim_times = 0.5, 1.5\nseed = 4\n"
             "[output]\nout_dir = artifacts\n"
@@ -69,9 +65,6 @@ class TestLoadConfig:
         assert config.n_state == 50
         assert config.refine is True
         assert config.refine_step == 0.001
-        assert config.control_low == 0.01
-        assert config.control_high == 50.0
-        assert config.control_count == 11
         assert config.x0 == 1.5
         assert config.claim_times == (0.5, 1.5)
         assert config.seed == 4
@@ -180,7 +173,7 @@ def count_calls(monkeypatch, *names):
 def cheap_run_config():
     return RunConfig(
         alpha=2.0, beta=2.0, n_time=10, n_state=40,
-        refine=False, control_count=21, claim_times=(0.3, 0.7),
+        refine=False, claim_times=(0.3, 0.7),
     )
 
 
@@ -233,6 +226,19 @@ class TestRun:
         assert on_disk["claims"]["source"] == "deterministic"
         assert on_disk["grid"]["refined"] is False
 
+    def test_controls_come_from_the_default_ladder(self, artifacts, cheap_run_config):
+        # the ladder is a constant of the run: RunConfig only mirrors
+        # make_control_set's defaults, and no INI key reaches it
+        out, _ = artifacts
+        defaults = inspect.signature(scheme.make_control_set).parameters
+        for key in ("low", "high", "count"):
+            assert getattr(RunConfig, f"control_{key}") == defaults[key].default
+        assert len(dataclasses.fields(RunConfig)) == 15
+        ladder = scheme.make_control_set(cli._model_params(cheap_run_config)).candidates
+        rows = (out / "surface.csv").read_text().splitlines()[1:]
+        chosen = {float(row.split(",")[3]) for row in rows if row.split(",")[3]}
+        assert chosen and chosen <= set(ladder.tolist())
+
     def test_series_files_two_columns(self, artifacts):
         out, _ = artifacts
         for name in ("strategy.dat", "wealth.dat"):
@@ -265,7 +271,7 @@ class TestWorkCount:
             return solutions[-1]
 
         monkeypatch.setattr(cli, "solve_backward", solve)
-        run(RunConfig(n_time=10, n_state=40, control_count=21), out_dir=str(tmp_path))
+        run(RunConfig(n_time=10, n_state=40), out_dir=str(tmp_path))
         assert len(solutions) == 2
         sweeps = sum(d.iterations for sol in solutions for d in sol.diagnostics)
         started = sum(sol.grid.n_steps - 1 for sol in solutions)
@@ -303,7 +309,7 @@ class TestMain:
     def test_run_writes_nothing_to_stdout(self, seed, tmp_path, capsys):
         # perfbench reads its result off its last stdout line: only main
         # reports, after run returns
-        config = RunConfig(n_time=10, n_state=40, control_count=21, seed=seed)
+        config = RunConfig(n_time=10, n_state=40, seed=seed)
         run(config, out_dir=str(tmp_path))
         assert capsys.readouterr().out == ""
 
@@ -316,12 +322,8 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "old, new, named",
-        [
-            ("alpha = 2.0", "alpha = nan", "alpha must be finite"),
-            ("control_count = 21", "control_count = 21\ncontrol_high = inf",
-             "candidates must be finite"),
-        ],
-        ids=["alpha", "control_high"],
+        [("alpha = 2.0", "alpha = nan", "alpha must be finite")],
+        ids=["alpha"],
     )
     def test_nan_model_parameter_rejected_before_any_solve(
         self, old, new, named, tmp_path, monkeypatch, capsys
@@ -345,8 +347,17 @@ class TestMain:
             ("refine = no", "refine = yes\nrefine_halfwidth = 0",
              "'refine_halfwidth' in section [grid]"),
             ("refine = no", "refine = yes\nrefine_step = 0.5", "fine_step must lie in"),
+            # the candidate ladder is a constant too
+            ("refine = no", "refine = no\n\n[controls]\ncontrol_low = 0.001",
+             "'control_low' in section [controls]"),
+            ("refine = no", "refine = no\n\n[controls]\ncontrol_high = inf",
+             "'control_high' in section [controls]"),
+            ("refine = no", "refine = no\n\n[controls]\ncontrol_count = 21",
+             "'control_count' in section [controls]"),
+            ("refine = no", "refine = no\n\n[controls]\n", "unknown section [controls]"),
         ],
-        ids=["max_iter-0", "max_iter-neg", "refine_halfwidth", "refine_step"],
+        ids=["max_iter-0", "max_iter-neg", "refine_halfwidth", "refine_step",
+             "control_low", "control_high", "control_count", "controls"],
     )
     def test_solver_and_refine_keys_rejected_before_any_solve(
         self, old, new, named, tmp_path, monkeypatch, capsys
@@ -507,6 +518,37 @@ class TestMain:
         assert calls["solve_backward"] == 0
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("route", ["ini", "flag"])
+    def test_negative_seed_named_before_any_solve(
+        self, route, tmp_path, monkeypatch, capsys
+    ):
+        calls = count_calls(monkeypatch, "solve_backward")
+        ini = tmp_path / "seed.ini"
+        ini.write_text(CHEAP_INI + ("seed = -1\n" if route == "ini" else ""))
+        argv = ["--config", str(ini), "--out", str(tmp_path / "o")]
+        code = main(argv + (["--seed", "-1"] if route == "flag" else []))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "simulate: seed must be a nonnegative integer, got -1" in err
+        assert calls["solve_backward"] == 0
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_eta_rejected_before_any_layer(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 39**199 passes the largest double at the mesh's lowest node; the
+        # overflow is a validation failure naming eta, with no numpy
+        # warning (the suite turns every warning into an error)
+        calls = count_calls(monkeypatch, "solve_time_step")
+        bad = tmp_path / "eta.ini"
+        bad.write_text(CHEAP_INI.replace("eta = 0.5", "eta = 0.995"))
+        code = main(["--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "eta = 0.995" in err
+        assert "Warning" not in err
+        assert calls["solve_time_step"] == 0
+
     def test_claim_mark_key_rejected_by_name(self, tmp_path, monkeypatch, capsys):
         # every claim has size delta, so the removed key is an unknown one,
         # even when it repeats delta
@@ -532,13 +574,10 @@ class TestMain:
 
 class TestControlSensitivity:
     @staticmethod
-    def full_scans(solution, config):
+    def full_scans(solution):
         # both ladders scanned in full at the starting layer
         g, p = solution.grid, solution.params
-        wide = scheme.make_control_set(
-            p, low=config.control_low / 2.0, high=config.control_high * 2.0,
-            count=config.control_count,
-        )
+        wide = scheme.make_control_set(p, low=0.5e-3, high=2e3)
         v0 = solution.surface[0]
         base_vals = scheme.operator_values(v0, g, p, solution.tables)
         wide_vals = scheme.operator_values(v0, g, p, scheme.build_tables(g, p, wide))
@@ -553,17 +592,13 @@ class TestControlSensitivity:
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_matches_full_scans(self):
-        config = RunConfig(n_time=10, n_state=40, control_count=21)
-        params = cli._model_params(config)
+        params = cli._model_params(RunConfig())
         sol = howard.solve_backward(
-            grid.build_uniform(config.n_time, config.n_state, params.T),
-            params,
-            scheme.make_control_set(params, count=config.control_count),
+            grid.build_uniform(10, 40, params.T), params, scheme.make_control_set(params)
         )
-        got = cli._control_sensitivity(sol, config)
-        assert (got["max_value_shift"], got["changed_nodes"]) == self.full_scans(
-            sol, config
-        )
+        got = cli._control_sensitivity(sol)
+        assert (got["low"], got["high"]) == (0.0005, 2000.0)
+        assert (got["max_value_shift"], got["changed_nodes"]) == self.full_scans(sol)
 
 
 class TestWriteTable:

@@ -100,6 +100,12 @@ class TestConjugate:
         with pytest.raises(ValueError, match="y > 0"):
             conjugate_utility(make_params(), 0.0)
 
+    def test_overflow_names_eta(self):
+        p = make_params(eta=0.995)
+        with pytest.raises(ValueError, match=r"conjugate_utility overflows .* eta = 0\.995"):
+            conjugate_utility(p, [1.0, 0.01])
+        assert np.isfinite(conjugate_utility(make_params(eta=0.99), 0.01))
+
     @pytest.mark.parametrize("value", [np.nan, [1.0, np.nan]], ids=["scalar", "array"])
     def test_nan_rejected(self, value):
         with pytest.raises(ValueError, match="conjugate_utility requires y > 0"):
@@ -201,3 +207,26 @@ class TestTerminalCondition:
     def test_nan_rejected(self, value):
         with pytest.raises(ValueError, match="strictly inside"):
             terminal_condition(make_params(), value)
+
+    # the default coarse mesh's lowest node is 0.01, where the row is
+    # 99**gamma / gamma: past the largest double from eta = 0.9936 on
+    DEFAULT_STATES = np.arange(1, 100) / 100.0
+
+    @pytest.mark.parametrize("eta", [0.9936, 0.995])
+    def test_overflow_names_eta(self, eta):
+        # under filterwarnings = error a numpy overflow warning would fail
+        # this test before the ValueError is reached
+        p = make_params(eta=eta)
+        with pytest.raises(ValueError, match=f"overflows .* eta = {eta}"):
+            terminal_condition(p, self.DEFAULT_STATES)
+        with pytest.raises(ValueError, match=f"overflows .* eta = {eta}"):
+            terminal_condition(p, 0.01)
+
+    @pytest.mark.parametrize("eta", [0.99, 0.9935])
+    def test_finite_below_the_onset(self, eta):
+        p = make_params(eta=eta)
+        row = terminal_condition(p, self.DEFAULT_STATES)
+        s = self.DEFAULT_STATES
+        expected = np.exp(-p.r * p.T) * np.power((1.0 - s) / s, p.gamma) / p.gamma
+        assert np.isfinite(row).all()
+        np.testing.assert_array_equal(row, expected)

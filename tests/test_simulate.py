@@ -79,6 +79,19 @@ class TestPoissonSchedule:
         with pytest.raises(ValueError, match="horizon"):
             poisson_schedule(1.0, -1.0, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(
+            ValueError, match=f"seed must be a nonnegative integer, got {seed}"
+        ):
+            poisson_schedule(2.0, 1.0, seed=seed)
+
+    def test_numpy_integer_seed(self):
+        np.testing.assert_array_equal(
+            poisson_schedule(2.0, 1.0, seed=np.int64(7)).times,
+            poisson_schedule(2.0, 1.0, seed=7).times,
+        )
+
     @pytest.mark.parametrize(
         "intensity,horizon,name",
         [
