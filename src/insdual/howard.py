@@ -270,11 +270,19 @@ def solve_backward(
     Every layer of the sweep shares one _SystemSlot, made for this call
     only, so a repeated policy system is not assembled again and each
     layer's last improvement pass is the next layer's first. Raises
-    ValueError if h_t * r >= 1.
+    ValueError if h_t * r >= 1, or if the ladder lacks rho = 1, the only
+    control the first node admits.
     """
     if grid.h_t * params.r >= 1.0:
         raise ValueError(
             f"howard: h_t * r = {grid.h_t * params.r} must stay below 1"
+        )
+    # the candidates are sorted and >= 1: the ladder holds 1 iff it starts there
+    first = controls.candidates[0]
+    if first != 1.0:
+        raise ValueError(
+            f"howard: the control ladder must hold rho = 1, the only control "
+            f"the first node admits; its first candidate is {first}"
         )
     tables = build_tables(grid, params, controls)
     n = grid.n_steps

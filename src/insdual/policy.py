@@ -32,13 +32,15 @@ every later step under that node's control rho, claim steps included (the
 densities are one sequential product of the growth factors and kicks
 rho^c, the bits of the per-step update), up to its first cut: a step whose
 control is not rho, whose state is not positive and finite, leaves the
-node hull or needs regulation. The per-step rules, on Python floats, take
-the cut step. A path with no cut is one pass; a pass never raises, so a
-failing path fails with the error the per-step rules raise first. One
-read-off after the first phase then does the jumped states, coverage and
-wealth of every step with arrays, from the (n_steps, m) read-only wealth
-table that is read off once per solution (``DiscreteSolution.wealth``).
-The rules and the bits are those of the steps above.
+node hull or needs regulation. The next pass starts at the cut step. Only
+a step no pass takes (one of the last three kinds) goes to the per-step
+rules, on Python floats, after an empty pass: a regulated step right
+after a pass first meets one. A pass never raises, so a failing path
+fails with the error the per-step rules raise first. One read-off after
+the first phase then does the jumped states, coverage and wealth of
+every step with arrays, from the (n_steps, m) read-only wealth table
+that is read off once per solution (``DiscreteSolution.wealth``). The
+rules and the bits are those of the steps above.
 
 Claims act at the steps ``simulate.claim_steps`` gives them, each of the
 size delta the surface is solved for, and ``sde_residual`` checks the
@@ -215,28 +217,25 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
     d = reg = 1.0
     jpp = j_init
     escapes = 0
-    i, cut = 1, 0  # cut: the step the last pass stopped at
+    i = 1
     try:
         while i < n:
             # the previous step settled on node jpp: its state is that node's
             # or, if regulated, within a few ulps of it, so projecting is redundant
             rho = control(i, jpp)
             growth = float(np.exp(decay * (rho - 1.0)))
-            if i != cut:
-                dens, ys, js, ks = _stretch(
-                    solution, i, rho, growth, d, y_init, reg, flags
-                )
-                cut = i + js.size
-                if js.size:
-                    density[i:cut] = dens
-                    regulator[i:cut] = reg
-                    dual_state[i:cut] = ys
-                    kicks[i:cut] = ks
-                    settled[i:cut] = js
-                    d, jpp, escapes, i = float(dens[-1]), int(js[-1]), 0, cut
-                    continue
+            dens, ys, js, ks = _stretch(solution, i, rho, growth, d, y_init, reg, flags)
+            if js.size:
+                end = i + js.size
+                density[i:end] = dens
+                regulator[i:end] = reg
+                dual_state[i:end] = ys
+                kicks[i:end] = ks
+                settled[i:end] = js
+                d, jpp, escapes, i = float(dens[-1]), int(js[-1]), 0, end
+                continue
 
-            # the per-step rules: the step a pass was cut at
+            # the per-step rules: a step no pass can take
             kick = rho
             d = d * growth
             if flags[i]:

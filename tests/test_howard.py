@@ -284,15 +284,31 @@ class TestBackwardSweep:
         with pytest.raises(ValueError, match="h_t"):
             solve_backward(g, cheap_params, make_control_set(cheap_params))
 
-    def test_nonconvergence_carries_diagnostics(self, cheap_params, monkeypatch):
+    @pytest.mark.parametrize("first", [1.5, 1.0 + 1e-12])
+    def test_ladder_without_one_rejected_before_any_store(
+        self, dear_params, first, monkeypatch
+    ):
+        # the first node admits rho = 1 only, so without it no layer can be
+        # solved; the ladder is named before any operator store is built
+        counts = count_calls(monkeypatch, "build_tables")
+        g = build_uniform(10, 20, dear_params.T)
+        with pytest.raises(ValueError) as exc:
+            solve_backward(g, dear_params, ControlSet([first, 2.0]))
+        assert str(exc.value).endswith(f"its first candidate is {first}")
+        assert counts == {"build_tables": 0}
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_nonconvergence_carries_diagnostics(self, dear_params, monkeypatch):
+        # the dear problem moves its first layer whatever the discount rate
+        # (the cheap one, at r = 0, would keep the terminal row)
         monkeypatch.setattr(howard, "MAX_SWEEPS", 1)
-        g = build_uniform(50, 100, cheap_params.T)
-        cs = make_control_set(cheap_params)
+        g = build_uniform(50, 100, dear_params.T)
+        cs = make_control_set(dear_params)
         with pytest.raises(HowardNonconvergence) as exc:
-            solve_backward(g, cheap_params, cs)
+            solve_backward(g, dear_params, cs)
         err = exc.value
         # one sweep from the terminal row: its change is the distance to it
-        change = np.max(np.abs(err.last_iterate - terminal_condition(cheap_params, g.states)))
+        change = np.max(np.abs(err.last_iterate - terminal_condition(dear_params, g.states)))
         assert str(err) == (
             f"howard: no convergence within 1 iterations at time index {g.n_steps - 1}; "
             f"last sup-change {change:.3e}"

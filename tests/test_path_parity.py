@@ -451,14 +451,31 @@ class TestStretchCuts:
     def test_cut_falls_on_a_claim_step_that_needs_regulation(self, times, monkeypatch):
         # the state drifts down at rho = 1.5 and the claim kick rho^c lifts
         # it onto s = 0.6, where wealth turns negative: that claim step is
-        # the first regulated one, so the pass is cut exactly there
+        # the first regulated one, so the pass is cut exactly there. The
+        # next pass starts there and takes no step, the per-step rules
+        # take it, and a last pass runs from step 31 to the end
         states = np.linspace(0.05, 0.95, 91)
         sol = flat_solution(60, states, (states - 0.6) ** 2, 1.5, pi_intensity=0.5)
         calls = count_projections(monkeypatch)
         path = assert_same_outcome(sol, times, oracle_wealth_row(sol, 0)[50])
         assert path.claim_flag[30] == len(times)
         assert path.regulator[29] == 1.0 and path.regulator[30] < 1.0
-        assert calls == [(59,), (), (29,), (60,)]
+        assert calls == [(59,), (30,), (), (29,), (60,)]
+
+    def test_control_cuts_are_taken_by_the_next_pass(self, monkeypatch):
+        # on the kappa = 3 surface the control changes along the paths, and
+        # no step needs regulation or leaves the hull: each cut step starts
+        # the next pass, and no step goes to the per-step rules
+        p = make_params(alpha=3.0, beta=3.0, pi_intensity=1.0)
+        sol = solve_backward(build_uniform(50, 200, p.T), p, make_control_set(p))
+        calls = count_projections(monkeypatch)
+        for seed in range(20):
+            schedule = poisson_schedule(2.0, 1.0, seed=seed)
+            assert isinstance(assert_same_outcome(sol, schedule, 1.0), PolicyPath)
+        assert () not in calls
+        # one jump read-off per path and, on average, more than two passes:
+        # the passes are cut
+        assert len(calls) > 3 * 20
 
     @pytest.mark.parametrize("count", [2, 3])
     def test_claim_step_leaves_the_hull(self, count):
