@@ -189,17 +189,25 @@ def _write_surface(filename, solution):
     """Write surface.csv, one format call per layer of ``%.17g`` values."""
     grid = solution.grid
     m = grid.n_nodes
-    # the control row holds only ladder candidates: each (candidate, region)
-    # pair's text is made once; the terminal layer has neither
-    rho, index = np.unique(solution.control, return_inverse=True)
-    pairs = [f",{r},{label}\n" for r in _cells(rho) for label in ("no-jump", "jump")]
+    # each (candidate, region) pair's text is made once and picked by the
+    # control's ladder index, for every layer at once; the terminal layer
+    # has neither
+    ladder = solution.controls.candidates
+    index = ladder.searchsorted(solution.control)
+    # any value maps to some slot: one that is not its candidate is refused
+    np.minimum(index, ladder.size - 1, out=index)
+    off = ladder[index] != solution.control
+    if off.any():
+        raise ValueError(
+            f"cli: control {float(solution.control[off][0])} is not a ladder candidate"
+        )
+    pairs = [f",{r},{label}\n" for r in _cells(ladder) for label in ("no-jump", "jump")]
     pairs = np.array(pairs, dtype=object)
-    codes = 2 * index.reshape(solution.control.shape) + solution.region
+    tails = pairs[2 * index + solution.region].tolist() + [[",,\n"] * m]
     heads = [f",{s},%.17g" for s in _cells(grid.states)]
     with open(filename, "w", newline="\n") as f:
         f.write("t,state,value,rho,region\n")
-        for i, t in enumerate(_cells(grid.times)):
-            tail = pairs[codes[i]].tolist() if i < grid.n_steps else [",,\n"] * m
+        for i, (t, tail) in enumerate(zip(_cells(grid.times), tails)):
             template = "".join(_interleave([t] * m, heads, tail))
             f.write(template % tuple(solution.surface[i].tolist()))
 
@@ -333,8 +341,8 @@ def run(config: RunConfig, out_dir=None) -> dict:
 
     _write_tables(out, solution, path)
     with open(os.path.join(out, "diagnostics.json"), "w", newline="\n") as f:
-        json.dump(diagnostics, f, indent=2, sort_keys=True)
-        f.write("\n")
+        # one write: json.dump writes each of its many chunks separately
+        f.write(json.dumps(diagnostics, indent=2, sort_keys=True) + "\n")
     return diagnostics
 
 

@@ -62,8 +62,9 @@ class Grid:
         times.setflags(write=False)
         return times
 
-    @property
+    @cached_property
     def h_t(self) -> float:
+        """Time step times[1] - times[0], made on first use."""
         return float(self.times[1] - self.times[0])
 
     @property
@@ -140,8 +141,15 @@ def refine_around(grid: Grid, center_index: int, fine_step: float) -> Grid:
         raise IndexError(f"grid: center_index {center_index} outside stored nodes")
     coarse = s[center_index] - s[center_index - 1] if center_index > 0 else s[1] - s[0]
     _check_refinement(fine_step, coarse)
-    lo = max(s[center_index] - REFINE_HALFWIDTH * coarse, 0.0)
-    hi = min(s[center_index] + REFINE_HALFWIDTH * coarse, 1.0)
+    lo = s[center_index] - REFINE_HALFWIDTH * coarse
+    hi = s[center_index] + REFINE_HALFWIDTH * coarse
+    # an edge that rounds to within the merge tolerance of 0 or 1 is the
+    # hull boundary, not a node one ulp inside it
+    merge = fine_step * 1e-6
+    if lo < merge:
+        lo = 0.0
+    if hi > 1.0 - merge:
+        hi = 1.0
 
     inside = s[(s > lo) & (s < hi)]
     anchors = [lo, *inside.tolist(), hi]
@@ -157,7 +165,7 @@ def refine_around(grid: Grid, center_index: int, fine_step: float) -> Grid:
 
     merged = np.sort(np.concatenate([s, np.asarray(new_nodes, dtype=float)]))
     keep = np.ones(merged.size, dtype=bool)
-    keep[1:] = np.diff(merged) > fine_step * 1e-6
+    keep[1:] = np.diff(merged) > merge
     return Grid(grid.horizon, grid.n_steps, merged[keep])
 
 

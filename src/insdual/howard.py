@@ -201,17 +201,36 @@ def solve_time_step(
         slot = _SystemSlot()
     v_next = np.asarray(v_next, dtype=float)
     v = v_next.copy()
+    ht = grid.h_t
+    nodes = np.arange(v.size)
+    # the stationary part v_next - v + h_t * chosen, formed in place
+    stationary = np.empty_like(v)
     prev_sig = None
     for it in range(1, MAX_SWEEPS + 1):
-        kstar, stationary, obstacle = _improve(v, v_next, grid, params, tables, slot)
+        # improvement: the ladder index row, the chosen operator values
+        # (scaled by h_t) and the obstacle values read v alone, so a pass
+        # the slot holds for v's bytes is read back, and a scan replaces it
+        at = v.tobytes()
+        if at != slot.scan_at:
+            values = operator_values(v, grid, params, tables)
+            kstar = values.argmin(axis=0)
+            scaled = values[kstar, nodes]
+            scaled *= ht
+            slot.scan = kstar, scaled, obstacle_values(v, grid)
+            slot.scan_at = at
+        kstar, scaled, obstacle = slot.scan
+        np.subtract(v_next, v, out=stationary)
+        stationary += scaled
         # the first node has no obstacle row: its obstacle value is +inf
         region = stationary > obstacle
         sig = _signature(kstar, region)
         if sig == prev_sig:
             # solving the same system again would reproduce v bit for bit
             break
+        # offered to the solve through the slot: formed once per sweep
+        slot.offered = sig
         v_new = solve_policy_system(v_next, grid, params, tables, kstar, region, slot)
-        if not np.all(np.isfinite(v_new)):
+        if not np.isfinite(v_new).all():
             raise HowardNonconvergence(
                 f"howard: policy evaluation produced non-finite values at "
                 f"time index {time_index}",
@@ -230,26 +249,6 @@ def solve_time_step(
         )
     diag = StepDiagnostics(it, *_extrema(stationary, obstacle))
     return v, tables.controls[kstar], region, diag
-
-
-def _improve(v, v_next, grid: Grid, params: ModelParams, tables: OperatorTables, slot):
-    """One improvement pass at the iterate v.
-
-    Returns the minimizing candidate per node and the two arguments of
-    the pointwise minimum: the stationary part at that candidate and the
-    obstacle expression. The ladder index row, the chosen operator values
-    and the obstacle values depend on v alone: a pass ``slot`` holds for
-    v's bytes is read back, and a scan replaces it.
-    """
-    at = v.tobytes()
-    if at != slot.scan_at:
-        values = operator_values(v, grid, params, tables)
-        kstar = np.argmin(values, axis=0)
-        slot.scan = kstar, values[kstar, np.arange(v.size)], obstacle_values(v, grid)
-        slot.scan_at = at
-    kstar, chosen, obstacle = slot.scan
-    stationary = v_next - v + grid.h_t * chosen
-    return kstar, stationary, obstacle
 
 
 def _extrema(stationary, obstacle):
@@ -321,10 +320,12 @@ def complementarity_extrema(solution: DiscreteSolution):
 
     Returns (lowest_argument, largest_minimum): the smallest value either
     argument of the pointwise minimum takes anywhere, and the largest
-    value the minimum itself takes. A converged surface keeps both within
-    a few linear-solver epsilons of zero. Both are reduced from the
-    per-layer values that solve_time_step recorded at each returned row,
-    with no new evaluation of the operator.
+    value the minimum itself takes. Both are in the surface's units and
+    grow with its magnitude: a converged surface keeps them within a few
+    linear-solver epsilons of zero relative to its largest values (a
+    surface reaching 4.7e14 read about +-1e5, 2e-10 relative). Both are
+    reduced from the per-layer values that solve_time_step recorded at
+    each returned row, with no new evaluation of the operator.
     """
     diags = solution.diagnostics
     return (

@@ -271,8 +271,12 @@ def _stored_rows(tables: OperatorTables, node, kstar):
     """
     indptr = tables.matrix.indptr
     pair = node * tables.controls.size + kstar
-    rows = indptr[pair] // WIDTH
-    barred = indptr[pair + 1] // WIDTH == rows
+    start = indptr[pair]
+    barred = indptr[pair + 1] == start
+    rows = start // WIDTH
+    if not barred.any():
+        # a sweep never picks a barred pair: rho = 1 is admissible everywhere
+        return tables.cols[rows], tables.weights[rows]
     rows[barred] = 0
     cols, weights = tables.cols[rows], tables.weights[rows]
     cols[barred] = node[barred, None]
@@ -300,19 +304,24 @@ class _SystemSlot:
     continuation nodes.
 
     ``scan`` is the last improvement pass (see howard): the minimizing
-    ladder index per node, the operator value it chose and the obstacle
-    values, all read off one row alone, and ``scan_at`` is that row's
-    v.tobytes(). A slot holds one grid, one store and one h_t:
+    ladder index per node, h_t times the operator value it chose and the
+    obstacle values, all read off one row alone, and ``scan_at`` is that
+    row's v.tobytes(). A slot holds one grid, one store and one h_t:
     solve_backward makes one per call and never shares it.
+
+    ``offered`` is the signature a sweep formed for the pair it hands the
+    next solve_policy_system call, which takes it (and clears it) in place
+    of forming it again; None makes that call form its own.
     """
 
-    __slots__ = ("signature", "system", "scan_at", "scan")
+    __slots__ = ("signature", "system", "scan_at", "scan", "offered")
 
     def __init__(self):
         self.signature = None
         self.system = None
         self.scan_at = None
         self.scan = None
+        self.offered = None
 
 
 def _signature(kstar, region):
@@ -345,8 +354,12 @@ def solve_policy_system(
     is not assembled again: its stored matrix is solved with the new
     right-hand side, which gives the same bits as a fresh assembly. Any
     other system is assembled and replaces the slot's. Without a slot,
-    every call assembles its system.
+    every call assembles its system. A signature the slot offers is taken
+    as this pair's.
     """
+    if slot is None:
+        slot = _SystemSlot()
+    signature, slot.offered = slot.offered, None
     ht = grid.h_t
     if ht * params.r >= 1.0:
         raise ValueError(
@@ -356,9 +369,8 @@ def solve_policy_system(
     region = np.asarray(region, dtype=bool)
     if region[0]:
         raise ValueError("scheme: the first node has no obstacle row")
-    if slot is None:
-        slot = _SystemSlot()
-    signature = _signature(kstar, region)
+    if signature is None:
+        signature = _signature(kstar, region)
     if signature != slot.signature:
         system = _assemble(ht, tables, kstar, region)
         slot.signature, slot.system = signature, system
@@ -372,8 +384,9 @@ def _assemble(ht, tables: OperatorTables, kstar, region):
     pde = ~region
     # the anchor's position among the continuation nodes, for every node;
     # int32 indices go into the CSR matrix without a check-and-copy
-    fold = np.cumsum(pde, dtype=np.int32) - 1
-    keep = np.flatnonzero(pde)
+    fold = pde.cumsum(dtype=np.int32)
+    fold -= 1
+    keep = pde.nonzero()[0]
     n = keep.size
     k = kstar[keep]
     # an inadmissible pair solves the identity row of its empty store row,

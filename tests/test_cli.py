@@ -278,6 +278,22 @@ class TestWorkCount:
         assert counts["build_tables"] == 3
         assert counts["operator_values"] == sweeps - started + 2
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_default_run_calls(self, tmp_path, monkeypatch):
+        # the calls a default run makes, pinned: the benchmark's trace reads
+        # these functions by name. 258 sweeps over both solves form one
+        # policy signature each; a policy solve takes its sweep's
+        counts = count_calls(
+            monkeypatch, "solve_time_step", "operator_values", "obstacle_values",
+            "solve_policy_system", "spsolve", "build_tables", "_signature",
+        )
+        run(RunConfig(), out_dir=str(tmp_path))
+        assert counts == {
+            "solve_time_step": 100, "operator_values": 162, "obstacle_values": 160,
+            "solve_policy_system": 158, "spsolve": 158, "build_tables": 3,
+            "_signature": 258,
+        }
+
     def test_one_wealth_table_per_solution(
         self, dear_refined_solution, two_claims, monkeypatch
     ):
@@ -731,3 +747,23 @@ class TestArtifactText:
             for region in ("jump", "no-jump")
         }
         assert all(row == ["", ""] for row in rows[-g.n_nodes:])
+
+    @pytest.mark.parametrize("rho", [1.5, 1e9, np.nan])
+    def test_off_ladder_control_refused(self, dear_params, tmp_path, rho):
+        # a control is written by its ladder index, so one that is no
+        # candidate would take its neighbour's text; it is refused by value
+        controls = scheme.make_control_set(dear_params, count=7)
+        g = grid.build_uniform(1, 6, dear_params.T)
+        control = np.ones((1, g.n_nodes))
+        control[0, 2] = rho
+        assert rho not in controls.candidates
+        sol = howard.DiscreteSolution(
+            grid=g,
+            params=dear_params,
+            controls=controls,
+            surface=np.zeros((2, g.n_nodes)),
+            control=control,
+            region=np.zeros((1, g.n_nodes), dtype=bool),
+        )
+        with pytest.raises(ValueError, match=f"control {rho} is not a ladder candidate"):
+            cli._write_surface(str(tmp_path / "surface.csv"), sol)

@@ -133,6 +133,21 @@ class TestRefineAround:
         assert f.states[0] > 0.0
         assert np.all(np.isin(g.states, f.states))
 
+    def test_edge_rounding_to_the_hull_is_no_node(self):
+        # s_c + 2 * (s_c - s_{c-1}) can round to one ulp below 1; such an
+        # edge is the hull's, so no node lies within the merge tolerance
+        # of 0 or 1 (on 3x5 that edge is 1 - 1.1e-16, a dual state of 9e15)
+        step = 1 / 4000
+        merge = step * 1e-6
+        f = refine_around(build_uniform(3, 5, 1.0), 2, step)
+        assert f.states[-1] == 0.99975
+        for n in range(3, 61):
+            g = build_uniform(2, n, 1.0)
+            for c in range(g.n_nodes):
+                f = refine_around(g, c, step)
+                assert merge <= f.states[0] and f.states[-1] <= 1.0 - merge, (n, c)
+                assert np.all(np.isin(g.states, f.states)), (n, c)
+
     def test_rejects_bad_step(self):
         g = build_uniform(10, 100, 1.0)
         with pytest.raises(ValueError, match="fine_step"):
