@@ -80,7 +80,7 @@ class ModelParams:
                 f"model: alpha={self.alpha} is below beta={self.beta}; "
                 "full reinsurance cover has negative net drift",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

@@ -28,9 +28,11 @@ lies below the node, stays under the top of the state hull (a clamped
 projection would discard most of the jump difference and make extreme
 candidates look spuriously cheap). rho = 1 is admissible at every
 node, so the restricted search is never empty. The store carries an
-income rate of +inf at every inadmissible pair, so such a pair scores
-+inf and never wins the minimization, with no mask applied per
-evaluation.
+income rate of +inf at every inadmissible pair, and that rate is its one
+record of admissibility, which both of its readers read: in the
+minimization such a pair scores +inf and never wins, with no mask
+applied per evaluation, and the policy solve refuses a policy that puts
+one at a continuation node.
 
 OperatorTables holds the row of every admissible (node, candidate) pair
 once, node-major, in a fixed-width row store under one CSR matrix built
@@ -165,7 +167,9 @@ class OperatorTables:
     admissible pair is ``matrix.indptr[j*K + k] // WIDTH``. ``source``
     is the (K, m) income rate over (m, K) node-major memory, +inf at
     every inadmissible pair; those +inf rates are the only record of
-    admissibility, and ``admissible`` reads the (K, m) mask off them.
+    admissibility: ``admissible`` reads the (K, m) mask off them,
+    ``operator_values`` lets them score, and ``solve_policy_system``
+    refuses a policy that picks one at a continuation node.
     """
 
     controls: np.ndarray  # (K,)
@@ -262,28 +266,6 @@ def operator_values(v, grid: Grid, params: ModelParams, tables: OperatorTables):
     return out
 
 
-def _stored_rows(tables: OperatorTables, node, kstar):
-    """(cols, weights) copies of the stored rows of the pairs (node, kstar).
-
-    An inadmissible pair has an empty row in the store; it comes back as
-    zero weights on the node's own column, so it adds nothing, as in the
-    CSR product, and the pair's +inf income rate decides its value.
-    """
-    indptr = tables.matrix.indptr
-    pair = node * tables.controls.size + kstar
-    start = indptr[pair]
-    barred = indptr[pair + 1] == start
-    rows = start // WIDTH
-    if not barred.any():
-        # a sweep never picks a barred pair: rho = 1 is admissible everywhere
-        return tables.cols[rows], tables.weights[rows]
-    rows[barred] = 0
-    cols, weights = tables.cols[rows], tables.weights[rows]
-    cols[barred] = node[barred, None]
-    weights[barred] = 0.0
-    return cols, weights
-
-
 def obstacle_values(v, grid: Grid):
     """(m,) obstacle expressions, with +inf at the row-less first node."""
     out = np.empty_like(v)
@@ -356,6 +338,11 @@ def solve_policy_system(
     other system is assembled and replaces the slot's. Without a slot,
     every call assembles its system. A signature the slot offers is taken
     as this pair's.
+
+    Raises ValueError, before any matrix is built or solved, if the
+    control of a continuation node is inadmissible there (its income rate
+    is +inf), naming the first such node. Controls at obstacle nodes do
+    not enter the system and are not checked.
     """
     if slot is None:
         slot = _SystemSlot()
@@ -389,10 +376,15 @@ def _assemble(ht, tables: OperatorTables, kstar, region):
     keep = pde.nonzero()[0]
     n = keep.size
     k = kstar[keep]
-    # an inadmissible pair solves the identity row of its empty store row,
-    # and its +inf income leaves the right-hand side, so the solve,
-    # non-finite
-    cols, weights = _stored_rows(tables, keep, k)
+    source = tables.source[k, keep]
+    barred = np.isinf(source)
+    if barred.any():
+        i = barred.argmax()
+        raise ValueError(
+            f"scheme: control {tables.controls[k[i]]} is inadmissible at node {keep[i]}"
+        )
+    rows = tables.matrix.indptr[keep * tables.controls.size + k] // WIDTH
+    cols, weights = tables.cols[rows], tables.weights[rows]
     # I - h_t A(rho): positive diagonal, nonpositive off-diagonals, and
     # folding columns moves weight within a row, so row sums stay 1 - h_t r
     weights *= -ht
@@ -408,4 +400,5 @@ def _assemble(ht, tables: OperatorTables, kstar, region):
     # spsolve would sum the duplicates in place on its first call; summing
     # here keeps a stored matrix canonical whoever solves it
     matrix.sum_duplicates()
-    return matrix, keep, fold, ht * tables.source[k, keep]
+    source *= ht
+    return matrix, keep, fold, source

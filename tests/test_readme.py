@@ -1,12 +1,13 @@
 """The README's examples run against the package as it is."""
 
 import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from insdual.cli import RunConfig, load_config
+from insdual.cli import RunConfig, load_config, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,3 +34,23 @@ def test_ini_example_is_the_default_config(tmp_path):
     # a default such as seed's None that no value can write
     shown = set(re.findall(r"^;?\s*(\w+)\s*=", blocks[0], re.M))
     assert shown == {f.name for f in fields(RunConfig)}
+
+
+# the default run solves the dear case, whose alpha < beta draws an advisory
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_command_lines_run(tmp_path, monkeypatch):
+    # every insdual line of the README's sh blocks, from a directory that
+    # holds the README's INI example as the run.ini it names
+    text = README.read_text()
+    (ini,) = re.findall(r"^```ini\n(.*?)^```", text, re.M | re.S)
+    (tmp_path / "run.ini").write_text(ini)
+    monkeypatch.chdir(tmp_path)
+    lines = [
+        line
+        for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+        for line in block.splitlines()
+        if line.startswith("insdual")
+    ]
+    assert len(lines) == 3
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line

@@ -727,12 +727,12 @@ class TestPolicySystem:
             anchor = np.maximum.accumulate(np.where(region, 0, np.arange(m)))
             np.testing.assert_array_equal(got, got[anchor])
 
-    @pytest.mark.filterwarnings("error")
-    def test_inadmissible_pair_comes_out_non_finite(self):
+    def test_inadmissible_pair_is_refused(self, monkeypatch):
         # an inadmissible pair at a continuation node has no stored row to
-        # solve; its +inf income leaves the solve non-finite, at the first
+        # solve, so it is refused by name before any solve, at the first
         # node and at the top one, whose last candidate is the store's
-        # last pair
+        # last pair; at an obstacle node the control does not enter the
+        # system, so the same pair is solved
         g = build_uniform(5, 33, 1.0)
         p = dear_params()
         cs = make_control_set(p, count=21)
@@ -740,12 +740,26 @@ class TestPolicySystem:
         K, m = tables.source.shape
         identity = int(np.searchsorted(cs.candidates, 1.0))
         v_next = np.linspace(2.0, 1.0, m)
+        calls = []
+
+        def count(*args, **kwargs):
+            calls.append(1)
+            return spsolve(*args, **kwargs)
+
+        monkeypatch.setattr(scheme, "spsolve", count)
+        region = np.zeros(m, dtype=bool)
         for j in (0, m - 1):
             kstar = np.full(m, identity)
             kstar[j] = K - 1
             assert not tables.admissible[K - 1, j]
-            v = solve_policy_system(v_next, g, p, tables, kstar, np.zeros(m, dtype=bool))
-            assert not np.isfinite(v[j])
+            match = rf"control {cs.candidates[-1]} is inadmissible at node {j}$"
+            with pytest.raises(ValueError, match=match):
+                solve_policy_system(v_next, g, p, tables, kstar, region)
+        assert calls == []
+        region[m - 1] = True
+        v = solve_policy_system(v_next, g, p, tables, kstar, region)
+        assert calls == [1]
+        assert np.all(np.isfinite(v))
 
     def test_rejects_large_time_step(self):
         g = build_uniform(1, 10, 25.0)  # h_t = 25 with r = 0.05
