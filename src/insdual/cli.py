@@ -49,7 +49,7 @@ from .policy import (
 )
 from .scheme import CONTROL_COUNT, CONTROL_HIGH, CONTROL_LOW, build_tables
 from .scheme import make_control_set, operator_values
-from .simulate import ClaimSchedule, poisson_schedule
+from .simulate import ClaimSchedule, claim_steps, poisson_schedule
 
 __all__ = ["ConfigError", "RunConfig", "run", "main"]
 
@@ -135,7 +135,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path) as f:
             parser.read_file(f)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cli: cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"cli: malformed config file {path}: {exc}") from None
@@ -233,7 +233,8 @@ def _control_sensitivity(solution):
     Reports how far the per-node minimized stationary value moves (h_t
     scaled, like the residuals) and at how many nodes the chosen control
     changes. A large shift means the reported surface is sensitive to the
-    candidate ladder and the range should be widened.
+    candidate ladder. The ladder is fixed (scheme.CONTROL_*) and no key
+    sets it; ROADMAP item 1 replaces this block.
     """
     grid = solution.grid
     params = solution.params
@@ -283,6 +284,9 @@ def run(config: RunConfig, out_dir=None) -> dict:
     if not 0.0 <= config.x0 < np.inf:  # NaN fails too
         raise ValueError(f"cli: starting wealth must be finite, >= 0, got {config.x0}")
     coarse_grid = build_uniform(config.n_time, config.n_state, params.T)
+    # more than 255 claims at one step fails here, not in evolve_path after
+    # both solves; the refined grid keeps this time mesh
+    claim_steps(claims, coarse_grid.h_t, coarse_grid.n_steps)
     if config.refine:
         # the coarse mesh is uniform, so the spacing refine_around checks at
         # the start node is known before the solve; its widest cell never

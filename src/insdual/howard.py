@@ -227,8 +227,6 @@ def solve_time_step(
         if sig == prev_sig:
             # solving the same system again would reproduce v bit for bit
             break
-        # offered to the solve through the slot: formed once per sweep
-        slot.offered = sig
         v_new = solve_policy_system(v_next, grid, params, tables, kstar, region, slot)
         if not np.isfinite(v_new).all():
             raise HowardNonconvergence(

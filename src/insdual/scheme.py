@@ -291,19 +291,17 @@ class _SystemSlot:
     row's v.tobytes(). A slot holds one grid, one store and one h_t:
     solve_backward makes one per call and never shares it.
 
-    ``offered`` is the signature a sweep formed for the pair it hands the
-    next solve_policy_system call, which takes it (and clears it) in place
-    of forming it again; None makes that call form its own.
+    solve_policy_system alone writes ``signature`` and ``system``, and
+    howard's solve_time_step alone writes ``scan_at`` and ``scan``.
     """
 
-    __slots__ = ("signature", "system", "scan_at", "scan", "offered")
+    __slots__ = ("signature", "system", "scan_at", "scan")
 
     def __init__(self):
         self.signature = None
         self.system = None
         self.scan_at = None
         self.scan = None
-        self.offered = None
 
 
 def _signature(kstar, region):
@@ -336,8 +334,7 @@ def solve_policy_system(
     is not assembled again: its stored matrix is solved with the new
     right-hand side, which gives the same bits as a fresh assembly. Any
     other system is assembled and replaces the slot's. Without a slot,
-    every call assembles its system. A signature the slot offers is taken
-    as this pair's.
+    every call assembles its system.
 
     Raises ValueError, before any matrix is built or solved, if the
     control of a continuation node is inadmissible there (its income rate
@@ -346,7 +343,6 @@ def solve_policy_system(
     """
     if slot is None:
         slot = _SystemSlot()
-    signature, slot.offered = slot.offered, None
     ht = grid.h_t
     if ht * params.r >= 1.0:
         raise ValueError(
@@ -356,8 +352,7 @@ def solve_policy_system(
     region = np.asarray(region, dtype=bool)
     if region[0]:
         raise ValueError("scheme: the first node has no obstacle row")
-    if signature is None:
-        signature = _signature(kstar, region)
+    signature = _signature(kstar, region)
     if signature != slot.signature:
         system = _assemble(ht, tables, kstar, region)
         slot.signature, slot.system = signature, system

@@ -140,6 +140,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="malformed config file .*headless.ini"):
             load_config(path)
 
+    def test_undecodable_file_named(self, tmp_path):
+        # a UTF-16 byte order mark is not UTF-8
+        path = tmp_path / "utf16.ini"
+        path.write_bytes(b"\xff\xfe[model]\neta = 0.5\n")
+        with pytest.raises(ConfigError, match="cannot read config file .*utf16.ini"):
+            load_config(path)
+
     def test_empty_unknown_section_named(self, tmp_path):
         # no key to name, so the section itself is rejected
         path = tmp_path / "empty.ini"
@@ -282,7 +289,8 @@ class TestWorkCount:
     def test_default_run_calls(self, tmp_path, monkeypatch):
         # the calls a default run makes, pinned: the benchmark's trace reads
         # these functions by name. 258 sweeps over both solves form one
-        # policy signature each; a policy solve takes its sweep's
+        # policy signature each for the stop test, and each of the 158
+        # policy solves forms its own to key the stored system: 416
         counts = count_calls(
             monkeypatch, "solve_time_step", "operator_values", "obstacle_values",
             "solve_policy_system", "spsolve", "build_tables", "_signature",
@@ -291,7 +299,7 @@ class TestWorkCount:
         assert counts == {
             "solve_time_step": 100, "operator_values": 162, "obstacle_values": 160,
             "solve_policy_system": 158, "spsolve": 158, "build_tables": 3,
-            "_signature": 258,
+            "_signature": 416,
         }
 
     def test_one_wealth_table_per_solution(
@@ -532,6 +540,26 @@ class TestMain:
         assert code == 1
         assert "claim" in capsys.readouterr().err
         assert calls["solve_backward"] == 0
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_crowded_claim_step_rejected_before_any_solve(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 300 claims nearest to one step of the default mesh overflow its
+        # uint8 count; the refined grid has the same steps, so the coarse
+        # grid's count decides before either solve
+        def solve(*args, **kwargs):
+            pytest.fail("solve_backward called")
+
+        monkeypatch.setattr(cli, "solve_backward", solve)
+        times = tuple(0.5 + 1e-5 * i for i in range(300))
+        with pytest.raises(ValueError, match="more than 255 claims act at one"):
+            run(RunConfig(claim_times=times), out_dir=str(tmp_path / "o"))
+        ini = tmp_path / "crowded.ini"
+        ini.write_text(f"[experiment]\nclaim_times = {', '.join(map(str, times))}\n")
+        assert main(["--config", str(ini), "--out", str(tmp_path / "o")]) == 1
+        assert "more than 255 claims" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("route", ["ini", "flag"])

@@ -573,29 +573,15 @@ class TestSystemReuse:
         "name",
         ["dear_coarse_solution", "dear_refined_solution", "obstacle_regime_solution"],
     )
-    def test_each_sweep_forms_its_signature_once(self, name, request, monkeypatch):
-        # a policy solve takes the signature its sweep offers through the
-        # slot, so every improvement pass forms one and no solve another
+    def test_one_signature_per_sweep_and_per_solve(self, name, request, monkeypatch):
+        # every improvement pass forms a signature for its stop test, and
+        # every policy solve forms its own to look up the slot's system
         sol = request.getfixturevalue(name)
-        counts = count_calls(monkeypatch, "_signature")
+        counts = count_calls(monkeypatch, "_signature", "solve_policy_system")
         again = solve_backward(sol.grid, sol.params, sol.controls)
-        assert counts["_signature"] == sum(d.iterations for d in again.diagnostics)
+        sweeps = sum(d.iterations for d in again.diagnostics)
+        assert counts["_signature"] == sweeps + counts["solve_policy_system"]
         np.testing.assert_array_equal(again.surface, sol.surface)
-
-    def test_offered_signature_is_taken_once(self, dear_coarse_solution):
-        # an offer serves the one call it was made for, which clears it and
-        # stores it as the signature of the system it assembled
-        sol = dear_coarse_solution
-        g, p, tables = sol.grid, sol.params, sol.tables
-        i = g.n_steps // 2
-        kstar = operator_values(sol.surface[i], g, p, tables).argmin(axis=0)
-        region = sol.region[i]
-        slot = scheme._SystemSlot()
-        slot.offered = scheme._signature(kstar, region)
-        v = scheme.solve_policy_system(sol.surface[i + 1], g, p, tables, kstar, region, slot)
-        assert slot.offered is None
-        assert slot.signature == scheme._signature(kstar, region)
-        np.testing.assert_array_equal(v, sol.surface[i])
 
     def test_each_backward_sweep_has_its_own_slot(self, cheap_params, monkeypatch):
         # every solve of the cheap problem has one (control, region) pair,
