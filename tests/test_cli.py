@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,9 @@ refine = no
 x0 = 1.0
 claim_times = 0.3, 0.7
 """
+
+
+ARTIFACTS = ("surface.csv", "path.csv", "strategy.dat", "wealth.dat", "diagnostics.json")
 
 
 @pytest.fixture()
@@ -194,11 +198,7 @@ def artifacts(tmp_path_factory, cheap_run_config):
 class TestRun:
     def test_artifacts_written(self, artifacts):
         out, _ = artifacts
-        for name in (
-            "surface.csv", "path.csv", "strategy.dat", "wealth.dat",
-            "diagnostics.json",
-        ):
-            assert (out / name).exists(), name
+        assert sorted(os.listdir(out)) == sorted(ARTIFACTS)
 
     def test_surface_format(self, artifacts):
         out, _ = artifacts
@@ -257,8 +257,77 @@ class TestRun:
         a, b = tmp_path / "a", tmp_path / "b"
         run(cheap_run_config, out_dir=str(a))
         run(cheap_run_config, out_dir=str(b))
-        for name in ("surface.csv", "path.csv", "diagnostics.json"):
+        for name in ARTIFACTS:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestRerun:
+    """A rerun into a directory that holds an earlier run's artifacts."""
+
+    @staticmethod
+    def finer(config):
+        # longer files, every one of the five
+        return dataclasses.replace(config, n_time=20, n_state=60)
+
+    def test_matches_a_run_into_an_empty_directory(self, cheap_run_config, tmp_path):
+        empty, full = tmp_path / "empty", tmp_path / "full"
+        run(cheap_run_config, out_dir=str(empty))
+        run(self.finer(cheap_run_config), out_dir=str(full))
+        for name in ARTIFACTS:
+            assert (full / name).stat().st_size > (empty / name).stat().st_size, name
+        run(cheap_run_config, out_dir=str(full))
+        assert sorted(os.listdir(full)) == sorted(ARTIFACTS)
+        for name in ARTIFACTS:
+            assert (full / name).read_bytes() == (empty / name).read_bytes(), name
+
+    def test_each_artifact_is_a_new_file(self, cheap_run_config, tmp_path):
+        out = tmp_path / "out"
+        run(self.finer(cheap_run_config), out_dir=str(out))
+        old = {name: (out / name).read_bytes() for name in ARTIFACTS}
+        # a hard link to the old surface, a read-only old series (held by a
+        # link too), and a symlink at path.csv to a file outside
+        os.link(out / "surface.csv", tmp_path / "surface.link")
+        os.link(out / "strategy.dat", tmp_path / "strategy.link")
+        (out / "strategy.dat").chmod(0o444)
+        (tmp_path / "target").write_text("not an artifact\n")
+        (out / "path.csv").unlink()
+        (out / "path.csv").symlink_to(tmp_path / "target")
+        run(cheap_run_config, out_dir=str(out))
+        assert (tmp_path / "surface.link").read_bytes() == old["surface.csv"]
+        assert (tmp_path / "strategy.link").read_bytes() == old["strategy.dat"]
+        assert not os.path.samefile(out / "strategy.dat", tmp_path / "strategy.link")
+        assert (tmp_path / "target").read_text() == "not an artifact\n"
+        assert not (out / "path.csv").is_symlink()
+        for name in ARTIFACTS:
+            assert (out / name).read_bytes() != old[name], name
+
+    def test_failed_write_leaves_no_earlier_artifact(
+        self, cheap_run_config, tmp_path, monkeypatch
+    ):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        run(cheap_run_config, out_dir=str(fresh))
+        run(self.finer(cheap_run_config), out_dir=str(out))
+        real = cli._write_rows
+
+        def write_rows(filename, *args):
+            if os.path.basename(filename) == "path.csv":
+                raise OSError("disk full")
+            return real(filename, *args)
+
+        monkeypatch.setattr(cli, "_write_rows", write_rows)
+        with pytest.raises(OSError, match="disk full"):
+            run(cheap_run_config, out_dir=str(out))
+        assert os.listdir(out) == ["surface.csv"]
+        assert (out / "surface.csv").read_bytes() == (fresh / "surface.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", ["surface.csv", "diagnostics.json"])
+    def test_directory_at_an_artifact_path(self, name, cheap_ini, tmp_path, capsys):
+        (tmp_path / "o" / name).mkdir(parents=True)
+        code = main(["--config", str(cheap_ini), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cli: cannot write artifact '{tmp_path / 'o' / name}': "
+        )
 
 
 class TestWorkCount:
