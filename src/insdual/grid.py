@@ -18,6 +18,8 @@ from numbers import Integral
 
 import numpy as np
 
+from .model import expand
+
 __all__ = ["Grid", "build_uniform", "refine_around", "project"]
 
 # coarse cells a refined window spans on each side of its centre node
@@ -77,6 +79,13 @@ class Grid:
         gaps = np.diff(self.states)
         gaps.setflags(write=False)
         return gaps
+
+    @cached_property
+    def dual_states(self) -> np.ndarray:
+        """Read-only dual state s / (1 - s) of every node s, made on first use."""
+        dual_states = expand(self.states)
+        dual_states.setflags(write=False)
+        return dual_states
 
     @cached_property
     def cuts(self) -> np.ndarray:

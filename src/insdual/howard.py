@@ -47,7 +47,7 @@ from typing import ClassVar
 import numpy as np
 
 from .grid import Grid
-from .model import ModelParams, conjugate_utility, expand, terminal_condition
+from .model import ModelParams, conjugate_utility, terminal_condition
 from .scheme import (
     ControlSet,
     OperatorTables,
@@ -346,7 +346,7 @@ def growth_margins(solution: DiscreteSolution):
     mask = (grid.states >= GROWTH_BAND[0]) & (grid.states <= GROWTH_BAND[1])
     if not mask.any():
         raise ValueError(f"howard: no mesh nodes inside the band {GROWTH_BAND}")
-    y = expand(grid.states[mask])
+    y = grid.dual_states[mask]
     base = conjugate_utility(params, y)
     k_upper = params.alpha - params.beta + max(
         params.beta - params.delta * params.pi_intensity, 0.0

@@ -131,14 +131,7 @@ def inverse_marginal(params: ModelParams, y):
 
 
 def compactify(y):
-    """Map the dual state y in (0, inf) to y / (1 + y) in (0, 1).
-
-    A float is mapped with Python arithmetic, to the same bits.
-    """
-    if isinstance(y, float):
-        if y <= 0.0:
-            raise ValueError("model: compactify requires y > 0")
-        return float(y / (1.0 + y))
+    """Map the dual state y in (0, inf) to y / (1 + y) in (0, 1)."""
     y = np.asarray(y, dtype=float)
     if (y <= 0.0).any():
         raise ValueError("model: compactify requires y > 0")
@@ -147,14 +140,7 @@ def compactify(y):
 
 
 def expand(state):
-    """Inverse of compactify: state / (1 - state), for state in (0, 1).
-
-    A float is mapped with Python arithmetic, to the same bits.
-    """
-    if isinstance(state, float):
-        if state <= 0.0 or state >= 1.0:
-            raise ValueError("model: expand requires a state strictly inside (0, 1)")
-        return float(state / (1.0 - state))
+    """Inverse of compactify: state / (1 - state), for state in (0, 1)."""
     state = np.asarray(state, dtype=float)
     if ((state <= 0.0) | (state >= 1.0)).any():
         raise ValueError("model: expand requires a state strictly inside (0, 1)")

@@ -34,8 +34,9 @@ rho^c, the bits of the per-step update), up to its first cut: a step whose
 control is not rho, whose state is not positive and finite, leaves the
 node hull or needs regulation. The next pass starts at the cut step. Only
 a step no pass takes (one of the last three kinds) goes to the per-step
-rules, on Python floats, after an empty pass: a regulated step right
-after a pass first meets one. A pass never raises, so a failing path
+rules, one step at a time, after an empty pass: a regulated step right
+after a pass first meets one. A node's dual state is read off
+``Grid.dual_states``. A pass never raises, so a failing path
 fails with the error the per-step rules raise first. One read-off after
 the first phase then does the jumped states, coverage and wealth of
 every step with arrays, from the (n_steps, m) read-only wealth table
@@ -56,7 +57,7 @@ import numpy as np
 
 from .grid import project
 from .howard import DiscreteSolution
-from .model import compactify, expand
+from .model import compactify
 from .simulate import claim_steps, wealth_increments
 
 __all__ = [
@@ -132,7 +133,7 @@ def find_initial_state(solution: DiscreteSolution, x: float):
             f"[{lo:.6g}, {hi:.6g}] of the starting layer"
         )
     j_init = int(np.abs(solution.wealth[0] - x).argmin())
-    return j_init, expand(float(solution.grid.states[j_init]))
+    return j_init, solution.grid.dual_states.item(j_init)
 
 
 def _jump_nodes(grid, kicks, dual_state):
@@ -244,7 +245,9 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
             kicks[i] = kick
             y = y_init * d * reg
 
-            target = compactify(y)
+            # a state of inf maps to NaN here, without a warning
+            with np.errstate(invalid="ignore"):
+                target = compactify(y)
             jpp = unregulated = project(grid, target)
             while w(i, jpp) < 0.0:
                 if jpp == 0:
@@ -255,7 +258,7 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
                 jpp -= 1
             if jpp != unregulated:
                 # regulator shrinks so the dual state sits on the chosen node
-                reg = expand(nodes[jpp]) / (y_init * d)
+                reg = grid.dual_states.item(jpp) / (y_init * d)
                 y = y_init * d * reg
 
             density[i] = d

@@ -60,7 +60,7 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from .grid import Grid
-from .model import ModelParams
+from .model import ModelParams, expand
 
 __all__ = [
     "ControlSet",
@@ -150,7 +150,7 @@ def source_term(params: ModelParams, state, rho):
     surplus = params.alpha - params.beta + np.maximum(
         params.beta - rho * params.delta * params.pi_intensity, 0.0
     )
-    return state / (1.0 - state) * surplus
+    return expand(state) * surplus
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from insdual import Grid, build_uniform, project, refine_around
+from insdual import Grid, build_uniform, expand, project, refine_around
 
 
 class TestBuildUniform:
@@ -100,6 +100,22 @@ class TestGaps:
         assert g.gaps is g.gaps
         with pytest.raises(ValueError, match="read-only"):
             g.gaps[0] = 1.0
+
+
+class TestDualStates:
+    @pytest.mark.parametrize(
+        "g",
+        [
+            build_uniform(3, 10, 1.0),
+            refine_around(build_uniform(3, 40, 1.0), 12, 1.0 / 400.0),
+            Grid(1.0, 2, np.array([5e-324, 0.5, np.nextafter(1.0, 0.0)])),
+        ],
+    )
+    def test_node_dual_states_read_only(self, g):
+        assert g.dual_states.tobytes() == expand(g.states).tobytes()
+        assert g.dual_states is g.dual_states
+        with pytest.raises(ValueError, match="read-only"):
+            g.dual_states[0] = 1.0
 
 
 class TestRefineAround:

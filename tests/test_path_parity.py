@@ -5,9 +5,10 @@
 per step: it rebuilds the wealth row of every layer and works on numpy
 arrays and 0-d values throughout. Its projection is the nearest-node
 distance rule written out here (``project``), independent of the cell
-cuts ``grid.project`` searches, and its compactification goes through the
-array branch of ``model.compactify``, so the parity tests also pin the
-float branch the package now takes.
+cuts ``grid.project`` searches, and it maps states with ``model.compactify``
+and ``model.expand`` one value at a time, where the package reads node
+dual states off ``Grid.dual_states``, so the parity tests also pin that
+table.
 Its density takes one factor rho per claim acting at a step (rho ** 0 is
 1.0 and rho ** 1 is rho, so a step with at most one claim keeps the bits
 of its first form), and a step with c >= 2 claims jumps by rho ** c and
@@ -21,7 +22,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from insdual import (
     build_uniform, evolve_path, make_control_set, refine_around, solve_backward,
@@ -30,7 +31,7 @@ from insdual import grid as grid_module
 from insdual import model as model_module
 from insdual import policy
 from insdual.howard import DiscreteSolution
-from insdual.model import expand
+from insdual.model import compactify, expand
 from insdual.policy import (
     _MAX_HULL_ESCAPES,
     PathEscapeError,
@@ -55,10 +56,6 @@ def project(grid, state):
     lo = np.where(x <= s[-1], np.maximum(hi - 1, 0), hi)
     pick = np.where(np.abs(s[lo] - x) <= np.abs(s[hi] - x), lo, hi)
     return int(pick) if pick.ndim == 0 else pick
-
-
-def compactify(y):
-    return model_module.compactify(np.asarray(y, dtype=float))
 
 
 def oracle_wealth_row(solution: DiscreteSolution, i: int):
@@ -687,16 +684,21 @@ class TestFloatBranches:
         assert grid_module.project(g, np.nan) == m - 1
 
     @given(st.floats())
+    @example(float("inf"))
     def test_compactify_float_equals_array(self, y):
         if y <= 0.0:
             for arg in (y, np.float64(y), np.asarray(y)):
                 with pytest.raises(ValueError, match="y > 0"):
                     model_module.compactify(arg)
             return
-        # y = inf maps to NaN on both branches
-        with np.errstate(invalid="ignore"):
-            want = model_module.compactify(np.asarray(y))
-            from_numpy = model_module.compactify(np.float64(y))
+        if y == np.inf:
+            # inf / inf: NaN, with numpy's invalid-value warning for every input
+            for arg in (y, np.float64(y), np.asarray(y)):
+                with pytest.warns(RuntimeWarning, match="invalid value"):
+                    assert np.isnan(model_module.compactify(arg))
+            return
+        want = model_module.compactify(np.asarray(y))
+        from_numpy = model_module.compactify(np.float64(y))
         got = model_module.compactify(y)
         assert type(got) is float and type(from_numpy) is float
         assert np.array_equal(got, want, equal_nan=True)
@@ -709,7 +711,7 @@ class TestFloatBranches:
                 with pytest.raises(ValueError, match="strictly inside"):
                     model_module.expand(arg)
             return
-        # NaN passes through both branches
+        # NaN passes through
         want = model_module.expand(np.asarray(state))
         from_numpy = model_module.expand(np.float64(state))
         got = model_module.expand(state)

@@ -105,6 +105,12 @@ class TestFindInitialState:
         assert j == 30
         assert y == expand(float(cheap_solution.grid.states[30]))
 
+    @pytest.mark.parametrize("j", [0, 1, 30, 49, 97, 98])
+    def test_start_is_the_expanded_node_state(self, cheap_solution, j):
+        j_init, y = find_initial_state(cheap_solution, wealth_row(cheap_solution, 0)[j])
+        assert type(y) is float
+        assert y == expand(cheap_solution.grid.states[j_init])
+
     def test_midpoint_start(self, cheap_solution):
         j, y = find_initial_state(
             cheap_solution, wealth_row(cheap_solution, 0)[49]
