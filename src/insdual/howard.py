@@ -205,7 +205,6 @@ def solve_time_step(
     nodes = np.arange(v.size)
     # the stationary part v_next - v + h_t * chosen, formed in place
     stationary = np.empty_like(v)
-    prev_sig = None
     for it in range(1, MAX_SWEEPS + 1):
         # improvement: the ladder index row, the chosen operator values
         # (scaled by h_t) and the obstacle values read v alone, so a pass
@@ -223,9 +222,9 @@ def solve_time_step(
         stationary += scaled
         # the first node has no obstacle row: its obstacle value is +inf
         region = stationary > obstacle
-        sig = _signature(kstar, region)
-        if sig == prev_sig:
-            # solving the same system again would reproduce v bit for bit
+        # from sweep 2 on the slot holds this layer's last solved system (on
+        # sweep 1, maybe the layer above's); solving it again reproduces v
+        if it > 1 and _signature(kstar, region) == slot.signature:
             break
         v_new = solve_policy_system(v_next, grid, params, tables, kstar, region, slot)
         if not np.isfinite(v_new).all():
@@ -236,7 +235,6 @@ def solve_time_step(
                 v,
             )
         v_prev, v = v, v_new
-        prev_sig = sig
     else:
         change = float(np.max(np.abs(v - v_prev)))
         raise HowardNonconvergence(

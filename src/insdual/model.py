@@ -15,7 +15,6 @@ discounted terminal data of the backward solve.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,9 +43,7 @@ class ModelParams:
     T             horizon
     gamma         derived conjugate exponent eta / (1 - eta)
 
-    Every input must be finite. ``alpha < beta`` (reinsurance dearer than
-    the income it protects) is accepted but flagged with a warning, since
-    it makes full cover a money-losing position on average.
+    Every input must be finite.
     """
 
     eta: float
@@ -75,13 +72,6 @@ class ModelParams:
                     f"model: {name} must be finite and positive, got {value}"
                 )
         object.__setattr__(self, "gamma", self.eta / (1.0 - self.eta))
-        if self.alpha < self.beta:
-            warnings.warn(
-                f"model: alpha={self.alpha} is below beta={self.beta}; "
-                "full reinsurance cover has negative net drift",
-                UserWarning,
-                stacklevel=3,
-            )
 
 
 def utility(params: ModelParams, x):

@@ -6,7 +6,6 @@ module tests and the acceptance suite alike.
 """
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -35,10 +34,7 @@ def cheap_params():
 
 @pytest.fixture(scope="session")
 def dear_params():
-    # alpha < beta is legitimate here; silence the advisory warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return ModelParams(**DEAR)
+    return ModelParams(**DEAR)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,6 @@ the reconstructed path) come from the shared session fixtures.
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -176,12 +175,8 @@ def test_6_toy_oracle_equivalence():
 
 def test_7_byte_identical_runs(tmp_path):
     config = RunConfig()
-    with warnings.catch_warnings():
-        # the default parameters intentionally price cover above the
-        # premium income; the model warns and the run proceeds
-        warnings.simplefilter("ignore", UserWarning)
-        run(config, out_dir=str(tmp_path / "a"))
-        run(config, out_dir=str(tmp_path / "b"))
+    run(config, out_dir=str(tmp_path / "a"))
+    run(config, out_dir=str(tmp_path / "b"))
     for name in ("surface.csv", "path.csv"):
         first = (tmp_path / "a" / name).read_bytes()
         second = (tmp_path / "b" / name).read_bytes()

@@ -26,9 +26,6 @@ WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads
 TRACER_PY = WORKLOADS_PY.with_name("tracer.py")
 REFERENCE_JSON = WORKLOADS_PY.with_name("reference.json")
 
-# the benchmark's default problem prices cover above the premium income
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
-
 
 def _load(name, path):
     spec = importlib.util.spec_from_file_location(name, path)

@@ -331,7 +331,6 @@ class TestRerun:
 
 
 class TestWorkCount:
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_tables_built_once_per_operator(self, tmp_path, monkeypatch):
         # the two solves each build one store and the control sensitivity
         # one for its wide ladder (the base ladder reuses the refined
@@ -354,12 +353,12 @@ class TestWorkCount:
         assert counts["build_tables"] == 3
         assert counts["operator_values"] == sweeps - started + 2
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_default_run_calls(self, tmp_path, monkeypatch):
         # the calls a default run makes, pinned: the benchmark's trace reads
-        # these functions by name. 258 sweeps over both solves form one
-        # policy signature each for the stop test, and each of the 158
-        # policy solves forms its own to key the stored system: 416
+        # these functions by name. Every sweep of both solves' 100 layers but
+        # a layer's first forms one policy signature for the stop test
+        # (258 - 100), and each of the 158 policy solves forms its own to key
+        # the stored system: 316
         counts = count_calls(
             monkeypatch, "solve_time_step", "operator_values", "obstacle_values",
             "solve_policy_system", "spsolve", "build_tables", "_signature",
@@ -368,7 +367,7 @@ class TestWorkCount:
         assert counts == {
             "solve_time_step": 100, "operator_values": 162, "obstacle_values": 160,
             "solve_policy_system": 158, "spsolve": 158, "build_tables": 3,
-            "_signature": 416,
+            "_signature": 316,
         }
 
     def test_one_wealth_table_per_solution(
@@ -397,7 +396,12 @@ class TestMain:
         assert "run complete" in capsys.readouterr().out
         assert (tmp_path / "o" / "surface.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_default_run_writes_nothing_to_stderr(self, tmp_path, capsys):
+        # the default problem prices cover above the premium income
+        # (alpha < beta); the run reports nothing but its result
+        assert main(["--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("seed", [None, 7])
     def test_run_writes_nothing_to_stdout(self, seed, tmp_path, capsys):
         # perfbench reads its result off its last stdout line: only main
@@ -581,7 +585,6 @@ class TestMain:
         assert diag["grid"]["n_steps"] == 8
         assert diag["grid"]["n_nodes"] == 29
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_one_step_mesh(self, tmp_path):
         # a single time step leaves the path no increment to check
         out = tmp_path / "o"
@@ -611,7 +614,6 @@ class TestMain:
         assert calls["solve_backward"] == 0
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_crowded_claim_step_rejected_before_any_solve(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -703,7 +705,6 @@ class TestControlSensitivity:
         )
         return float(shift.max()), int(changed.sum())
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_matches_full_scans(self):
         params = cli._model_params(RunConfig())
         sol = howard.solve_backward(
@@ -782,7 +783,6 @@ class TestArtifactText:
         oracle_tables(oracle, sol, path)
         assert_same_text_artifacts(written, oracle)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_no_refine_run_matches_oracle(self, tmp_path, monkeypatch):
         tables = []
         real = cli._write_tables

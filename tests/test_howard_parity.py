@@ -19,8 +19,6 @@ layer only on a repeated policy, so a parameter set on which the old
 rule would have fired fails parity here.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,9 +174,7 @@ class TestSweepParity:
         pi=st.floats(0.2, 5.0),
     )
     def test_parameter_sweep(self, eta, alpha, beta, pi):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            p = make_params(eta=eta, alpha=alpha, beta=beta, pi_intensity=pi)
+        p = make_params(eta=eta, alpha=alpha, beta=beta, pi_intensity=pi)
         g = build_uniform(10, 40, p.T)
         assert_same_outcome(g, p, make_control_set(p, count=41))
 

@@ -9,7 +9,6 @@ times divided by c. (c = 3 rounds, so it is left out.)
 
 import dataclasses
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -42,10 +41,7 @@ def solve(model, c=1):
         model, T=model["T"] / c, pi_intensity=c * model["pi_intensity"],
         alpha=c * model["alpha"], beta=c * model["beta"], r=c * model["r"],
     )
-    # alpha < beta is legitimate here; silence the advisory warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        params = ModelParams(**model)
+    params = ModelParams(**model)
     grid = build_uniform(50, 100, params.T)
     return params, solve_backward(grid, params, make_control_set(params))
 
@@ -97,10 +93,8 @@ def test_run_artifacts_differ_only_in_time(tmp_path):
         alpha=c * config.alpha, beta=c * config.beta, r=c * config.r,
         claim_times=tuple(t / c for t in config.claim_times),
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        run(config, out_dir=str(tmp_path / "base"))
-        run(halved, out_dir=str(tmp_path / "halved"))
+    run(config, out_dir=str(tmp_path / "base"))
+    run(halved, out_dir=str(tmp_path / "halved"))
     # every table has the time t as its first column
     for name, sep, head in (
         ("surface.csv", ",", 1), ("path.csv", ",", 1),

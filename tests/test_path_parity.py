@@ -658,7 +658,9 @@ class TestProjectOracle:
         assert np.all((after == b) | (after - a > b - after))
 
 
-class TestFloatBranches:
+class TestScalarInputs:
+    """A Python float, a numpy scalar and a 0-d array give the same result."""
+
     @settings(max_examples=60, deadline=None)
     @given(grids(), st.lists(st.floats(), max_size=8))
     def test_project_float_equals_array(self, g, extra):

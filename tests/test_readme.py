@@ -5,15 +5,11 @@ import shlex
 from dataclasses import fields
 from pathlib import Path
 
-import pytest
-
 from insdual.cli import RunConfig, load_config, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-# the example solves the dear case, whose alpha < beta draws an advisory
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_library_example_runs(capsys):
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
     assert blocks
@@ -36,8 +32,6 @@ def test_ini_example_is_the_default_config(tmp_path):
     assert shown == {f.name for f in fields(RunConfig)}
 
 
-# the default run solves the dear case, whose alpha < beta draws an advisory
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_command_lines_run(tmp_path, monkeypatch):
     # every insdual line of the README's sh blocks, from a directory that
     # holds the README's INI example as the run.ini it names

@@ -27,10 +27,7 @@ from tests.test_model import make_params
 
 
 def dear_params():
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return make_params(alpha=2.1, beta=2.15)
+    return make_params(alpha=2.1, beta=2.15)
 
 
 def row_oracle(v, s, j, rho, params):
