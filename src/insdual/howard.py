@@ -29,13 +29,22 @@ the layer, so the solution's residuals need no second evaluation of the
 operator. The region of a layer is the boolean obstacle mask of that
 pass: true where the obstacle expression binds.
 
-A layer starts at v = v_next, the row the layer above returned, and that
-layer's last improvement pass was taken at exactly this row. Its control
-row, chosen operator values and obstacle values read nothing but the
-row, so solve_backward hands the pass down in the sweep's _SystemSlot,
-keyed by the row's bytes, and the layer takes it as its first pass
-instead of scanning the ladder again. The sweep comes out bit for bit
-as with a full first scan.
+A layer starts at v = v_next, the row the layer above returned. Its
+first policy is predicted from the improvement passes that ended the one
+or two layers above, which the sweep's _SystemSlot keeps, so no ladder
+scan is spent on it. With one layer above, the first pass is that
+layer's last pass, taken at exactly v_next. With two, layers i + 1 and
+i + 2, the row is extrapolated linearly, v~ = 2 v_{i+1} - v_{i+2}, and so
+are the operator values of those passes, V~ = 2 V_{i+1} - V_{i+2}: the
+operator is affine in v, so V~ is its value at v~ up to rounding (+inf
+stays at inadmissible pairs). The first controls are the argmin of V~,
+and the first region compares v_next - v~ plus the layer above's h_t
+scaled chosen values with the obstacle values at v~. Every later pass
+scans the solved row. Policy iteration on a monotone scheme stops at the
+same fixed point from any first policy, so the prediction changes how
+many sweeps a layer takes, not the row, controls, region or extrema it
+returns (tests/test_howard_parity.py holds the sweep to a full-scan
+oracle bit for bit).
 """
 
 from __future__ import annotations
@@ -70,7 +79,7 @@ __all__ = [
 ]
 
 # sweeps a layer may take; no layer of the dear, alpha = 5 or kappa = 3
-# problems takes more than 5 on any mesh from 50x100 to 200x2000
+# problems takes more than 4 on any mesh from 50x100 to 200x2000
 MAX_SWEEPS = 200
 
 GROWTH_BAND = (0.05, 0.95)
@@ -191,11 +200,14 @@ def solve_time_step(
     Warm starts from v_next and evaluates the operator store ``tables``.
     The layer ends when its policy system repeats, so the returned row is
     a fixed point of its own improvement. ``slot`` carries the sweep's
-    last policy system and last improvement pass (see _SystemSlot): a
-    pass it holds for the row v_next itself is this layer's first pass,
-    and every pass and solve of the layer is stored back in it. Without
-    a slot the layer uses a fresh one. Raises HowardNonconvergence with
-    the last iterate if MAX_SWEEPS sweeps finish without the layer ending.
+    last policy system and the passes that ended the last one or two
+    layers (see _SystemSlot): the layer's first pass is predicted from
+    them, and its solves and the pass that ends it are stored back.
+    Passes from another layer, or another problem on the same grid and
+    ladder, change only the work, not the result. Without a slot the
+    layer uses a fresh one, and its first pass scans v_next. Raises
+    HowardNonconvergence with the last iterate if MAX_SWEEPS sweeps
+    finish without the layer ending.
     """
     if slot is None:
         slot = _SystemSlot()
@@ -203,22 +215,21 @@ def solve_time_step(
     v = v_next.copy()
     ht = grid.h_t
     nodes = np.arange(v.size)
-    # the stationary part v_next - v + h_t * chosen, formed in place
+    # the stationary part v_next - at + h_t * chosen, formed in place
     stationary = np.empty_like(v)
     for it in range(1, MAX_SWEEPS + 1):
-        # improvement: the ladder index row, the chosen operator values
-        # (scaled by h_t) and the obstacle values read v alone, so a pass
-        # the slot holds for v's bytes is read back, and a scan replaces it
-        at = v.tobytes()
-        if at != slot.scan_at:
+        # improvement: the pass stands for the row `at`; a layer's first is
+        # predicted from the slot's passes, and every later one scans v
+        if it == 1 and slot.passes:
+            at, kstar, scaled, obstacle = _first_pass(slot.passes, grid, tables)
+        else:
+            at = v
             values = operator_values(v, grid, params, tables)
             kstar = values.argmin(axis=0)
             scaled = values[kstar, nodes]
             scaled *= ht
-            slot.scan = kstar, scaled, obstacle_values(v, grid)
-            slot.scan_at = at
-        kstar, scaled, obstacle = slot.scan
-        np.subtract(v_next, v, out=stationary)
+            obstacle = obstacle_values(v, grid)
+        np.subtract(v_next, at, out=stationary)
         stationary += scaled
         # the first node has no obstacle row: its obstacle value is +inf
         region = stationary > obstacle
@@ -243,8 +254,31 @@ def solve_time_step(
             time_index,
             v,
         )
+    # the layer ended on a scan of the returned row v
+    slot.passes = (*slot.passes[-1:], (v, values, kstar, scaled, obstacle))
     diag = StepDiagnostics(it, *_extrema(stationary, obstacle))
     return v, tables.controls[kstar], region, diag
+
+
+def _first_pass(passes, grid: Grid, tables: OperatorTables):
+    """(row, kstar, h_t * chosen values, obstacle values) of a layer's first pass.
+
+    ``passes`` are the slot's last passes, oldest first. With one, it is
+    the first pass as it stands. With two, the row and the operator values
+    are extrapolated linearly from them and the controls read off the
+    extrapolated values; the chosen values stay those of the newer pass.
+    """
+    row, values, kstar, scaled, obstacle = passes[-1]
+    if len(passes) == 2:
+        row_before, values_before = passes[0][:2]
+        row = 2.0 * row - row_before
+        # inadmissible pairs are +inf in both passes: keep them out of the
+        # subtraction, where inf - inf would be NaN
+        predicted = values * 2.0
+        np.subtract(predicted, values_before, out=predicted, where=tables.admissible)
+        kstar = predicted.argmin(axis=0)
+        obstacle = obstacle_values(row, grid)
+    return row, kstar, scaled, obstacle
 
 
 def _extrema(stationary, obstacle):
@@ -264,9 +298,9 @@ def solve_backward(
 
     Every layer of the sweep shares one _SystemSlot, made for this call
     only, so a repeated policy system is not assembled again and each
-    layer's last improvement pass is the next layer's first. Raises
-    ValueError if h_t * r >= 1, or if the ladder lacks rho = 1, the only
-    control the first node admits.
+    layer's first pass is predicted from the last passes of the two
+    layers above. Raises ValueError if h_t * r >= 1, or if the ladder
+    lacks rho = 1, the only control the first node admits.
     """
     if grid.h_t * params.r >= 1.0:
         raise ValueError(

@@ -275,7 +275,7 @@ def obstacle_values(v, grid: Grid):
 
 
 class _SystemSlot:
-    """What one backward sweep last computed, for reuse: a system and a scan.
+    """What one backward sweep last computed, for reuse: a system and its passes.
 
     The folded matrix and the h_t * l term read only the region and the
     controls at continuation nodes, so ``signature`` is
@@ -285,23 +285,24 @@ class _SystemSlot:
     nodes, the anchor position of every node and h_t * l at the
     continuation nodes.
 
-    ``scan`` is the last improvement pass (see howard): the minimizing
-    ladder index per node, h_t times the operator value it chose and the
-    obstacle values, all read off one row alone, and ``scan_at`` is that
-    row's v.tobytes(). A slot holds one grid, one store and one h_t:
-    solve_backward makes one per call and never shares it.
+    ``passes`` holds the improvement pass that ended each of the last
+    one or two layers the sweep solved, oldest first (empty before the
+    first): the row it was taken at, the (K, m) operator values there,
+    the minimizing ladder index per node, h_t times the values it chose
+    and the obstacle values. howard predicts a layer's first pass from
+    them. A slot holds one grid, one store and
+    one h_t: solve_backward makes one per call and never shares it.
 
     solve_policy_system alone writes ``signature`` and ``system``, and
-    howard's solve_time_step alone writes ``scan_at`` and ``scan``.
+    howard's solve_time_step alone writes ``passes``.
     """
 
-    __slots__ = ("signature", "system", "scan_at", "scan")
+    __slots__ = ("signature", "system", "passes")
 
     def __init__(self):
         self.signature = None
         self.system = None
-        self.scan_at = None
-        self.scan = None
+        self.passes = ()
 
 
 def _signature(kstar, region):

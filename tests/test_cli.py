@@ -355,19 +355,23 @@ class TestWorkCount:
 
     def test_default_run_calls(self, tmp_path, monkeypatch):
         # the calls a default run makes, pinned: the benchmark's trace reads
-        # these functions by name. Every sweep of both solves' 100 layers but
-        # a layer's first forms one policy signature for the stop test
-        # (258 - 100), and each of the 158 policy solves forms its own to key
-        # the stored system: 316
+        # these functions by name. Both solves' 100 layers take 206 sweeps.
+        # Every sweep but a layer's first forms one policy signature for the
+        # stop test (206 - 100), and each of the 106 policy solves forms its
+        # own to key the stored system: 212. The first sweep of 98 layers is
+        # predicted, not scanned, so the sweeps scan 108 times, and the
+        # control sensitivity twice more: 110. Every scan reads the obstacle
+        # values, and so does each of the 96 first sweeps extrapolated from
+        # two layers: 204
         counts = count_calls(
             monkeypatch, "solve_time_step", "operator_values", "obstacle_values",
             "solve_policy_system", "spsolve", "build_tables", "_signature",
         )
         run(RunConfig(), out_dir=str(tmp_path))
         assert counts == {
-            "solve_time_step": 100, "operator_values": 162, "obstacle_values": 160,
-            "solve_policy_system": 158, "spsolve": 158, "build_tables": 3,
-            "_signature": 316,
+            "solve_time_step": 100, "operator_values": 110, "obstacle_values": 204,
+            "solve_policy_system": 106, "spsolve": 106, "build_tables": 3,
+            "_signature": 212,
         }
 
     def test_one_wealth_table_per_solution(

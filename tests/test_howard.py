@@ -429,23 +429,55 @@ class TestWarmStart:
     @pytest.mark.parametrize(
         "name", ["dear_coarse_solution", "obstacle_regime_solution"]
     )
-    def test_pass_taken_at_another_row_is_ignored(self, name, request):
-        # the slot holds the pass of an increasing row, whose obstacle
-        # binds at every node; a layer at any other row scans for itself
-        # and comes out with the bits of a layer without a slot
+    def test_stale_history_changes_only_the_work(self, name, request):
+        # a slot whose passes come from other layers, from an increasing row
+        # whose obstacle binds at every node, or from another problem on the
+        # same grid and ladder predicts another first policy; the layer still
+        # ends on the row, controls, region and extrema of a fresh slot's
         sol = request.getfixturevalue(name)
         g, p, tables = sol.grid, sol.params, sol.tables
-        i = g.n_steps // 2
-        slot = scheme._SystemSlot()
+        n = g.n_steps
+        i = n // 2
+        other = dataclasses.replace(p, alpha=p.alpha + 1.5)
+        other_tables = build_tables(g, other, sol.controls)
         rising = np.linspace(1.0, 2.0, g.n_nodes)
-        solve_time_step(rising, g, p, tables, slot=slot)
-        assert slot.scan_at != sol.surface[i + 1].tobytes()
+
+        def top_layers(params, store):
+            slot = scheme._SystemSlot()
+            v = terminal_condition(params, g.states)
+            for j in (n - 1, n - 2):
+                v = solve_time_step(v, g, params, store, time_index=j, slot=slot)[0]
+            return slot
+
+        def rising_row():
+            slot = scheme._SystemSlot()
+            solve_time_step(rising, g, p, tables, slot=slot)
+            return slot
+
+        def right_layers():
+            slot = scheme._SystemSlot()
+            for j in (i + 2, i + 1):
+                solve_time_step(sol.surface[j + 1], g, p, tables, time_index=j, slot=slot)
+            return slot
+
         alone = solve_time_step(sol.surface[i + 1], g, p, tables, time_index=i)
-        slotted = solve_time_step(sol.surface[i + 1], g, p, tables, time_index=i, slot=slot)
-        for a, b in zip(alone[:3], slotted[:3]):
-            np.testing.assert_array_equal(a, b)
-        assert repr(alone[3]) == repr(slotted[3])
         np.testing.assert_array_equal(alone[0], sol.surface[i])
+        sweeps = []
+        for slot in (
+            top_layers(p, tables), rising_row(), top_layers(other, other_tables),
+            right_layers(),
+        ):
+            slotted = solve_time_step(
+                sol.surface[i + 1], g, p, tables, time_index=i, slot=slot
+            )
+            for a, b in zip(alone[:3], slotted[:3]):
+                np.testing.assert_array_equal(a, b)
+            assert repr(alone[3].lowest_argument) == repr(slotted[3].lowest_argument)
+            assert repr(alone[3].largest_minimum) == repr(slotted[3].largest_minimum)
+            sweeps.append(slotted[3].iterations)
+        # the passes are read, not ignored: the two layers above predict a
+        # first policy closer to the layer's own than any other history
+        assert sweeps[-1] < min(alone[3].iterations, *sweeps[:-1])
 
 
 class TestFixedPoint:
@@ -486,11 +518,11 @@ class TestSystemReuse:
     def test_repeated_policy_reuses_its_matrix(self, dear_params, monkeypatch):
         # a solve repeating the previous solve's region and continuation
         # controls hands spsolve the stored matrix: one matrix object per
-        # run of equal consecutive signatures
+        # run of equal consecutive signatures; 53 solves on 30 systems
         solves, matrices = self.record_solves(monkeypatch)
         g = build_uniform(50, 100, dear_params.T)
         sol = solve_backward(g, dear_params, make_control_set(dear_params))
-        assert len(solves) == len(matrices) == 79
+        assert len(solves) == len(matrices) == 53
         sigs = [
             kstar[~region].tobytes() + region.tobytes() for _, kstar, region, _ in solves
         ]
@@ -511,8 +543,9 @@ class TestSystemReuse:
         self, obstacle_regime_solution, monkeypatch
     ):
         # a layer ends when its policy system repeats, so within a layer no
-        # solve has the signature of the solve before it; on this problem
-        # 99 sweeps change only the controls at obstacle nodes
+        # solve has the signature of the solve before it; the first policy
+        # of each layer is predicted, so 205 solves and 405 passes, where
+        # taking the layer above's last policy made 335 and 535
         sol = obstacle_regime_solution
         solves, _ = self.record_solves(monkeypatch)
         firsts = []
@@ -525,8 +558,8 @@ class TestSystemReuse:
         monkeypatch.setattr(howard, "solve_time_step", record_layer)
         again = solve_backward(sol.grid, sol.params, sol.controls)
         assert len(firsts) == sol.grid.n_steps
-        assert len(solves) == 335
-        assert sum(d.iterations for d in again.diagnostics) == 535
+        assert len(solves) == 205
+        assert sum(d.iterations for d in again.diagnostics) == 405
         for first, stop in zip(firsts, firsts[1:] + [len(solves)]):
             sigs = [
                 kstar[~region].tobytes() + region.tobytes()
