@@ -58,7 +58,7 @@ from .policy import (
 )
 from .scheme import CONTROL_COUNT, CONTROL_HIGH, CONTROL_LOW, build_tables
 from .scheme import make_control_set, operator_values
-from .simulate import ClaimSchedule, claim_steps, poisson_schedule
+from .simulate import ClaimSchedule, poisson_schedule
 
 __all__ = ["ConfigError", "RunConfig", "run", "main"]
 
@@ -324,9 +324,6 @@ def run(config: RunConfig, out_dir=None) -> dict:
     if not 0.0 <= config.x0 < np.inf:  # NaN fails too
         raise ValueError(f"cli: starting wealth must be finite, >= 0, got {config.x0}")
     coarse_grid = build_uniform(config.n_time, config.n_state, params.T)
-    # more than 255 claims at one step fails here, not in evolve_path after
-    # both solves; the refined grid keeps this time mesh
-    claim_steps(claims, coarse_grid.h_t, coarse_grid.n_steps)
     if config.refine:
         # the coarse mesh is uniform, so the spacing refine_around checks at
         # the start node is known before the solve; its widest cell never

@@ -111,9 +111,9 @@ class StepDiagnostics:
     """
 
     iterations: int
+    lowest_argument: float
+    largest_minimum: float
     policy_stable: ClassVar[bool] = True
-    lowest_argument: float = np.nan
-    largest_minimum: float = np.nan
 
 
 @dataclass

@@ -1,11 +1,12 @@
 """Claim schedules, the claim-step and wealth-increment rules, primal wealth.
 
 Every claim has the one size ``ModelParams.delta`` the surface is solved
-for, so a schedule is its arrival times alone. The path reconstruction
-and the forward (primal) Euler accumulation both place claims with
-``claim_steps`` and step wealth with ``wealth_increments``, so
-``integrate_primal`` reproduces a reconstructed wealth path up to exactly
-that path's ``sde_residual``.
+for, so a schedule is its arrival times alone. Any number of claims may
+act at one time step: ``claim_steps`` counts them as plain integers. The
+path reconstruction and the forward (primal) Euler accumulation both
+place claims with ``claim_steps`` and step wealth with
+``wealth_increments``, so ``integrate_primal`` reproduces a reconstructed
+wealth path up to exactly that path's ``sde_residual``.
 """
 
 from __future__ import annotations
@@ -74,10 +75,10 @@ def claim_steps(claims, h_t: float, n_steps: int):
     A claim at time t acts at the nearest grid step round(t / h_t), halves
     to even; one nearest to step 0 acts at step 1, and one past the last
     step n_steps - 1 is dropped. Claims nearest to one step all act there,
-    so a step's count can exceed 1; more than 255 at one step (the count's
-    uint8 range) is a ValueError, and so is a time that is not positive
-    (NaN included), and so is a step h_t that is not positive. ``claims``
-    is a ClaimSchedule or a bare sequence of claim times.
+    so a step's count can be any number of claims. A time that is not
+    positive (NaN included) is a ValueError, and so is a step h_t that is
+    not positive. ``claims`` is a ClaimSchedule or a bare sequence of claim
+    times.
 
     The schedules are short, so the times are counted in one Python loop;
     Python's ``round`` halves to even, like ``np.rint``.
@@ -95,10 +96,7 @@ def claim_steps(claims, h_t: float, n_steps: int):
             step = max(round(q), 1)
             if step < n_steps:
                 steps.append(step)
-    counts = np.bincount(steps, minlength=n_steps)
-    if len(times) > 255 and counts.max() > np.iinfo(np.uint8).max:
-        raise ValueError("simulate: more than 255 claims act at one time step")
-    return counts.astype(np.uint8)
+    return np.bincount(steps, minlength=n_steps)
 
 
 def wealth_increments(theta, claim_flag, dt, params: ModelParams):

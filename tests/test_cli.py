@@ -618,24 +618,25 @@ class TestMain:
         assert calls["solve_backward"] == 0
         assert not (tmp_path / "o").exists()
 
-    def test_crowded_claim_step_rejected_before_any_solve(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        # 300 claims nearest to one step of the default mesh overflow its
-        # uint8 count; the refined grid has the same steps, so the coarse
-        # grid's count decides before either solve
-        def solve(*args, **kwargs):
-            pytest.fail("solve_backward called")
-
-        monkeypatch.setattr(cli, "solve_backward", solve)
-        times = tuple(0.5 + 1e-5 * i for i in range(300))
-        with pytest.raises(ValueError, match="more than 255 claims act at one"):
-            run(RunConfig(claim_times=times), out_dir=str(tmp_path / "o"))
+    def test_crowded_claim_step_acts_as_one_step(self, tmp_path, capsys):
+        # 300 claims nearest to step 25 of the default mesh all act there:
+        # the count has no cap, and a rerun writes the same bytes
+        times = ", ".join(str(0.5 + 1e-5 * i) for i in range(300))
         ini = tmp_path / "crowded.ini"
-        ini.write_text(f"[experiment]\nclaim_times = {', '.join(map(str, times))}\n")
-        assert main(["--config", str(ini), "--out", str(tmp_path / "o")]) == 1
-        assert "more than 255 claims" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        ini.write_text(f"[experiment]\nx0 = 0.01\nclaim_times = {times}\n")
+        for name in ("a", "b"):
+            assert main(["--config", str(ini), "--out", str(tmp_path / name)]) == 0
+        lines = (tmp_path / "a" / "path.csv").read_text().splitlines()[1:]
+        claims = [int(line.split(",")[6]) for line in lines]
+        assert claims[25] == 300
+        assert sum(claims) == 300
+        for name in ARTIFACTS:
+            a = (tmp_path / "a" / name).read_bytes()
+            assert a == (tmp_path / "b" / name).read_bytes(), name
+        # from x0 = 1 the claims kick the dual state off the mesh for good
+        ini.write_text(f"[experiment]\nclaim_times = {times}\n")
+        assert main(["--config", str(ini), "--out", str(tmp_path / "c")]) == 3
+        assert "left the mesh hull" in capsys.readouterr().err
 
     @pytest.mark.parametrize("route", ["ini", "flag"])
     def test_negative_seed_named_before_any_solve(
@@ -824,7 +825,7 @@ class TestArtifactText:
             times=column[0], density=column[1], regulator=column[2],
             dual_state=column[3], state_index=index, jump_state_index=index,
             regulated_state_index=index, theta=column[4], wealth=column[5],
-            claim_flag=np.array([0, 1, 2, 3, 255, 0], dtype=np.uint8),
+            claim_flag=np.array([0, 1, 2, 3, 300, 0]),
             y_init=1.0, j_init=0,
         )
         written, oracle = tmp_path / "written", tmp_path / "oracle"

@@ -18,7 +18,7 @@ from insdual import (
     wealth_row,
 )
 from insdual.model import compactify, expand
-from insdual.simulate import claim_steps, poisson_schedule
+from insdual.simulate import claim_steps, poisson_schedule, wealth_increments
 from tests.test_model import make_params
 
 
@@ -38,7 +38,7 @@ def make_solution(n_steps, states, rows, control_value, params):
         controls=ControlSet(np.array([max(control_value, 1.0)])),
         surface=surface,
         control=np.full((n, m), control_value),
-        region=np.zeros((n, m), dtype=np.uint8),
+        region=np.zeros((n, m), dtype=bool),
         diagnostics=[],
     )
 
@@ -202,7 +202,7 @@ class TestClaimSnapping:
         g, p = sol.grid, sol.params
         assert g.n_steps == 50
         path = evolve_path(sol, ClaimSchedule(times=np.array([0.4, 0.401])), 1.0)
-        assert path.claim_flag.dtype == np.uint8
+        assert path.claim_flag.dtype == np.intp
         assert list(np.flatnonzero(path.claim_flag)) == [20]
         assert path.claim_flag[20] == 2
         rho = float(sol.control[20][path.state_index[20]])
@@ -239,6 +239,25 @@ class TestClaimSnapping:
                     table[i, path.regulated_state_index[i]] - table[i, after] - drift
                 ) + abs(table[i, j] - table[i - 1, j])
                 assert abs(drop - (drift - c * theta * p.delta)) <= read_off + 1e-12
+
+    def test_crowded_step_covers_each_claim(self, dear_refined_solution):
+        # 256 claims nearest to step 45 of the 50-step mesh all act there;
+        # they kick the state to the top node, and the wealth lost over the
+        # jump is shared by the claims at the step's mean retention
+        sol = dear_refined_solution
+        p, table = sol.params, sol.wealth
+        k = 45
+        times = k * sol.grid.h_t + 1e-5 * np.arange(256)
+        path = evolve_path(sol, ClaimSchedule(times=times), 1.0)
+        assert list(np.flatnonzero(path.claim_flag)) == [k]
+        assert path.claim_flag[k] == 256
+        loss = table[k, path.state_index[k]] - table[k, path.jump_state_index[k]]
+        assert path.theta[k] > 0.0
+        assert path.theta[k] * p.delta * 256 == pytest.approx(loss, rel=1e-14)
+        defect = np.diff(path.wealth) - wealth_increments(
+            path.theta, path.claim_flag, np.diff(path.times), p
+        )
+        assert sde_residual(path, p) == np.abs(defect).max()
 
     def test_flags_follow_the_shared_rule(self, cheap_solution):
         # the path places claims exactly where the primal side does

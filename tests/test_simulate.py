@@ -129,16 +129,15 @@ class TestClaimSteps:
 
     def test_smallest_positive_time_acts_at_step_one(self):
         counts = claim_steps([5e-324, 0.04, 0.96, 1.2], 0.1, 10)
-        assert counts.dtype == np.uint8
+        assert counts.dtype == np.intp
         assert counts.tolist() == [0, 2, 0, 0, 0, 0, 0, 0, 0, 0]
         assert claim_steps([0.92], 0.1, 10).tolist() == [0] * 9 + [1]
 
-    def test_count_range_checked_past_255_times(self):
-        times = np.linspace(0.46, 0.54, 256)  # all nearest to step 5
-        assert claim_steps(times[:255], 0.1, 10)[5] == 255
-        with pytest.raises(ValueError, match="255 claims"):
-            claim_steps(times, 0.1, 10)
-        # many times spread over the steps are no error
+    def test_counts_every_claim_at_a_crowded_step(self):
+        for count in (255, 256, 300):
+            times = np.linspace(0.46, 0.54, count)  # all nearest to step 5
+            assert claim_steps(times, 0.1, 10).tolist() == [0] * 5 + [count] + [0] * 4
+        # many times spread over the steps are counted too
         assert claim_steps(np.linspace(0.01, 0.9, 300), 0.1, 10).sum() == 300
 
 
@@ -159,10 +158,7 @@ def array_claim_steps(claims, h_t, n_steps):
         rule = "not be NaN" if np.isnan(times).any() else "be strictly positive"
         raise ValueError(f"simulate: claim times must {rule}")
     steps = np.maximum(np.rint(times / h_t), 1.0)
-    counts = np.bincount(steps[steps < n_steps].astype(np.int64), minlength=n_steps)
-    if times.size > 255 and counts.max() > np.iinfo(np.uint8).max:
-        raise ValueError("simulate: more than 255 claims act at one time step")
-    return counts.astype(np.uint8)
+    return np.bincount(steps[steps < n_steps].astype(np.intp), minlength=n_steps)
 
 
 @st.composite
@@ -225,7 +221,7 @@ class TestClaimStepsOracle:
             got = step_outcome(claim_steps, claims, h_t, n_steps)
         assert got == expected
         if got[0] is not ValueError:
-            assert got[0] == np.uint8
+            assert got[0] == np.intp
 
 
 class TestIntegratePrimal:
@@ -263,12 +259,16 @@ class TestIntegratePrimal:
         inc = np.diff(out)
         assert inc[4] == pytest.approx(p.alpha * p.T / 10.0 - 2 * 0.7, rel=1e-14)
 
-    def test_more_claims_at_one_step_than_the_count_holds(self):
-        p = make_params()
+    def test_crowded_step_takes_each_claim(self):
+        p = make_params(alpha=2.0, beta=1.5, delta=0.7)
         times = np.linspace(0.46, 0.54, 256) * p.T  # all nearest to step 5
-        integrate_primal(np.ones(10), p, times[:255], 1.0)
-        with pytest.raises(ValueError, match="255 claims"):
-            integrate_primal(np.ones(10), p, times, 1.0)
+        out = integrate_primal(np.full(10, 0.25), p, times, 1.0)
+        drift = (p.alpha - p.beta * 0.75) * p.T / 10.0
+        inc = np.diff(out)
+        assert inc[4] == pytest.approx(drift - 0.25 * 0.7 * 256, rel=1e-14)
+        mask = np.ones(9, dtype=bool)
+        mask[4] = False
+        np.testing.assert_allclose(inc[mask], drift, rtol=1e-12)
 
     def test_claim_at_horizon_ignored(self):
         p = make_params(alpha=2.0, beta=1.5)
