@@ -29,18 +29,18 @@ the layer, so the solution's residuals need no second evaluation of the
 operator. The region of a layer is the boolean obstacle mask of that
 pass: true where the obstacle expression binds.
 
-A layer starts at v = v_next, the row the layer above returned. Its
-first policy is predicted from the improvement passes that ended the one
-or two layers above, which the sweep's _SystemSlot keeps, so no ladder
-scan is spent on it. With one layer above, the first pass is that
-layer's last pass, taken at exactly v_next. With two, layers i + 1 and
-i + 2, the row is extrapolated linearly, v~ = 2 v_{i+1} - v_{i+2}, and so
-are the operator values of those passes, V~ = 2 V_{i+1} - V_{i+2}: the
-operator is affine in v, so V~ is its value at v~ up to rounding (+inf
-stays at inadmissible pairs). The first controls are the argmin of V~,
-and the first region compares v_next - v~ plus the layer above's h_t
-scaled chosen values with the obstacle values at v~. Every later pass
-scans the solved row. Policy iteration on a monotone scheme stops at the
+A layer starts at v = v_next, the row the layer above returned. One rule
+sets its first pass. When the sweep's _SystemSlot holds the improvement
+passes that ended the two layers above, i + 1 and i + 2, the pass is
+predicted from them, with no ladder scan: the row is extrapolated
+linearly, v~ = 2 v_{i+1} - v_{i+2}, and so are the operator values of
+those passes, V~ = 2 V_{i+1} - V_{i+2}: the operator is affine in v, so
+V~ is its value at v~ up to rounding (+inf stays at inadmissible pairs).
+The first controls are the argmin of V~, and the first region compares
+v_next - v~ plus the layer above's h_t scaled chosen values with the
+obstacle values at v~. Otherwise, at the first two layers of a sweep,
+the first pass scans v_next, and every later pass of every layer scans
+the solved row. Policy iteration on a monotone scheme stops at the
 same fixed point from any first policy, so the prediction changes how
 many sweeps a layer takes, not the row, controls, region or extrema it
 returns (tests/test_howard_parity.py holds the sweep to a full-scan
@@ -201,13 +201,13 @@ def solve_time_step(
     The layer ends when its policy system repeats, so the returned row is
     a fixed point of its own improvement. ``slot`` carries the sweep's
     last policy system and the passes that ended the last one or two
-    layers (see _SystemSlot): the layer's first pass is predicted from
-    them, and its solves and the pass that ends it are stored back.
-    Passes from another layer, or another problem on the same grid and
-    ladder, change only the work, not the result. Without a slot the
-    layer uses a fresh one, and its first pass scans v_next. Raises
-    HowardNonconvergence with the last iterate if MAX_SWEEPS sweeps
-    finish without the layer ending.
+    layers (see _SystemSlot); its solves and the pass that ends it are
+    stored back. The layer's first pass is predicted from the slot's
+    passes when it holds two, and scans v_next otherwise; without a slot
+    the layer uses a fresh one. Passes from another layer, or another
+    problem on the same grid and ladder, change only the work, not the
+    result. Raises HowardNonconvergence with the last iterate if
+    MAX_SWEEPS sweeps finish without the layer ending.
     """
     if slot is None:
         slot = _SystemSlot()
@@ -219,8 +219,8 @@ def solve_time_step(
     stationary = np.empty_like(v)
     for it in range(1, MAX_SWEEPS + 1):
         # improvement: the pass stands for the row `at`; a layer's first is
-        # predicted from the slot's passes, and every later one scans v
-        if it == 1 and slot.passes:
+        # predicted from the passes of two layers above, and any other scans v
+        if it == 1 and len(slot.passes) == 2:
             at, kstar, scaled, obstacle = _first_pass(slot.passes, grid, tables)
         else:
             at = v
@@ -255,30 +255,26 @@ def solve_time_step(
             v,
         )
     # the layer ended on a scan of the returned row v
-    slot.passes = (*slot.passes[-1:], (v, values, kstar, scaled, obstacle))
+    slot.passes = (*slot.passes[-1:], (v, values, scaled))
     diag = StepDiagnostics(it, *_extrema(stationary, obstacle))
     return v, tables.controls[kstar], region, diag
 
 
 def _first_pass(passes, grid: Grid, tables: OperatorTables):
-    """(row, kstar, h_t * chosen values, obstacle values) of a layer's first pass.
+    """(row, kstar, h_t * chosen values, obstacle values) of a predicted first pass.
 
-    ``passes`` are the slot's last passes, oldest first. With one, it is
-    the first pass as it stands. With two, the row and the operator values
-    are extrapolated linearly from them and the controls read off the
-    extrapolated values; the chosen values stay those of the newer pass.
+    ``passes`` are the passes that ended the two layers above, oldest
+    first. The row and the operator values are extrapolated linearly from
+    them and the controls read off the extrapolated values; the chosen
+    values stay those of the newer pass.
     """
-    row, values, kstar, scaled, obstacle = passes[-1]
-    if len(passes) == 2:
-        row_before, values_before = passes[0][:2]
-        row = 2.0 * row - row_before
-        # inadmissible pairs are +inf in both passes: keep them out of the
-        # subtraction, where inf - inf would be NaN
-        predicted = values * 2.0
-        np.subtract(predicted, values_before, out=predicted, where=tables.admissible)
-        kstar = predicted.argmin(axis=0)
-        obstacle = obstacle_values(row, grid)
-    return row, kstar, scaled, obstacle
+    (row_before, values_before, _), (row, values, scaled) = passes
+    row = 2.0 * row - row_before
+    # inadmissible pairs are +inf in both passes: keep them out of the
+    # subtraction, where inf - inf would be NaN
+    predicted = values * 2.0
+    np.subtract(predicted, values_before, out=predicted, where=tables.admissible)
+    return row, predicted.argmin(axis=0), scaled, obstacle_values(row, grid)
 
 
 def _extrema(stationary, obstacle):
@@ -297,10 +293,11 @@ def solve_backward(
     """Full backward sweep from the terminal layer to time zero.
 
     Every layer of the sweep shares one _SystemSlot, made for this call
-    only, so a repeated policy system is not assembled again and each
-    layer's first pass is predicted from the last passes of the two
-    layers above. Raises ValueError if h_t * r >= 1, or if the ladder
-    lacks rho = 1, the only control the first node admits.
+    only, so a repeated policy system is not assembled again and, from
+    the third layer on, each layer's first pass is predicted from the
+    last passes of the two layers above. Raises ValueError if
+    h_t * r >= 1, or if the ladder lacks rho = 1, the only control the
+    first node admits.
     """
     if grid.h_t * params.r >= 1.0:
         raise ValueError(

@@ -17,9 +17,10 @@ Per step i >= 1 the evolution is
   2. read the layer-i control rho at node j_i,
   3. density *= exp(-pi * h_t * (rho - 1)), and *= rho once per claim
      acting at this step,
-  4. dual state = y_init * density * regulator; project it (node j''_i)
-     and project the jumped state rho^c * Y_{i-1} (node j'_i), with c the
-     number of claims acting at this step (rho * Y_{i-1} when c = 0),
+  4. dual state = y_init * density * regulator, a PathEscapeError when it
+     is not finite; project it (node j''_i) and project the jumped state
+     rho^c * Y_{i-1} (node j'_i), with c the number of claims acting at
+     this step (rho * Y_{i-1} when c = 0),
   5. while wealth at node j''_i is negative, step j''_i down one node and
      shrink the regulator so the dual state sits on that node,
   6. coverage theta_i = (wealth(j_i) - wealth(j'_i)) / (max(c, 1) * delta),
@@ -240,14 +241,14 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
             kick = rho
             d = d * growth
             if flags[i]:
-                kick = rho ** flags.item(i)
+                kick = _kick(rho, flags.item(i))
                 d = d * kick
             kicks[i] = kick
             y = y_init * d * reg
+            if not np.isfinite(y):
+                raise PathEscapeError(f"policy: dual state {y} at step {i} is not finite")
 
-            # a state of inf maps to NaN here, without a warning
-            with np.errstate(invalid="ignore"):
-                target = compactify(y)
+            target = compactify(y)
             jpp = unregulated = project(grid, target)
             while w(i, jpp) < 0.0:
                 if jpp == 0:
@@ -276,8 +277,9 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
             i += 1
     except PathEscapeError:
         # the per-step rules project a step's jumped state before its new
-        # one: a jumped state up to this step that cannot be mapped fails first
-        _jump_nodes(grid, kicks[: i + 1], dual_state)
+        # one: a jumped state that cannot be mapped fails first (inf maps to NaN)
+        with np.errstate(invalid="ignore"):
+            _jump_nodes(grid, kicks[: i + 1], dual_state)
         raise
 
     rows = np.arange(n)

@@ -287,10 +287,9 @@ class _SystemSlot:
 
     ``passes`` holds the improvement pass that ended each of the last
     one or two layers the sweep solved, oldest first (empty before the
-    first): the row it was taken at, the (K, m) operator values there,
-    the minimizing ladder index per node, h_t times the values it chose
-    and the obstacle values. howard predicts a layer's first pass from
-    them. A slot holds one grid, one store and
+    first): the row it was taken at, the (K, m) operator values there and
+    h_t times the values it chose. howard predicts a layer's first pass
+    from them once they are two. A slot holds one grid, one store and
     one h_t: solve_backward makes one per call and never shares it.
 
     solve_policy_system alone writes ``signature`` and ``system``, and

@@ -335,7 +335,7 @@ class TestWorkCount:
         # the two solves each build one store and the control sensitivity
         # one for its wide ladder (the base ladder reuses the refined
         # solve's); every Howard sweep evaluates the operator once, except
-        # the first sweep of every layer but the first one solved, and the
+        # the first sweep of every layer but the first two solved, and the
         # sensitivity scans both ladders at the time-0 row
         counts = count_calls(monkeypatch, "build_tables", "operator_values")
         solutions = []
@@ -349,27 +349,27 @@ class TestWorkCount:
         run(RunConfig(n_time=10, n_state=40), out_dir=str(tmp_path))
         assert len(solutions) == 2
         sweeps = sum(d.iterations for sol in solutions for d in sol.diagnostics)
-        started = sum(sol.grid.n_steps - 1 for sol in solutions)
+        predicted = sum(sol.grid.n_steps - 2 for sol in solutions)
         assert counts["build_tables"] == 3
-        assert counts["operator_values"] == sweeps - started + 2
+        assert counts["operator_values"] == sweeps - predicted + 2
 
     def test_default_run_calls(self, tmp_path, monkeypatch):
         # the calls a default run makes, pinned: the benchmark's trace reads
         # these functions by name. Both solves' 100 layers take 206 sweeps.
         # Every sweep but a layer's first forms one policy signature for the
         # stop test (206 - 100), and each of the 106 policy solves forms its
-        # own to key the stored system: 212. The first sweep of 98 layers is
-        # predicted, not scanned, so the sweeps scan 108 times, and the
-        # control sensitivity twice more: 110. Every scan reads the obstacle
-        # values, and so does each of the 96 first sweeps extrapolated from
-        # two layers: 204
+        # own to key the stored system: 212. The first sweep of the 96
+        # layers below each solve's first two is predicted, not scanned, so
+        # the sweeps scan 110 times, and the control sensitivity twice more:
+        # 112. Every scan reads the obstacle values, and so does each of the
+        # 96 predicted first sweeps: 206
         counts = count_calls(
             monkeypatch, "solve_time_step", "operator_values", "obstacle_values",
             "solve_policy_system", "spsolve", "build_tables", "_signature",
         )
         run(RunConfig(), out_dir=str(tmp_path))
         assert counts == {
-            "solve_time_step": 100, "operator_values": 110, "obstacle_values": 204,
+            "solve_time_step": 100, "operator_values": 112, "obstacle_values": 206,
             "solve_policy_system": 106, "spsolve": 106, "build_tables": 3,
             "_signature": 212,
         }

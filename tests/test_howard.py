@@ -415,16 +415,31 @@ class TestSolutionArrays:
 
 
 class TestWarmStart:
-    def test_one_scan_fewer_per_started_layer(self, dear_params, monkeypatch):
-        # a pass per sweep, less one for every layer but the first one
-        # solved: those take the last pass of the layer above as their
-        # first, chosen operator values included
-        counts = count_calls(monkeypatch, "operator_values")
+    def test_first_two_layers_scan_and_later_ones_predict(
+        self, dear_params, monkeypatch
+    ):
+        # a sweep's first two layers scan their first pass, as a fresh slot
+        # does; from the third on the slot holds the passes of two layers
+        # above, and the first pass is predicted from them, with no scan
+        counts = count_calls(monkeypatch, "operator_values", "_first_pass")
+        per_layer = []
+        step = howard.solve_time_step
+
+        def record_layer(*args, **kwargs):
+            before = dict(counts)
+            out = step(*args, **kwargs)
+            per_layer.append(
+                (out[3].iterations, *(counts[k] - before[k] for k in counts))
+            )
+            return out
+
+        monkeypatch.setattr(howard, "solve_time_step", record_layer)
         g = build_uniform(20, 60, dear_params.T)
-        sol = solve_backward(g, dear_params, make_control_set(dear_params))
-        assert all(d.policy_stable for d in sol.diagnostics)
-        scans = counts["operator_values"]
-        assert scans == sum(d.iterations for d in sol.diagnostics) - (g.n_steps - 1)
+        solve_backward(g, dear_params, make_control_set(dear_params))
+        assert len(per_layer) == g.n_steps
+        for k, (sweeps, scans, predicted) in enumerate(per_layer):
+            assert predicted == (k >= 2), k
+            assert scans == sweeps - predicted, k
 
     @pytest.mark.parametrize(
         "name", ["dear_coarse_solution", "obstacle_regime_solution"]

@@ -12,9 +12,10 @@ table.
 Its density takes one factor rho per claim acting at a step (rho ** 0 is
 1.0 and rho ** 1 is rho, so a step with at most one claim keeps the bits
 of its first form), and a step with c >= 2 claims jumps by rho ** c and
-divides its coverage by c (the same bits as before for c <= 1). Every
-array of the path must agree bit for bit, and a failing reconstruction
-must fail with the same exception and message.
+divides its coverage by c (the same bits as before for c <= 1). A dual
+state that is not finite, as when rho ** c overflows, is a
+PathEscapeError. Every array of the path must agree bit for bit, and a
+failing reconstruction must fail with the same exception and message.
 """
 
 import dataclasses
@@ -123,14 +124,24 @@ def oracle_evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPa
         rho = float(solution.control[i][j_i])
         growth = np.exp(-params.pi_intensity * ht * (rho - 1.0))
         claims_here = int(flags[i])
-        density[i] = density[i - 1] * growth * rho ** claims_here
+        try:
+            power = rho ** claims_here
+        except OverflowError:
+            power = np.inf
+        density[i] = density[i - 1] * growth * power
         regulator[i] = regulator[i - 1]
         dual_state[i] = y_init * density[i] * regulator[i]
 
         # a step with c >= 1 claims jumps by rho ** c and covers each claim
-        # at the mean retention over the c claims
-        kick = rho ** claims_here if claims_here else rho
-        jp = project(grid, compactify(kick * dual_state[i - 1]))
+        # at the mean retention over the c claims; a jumped state of inf
+        # maps to NaN, and the state after it fails by name
+        kick = power if claims_here else rho
+        with np.errstate(invalid="ignore"):
+            jp = project(grid, compactify(kick * dual_state[i - 1]))
+        if not np.isfinite(dual_state[i]):
+            raise PathEscapeError(
+                f"policy: dual state {dual_state[i]} at step {i} is not finite"
+            )
         target = compactify(dual_state[i])
         jpp = project(grid, target)
         unregulated = jpp
@@ -496,7 +507,7 @@ class TestStretchCuts:
         # claims under it overflow rho ** 2. A pass from step 1 reaches the
         # claim at step 8 under that control; with a turn to 1.5 at layer 5
         # the claim is taken under 1.5 and the path is made, without one
-        # the per-step rules raise OverflowError at step 8
+        # the per-step rules find the state at step 8 not finite
         states = np.linspace(0.2, 0.8, 61)
         control = np.full((12, states.size), 1e155)
         if turn is not None:
@@ -507,7 +518,8 @@ class TestStretchCuts:
         x = oracle_wealth_row(sol, 0)[10]
         got = assert_same_outcome(sol, [8 / 12, 8.001 / 12], x)
         if turn is None:
-            assert isinstance(got, OverflowError)
+            assert isinstance(got, PathEscapeError)
+            assert str(got) == "policy: dual state inf at step 8 is not finite"
         else:
             assert isinstance(got, PolicyPath) and got.claim_flag[8] == 2
 

@@ -259,6 +259,17 @@ class TestClaimSnapping:
         )
         assert sde_residual(path, p) == np.abs(defect).max()
 
+    @pytest.mark.parametrize("x", [0.3, 1.0, 3.0])
+    def test_overflowing_crowd_fails_by_name(self, dear_refined_solution, x):
+        # 12,000 claims at one step kick the density by rho ** 12000, past
+        # the largest double: the dual state is not finite, and the path
+        # fails as an escape, with no OverflowError and no numpy warning
+        sol = dear_refined_solution
+        times = 45 * sol.grid.h_t + 1e-7 * np.arange(12_000)
+        with pytest.raises(PathEscapeError) as exc:
+            evolve_path(sol, ClaimSchedule(times=times), x)
+        assert str(exc.value) == "policy: dual state inf at step 45 is not finite"
+
     def test_flags_follow_the_shared_rule(self, cheap_solution):
         # the path places claims exactly where the primal side does
         schedule = poisson_schedule(20.0, 1.0, seed=2001)
