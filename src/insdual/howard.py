@@ -20,8 +20,15 @@ bit, so the returned row is an exact fixed point of its own
 improvement, and the complementarity conditions hold to linear-solver
 precision. A finite ladder and a monotone scheme bound the
 number of sweeps (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal.
-47(4), 2009); a layer that has not stopped after MAX_SWEEPS sweeps
-raises HowardNonconvergence.
+47(4), 2009), but rounding can tie two systems whose rows differ by an
+ulp or two, each pass returning the other. So the loop also stops when
+a pass gives the system the layer solved two sweeps back: it returns
+the last solved row, which is then not an exact fixed point of its own
+improvement (its system solves to the other row), with complementarity
+still at rounding level. A converging layer never meets that stop, as
+the two systems would alternate forever. A layer that has not stopped
+after MAX_SWEEPS sweeps, a longer cycle included, raises
+HowardNonconvergence.
 
 Each layer records how many sweeps it took and its complementarity
 extrema at the returned row, read off the improvement pass that ended
@@ -86,9 +93,11 @@ GROWTH_BAND = (0.05, 0.95)
 
 
 class HowardNonconvergence(RuntimeError):
-    """Raised when a layer's policy system has not repeated within MAX_SWEEPS sweeps.
+    """Raised when a layer has not stopped within MAX_SWEEPS sweeps.
 
-    Also raised when an evaluation produces non-finite values.
+    A layer stops on a repeated policy system or on a 2-cycle of two, so
+    a cycle of three or more systems also raises here. Also raised when
+    an evaluation produces non-finite values.
     """
 
     def __init__(self, message, time_index, last_iterate):
@@ -104,7 +113,7 @@ class StepDiagnostics:
     A layer's time index is its position in DiscreteSolution.diagnostics.
     iterations counts the improvement passes the layer took.
     policy_stable, a class constant, is true: a layer ends only on a
-    repeated policy system and raises otherwise.
+    repeated policy system or a 2-cycle of two, and raises otherwise.
     lowest_argument is the smallest value either argument of the
     pointwise minimum takes on the layer, largest_minimum the largest
     value of the minimum itself (see complementarity_extrema).
@@ -199,10 +208,13 @@ def solve_time_step(
 
     Warm starts from v_next and evaluates the operator store ``tables``.
     The layer ends when its policy system repeats, so the returned row is
-    a fixed point of its own improvement. ``slot`` carries the sweep's
-    last policy system and the passes that ended the last one or two
-    layers (see _SystemSlot); its solves and the pass that ends it are
-    stored back. The layer's first pass is predicted from the slot's
+    a fixed point of its own improvement, or when a pass returns to the
+    system solved two sweeps back; that 2-cycle of rounding ties ends on
+    the last solved row, which its own system does not reproduce, with
+    the controls, region and extrema of the pass at it. ``slot`` carries
+    the sweep's last policy system and the passes that ended the last one
+    or two layers (see _SystemSlot); its solves and the pass that ends it
+    are stored back. The layer's first pass is predicted from the slot's
     passes when it holds two, and scans v_next otherwise; without a slot
     the layer uses a fresh one. Passes from another layer, or another
     problem on the same grid and ladder, change only the work, not the
@@ -217,6 +229,7 @@ def solve_time_step(
     nodes = np.arange(v.size)
     # the stationary part v_next - at + h_t * chosen, formed in place
     stationary = np.empty_like(v)
+    before = None  # signature of the system this layer solved two sweeps back
     for it in range(1, MAX_SWEEPS + 1):
         # improvement: the pass stands for the row `at`; a layer's first is
         # predicted from the passes of two layers above, and any other scans v
@@ -234,9 +247,12 @@ def solve_time_step(
         # the first node has no obstacle row: its obstacle value is +inf
         region = stationary > obstacle
         # from sweep 2 on the slot holds this layer's last solved system (on
-        # sweep 1, maybe the layer above's); solving it again reproduces v
-        if it > 1 and _signature(kstar, region) == slot.signature:
-            break
+        # sweep 1, maybe the layer above's); solving it again reproduces v.
+        # A pass back on the system solved before that starts a 2-cycle
+        if it > 1:
+            if _signature(kstar, region) in (slot.signature, before):
+                break
+            before = slot.signature
         v_new = solve_policy_system(v_next, grid, params, tables, kstar, region, slot)
         if not np.isfinite(v_new).all():
             raise HowardNonconvergence(

@@ -33,10 +33,11 @@ every later step under that node's control rho, claim steps included (the
 densities are one sequential product of the growth factors and kicks
 rho^c, the bits of the per-step update), up to its first cut: a step whose
 control is not rho, whose state is not positive and finite, leaves the
-node hull or needs regulation. The next pass starts at the cut step. Only
-a step no pass takes (one of the last three kinds) goes to the per-step
-rules, one step at a time, after an empty pass: a regulated step right
-after a pass first meets one. A node's dual state is read off
+node hull or needs regulation. A step cut by its control starts the next
+pass. Any other cut step takes the density, kick, state and node its pass
+computed, and the per-step rules do only the rest: they refuse a state
+that is not finite, regulate and count hull escapes; the next pass starts
+after it, and no pass is empty. A node's dual state is read off
 ``Grid.dual_states``. A pass never raises, so a failing path
 fails with the error the per-step rules raise first. One read-off after
 the first phase then does the jumped states, coverage and wealth of
@@ -155,8 +156,8 @@ def _kick(rho, c):
         return np.inf
 
 
-def _stretch(solution, i, rho, growth, d, y_init, reg, flags):
-    """Steps i .. n - 1 under the control rho, up to the first cut.
+def _stretch(solution, i, rho, d, y_init, reg, flags):
+    """One pass over steps i .. n - 1 under the control rho.
 
     One array pass does what the per-step rules would, claim steps
     included. The densities are one sequential product of d and, per
@@ -164,14 +165,16 @@ def _stretch(solution, i, rho, growth, d, y_init, reg, flags):
     (the per-step power; 1.0, which keeps the bits, elsewhere). A step is
     cut where its control is no longer rho, where its state is not
     positive and finite, leaves the node hull or needs regulation.
-    Returns the densities, dual states, nodes and jump factors (rho, or
-    rho ** c) of the steps before the first cut; nothing here raises, so
-    a failing step fails under the per-step rules.
+    Returns the index of the first cut (the pass's length if none) and
+    the densities, dual states, nodes and jump factors (rho, or rho ** c)
+    of every step, the cut step's included; nothing here raises, so a
+    failing step fails under the per-step rules.
     """
     at = flags[i:].nonzero()[0]
     kicks = np.full(flags.size - i, rho)
     kicks[at] = [_kick(rho, c) for c in flags[i + at].tolist()]
     factors = np.ones(2 * kicks.size + 1)
+    growth = np.exp(-solution.params.pi_intensity * solution.grid.h_t * (rho - 1.0))
     factors[0], factors[1::2], factors[2 * at + 2] = d, growth, kicks[at]
     # the pass runs past its cut, where the per-step rules never compute
     with np.errstate(over="ignore"):
@@ -186,8 +189,7 @@ def _stretch(solution, i, rho, growth, d, y_init, reg, flags):
     cut = ~ok | (target < states[0]) | (target > states[-1])
     cut |= solution.wealth[rows, nodes] < 0.0
     cut[1:] |= solution.control[rows[1:], nodes[:-1]] != rho
-    m = int(cut.argmax()) if cut.any() else nodes.size
-    return dens[:m], ys[:m], nodes[:m], kicks[:m]
+    return (int(cut.argmax()) if cut.any() else nodes.size), dens, ys, nodes, kicks
 
 
 def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
@@ -201,7 +203,6 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
     nodes = grid.states
     control = solution.control.item
     w = solution.wealth.item
-    decay = -params.pi_intensity * grid.h_t
 
     flags = claim_steps(claims, grid.h_t, n)
     j_init, y_init = find_initial_state(solution, x)
@@ -225,31 +226,25 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
             # the previous step settled on node jpp: its state is that node's
             # or, if regulated, within a few ulps of it, so projecting is redundant
             rho = control(i, jpp)
-            growth = float(np.exp(decay * (rho - 1.0)))
-            dens, ys, js, ks = _stretch(solution, i, rho, growth, d, y_init, reg, flags)
-            if js.size:
-                end = i + js.size
-                density[i:end] = dens
-                regulator[i:end] = reg
-                dual_state[i:end] = ys
-                kicks[i:end] = ks
-                settled[i:end] = js
-                d, jpp, escapes, i = float(dens[-1]), int(js[-1]), 0, end
+            m, dens, ys, js, ks = _stretch(solution, i, rho, d, y_init, reg, flags)
+            end = i + m
+            density[i:end] = dens[:m]
+            regulator[i:end] = reg
+            dual_state[i:end] = ys[:m]
+            kicks[i:end] = ks[:m]
+            settled[i:end] = js[:m]
+            if m:
+                d, jpp, escapes, i = dens.item(m - 1), js.item(m - 1), 0, end
+            # a step cut by its control starts the next pass
+            if i == n or control(i, jpp) != rho:
                 continue
 
-            # the per-step rules: a step no pass can take
-            kick = rho
-            d = d * growth
-            if flags[i]:
-                kick = _kick(rho, flags.item(i))
-                d = d * kick
-            kicks[i] = kick
-            y = y_init * d * reg
+            # the per-step rules: the cut step as the pass computed it
+            d, y, kicks[i] = dens.item(m), ys.item(m), ks[m]
             if not np.isfinite(y):
                 raise PathEscapeError(f"policy: dual state {y} at step {i} is not finite")
-
             target = compactify(y)
-            jpp = unregulated = project(grid, target)
+            jpp = unregulated = js.item(m)
             while w(i, jpp) < 0.0:
                 if jpp == 0:
                     raise PathEscapeError(

@@ -11,6 +11,7 @@ from insdual import (
     Grid,
     HowardNonconvergence,
     build_uniform,
+    cli,
     complementarity_extrema,
     conjugate_utility,
     expand,
@@ -508,6 +509,38 @@ class TestFixedPoint:
         for i in range(g.n_steps):
             kstar = operator_values(sol.surface[i], g, p, tables).argmin(axis=0)
             np.testing.assert_array_equal(tables.controls[kstar], sol.control[i])
+
+
+class TestRoundingCycle:
+    @pytest.mark.parametrize("r, time_index", [(30.0, 10), (40.0, 26)])
+    def test_layer_ends_on_a_two_cycle(self, r, time_index, tmp_path, monkeypatch):
+        # at r = 30 and r = 40 a layer of the default run's coarse solve
+        # alternates between two policy systems whose rows differ by one
+        # ulp; it ends on the cycle, on a row that solving its own system
+        # does not reproduce, and both solves keep complementarity within
+        # 100 epsilons of the surface's magnitude (about 35 are reached)
+        solutions = []
+        real = cli.solve_backward
+
+        def record(*args):
+            solutions.append(real(*args))
+            return solutions[-1]
+
+        monkeypatch.setattr(cli, "solve_backward", record)
+        cli.run(cli.RunConfig(r=r), tmp_path)
+        assert len(solutions) == 2
+        for sol in solutions:
+            bound = 100 * np.finfo(float).eps * np.abs(sol.surface).max()
+            lowest, largest = complementarity_extrema(sol)
+            assert abs(lowest) <= bound and abs(largest) <= bound
+        sol = solutions[0]
+        g, p, tables = sol.grid, sol.params, sol.tables
+        kstar = operator_values(sol.surface[time_index], g, p, tables).argmin(axis=0)
+        np.testing.assert_array_equal(tables.controls[kstar], sol.control[time_index])
+        again = scheme.solve_policy_system(
+            sol.surface[time_index + 1], g, p, tables, kstar, sol.region[time_index]
+        )
+        assert not np.array_equal(again, sol.surface[time_index])
 
 
 class TestSystemReuse:

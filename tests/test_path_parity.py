@@ -371,25 +371,31 @@ class TestStretchCuts:
         used = control[rows, path.state_index[1:]]
         assert np.unique(used).size == 2 and path.regulator[-1] == 1.0
 
-    def test_regulation_after_a_long_stretch(self):
+    def test_regulation_after_a_long_stretch(self, monkeypatch):
         # the state climbs at a fixed control until the wealth of its node
-        # turns negative (s > 0.6); from there every step is regulated
+        # turns negative (s > 0.6); from there every step is regulated, each
+        # from the node its pass projected: no state is projected alone
         states = np.linspace(0.05, 0.95, 91)
         sol = flat_solution(60, states, (states - 0.6) ** 2, 0.5, pi_intensity=8.0)
+        calls = count_projections(monkeypatch)
         path = assert_same_outcome(sol, [], oracle_wealth_row(sol, 0)[10])
         first = int(np.argmax(path.regulator < 1.0))
         assert first > 30 and np.all(path.regulator[first:] < 1.0)
+        assert () not in calls
 
     @pytest.mark.parametrize("turn", [None, 26])
-    def test_hull_escape_after_a_long_stretch(self, turn):
+    def test_hull_escape_after_a_long_stretch(self, turn, monkeypatch):
         # the state climbs out of the hull after 21 steps; without a turn it
-        # stays out for the tolerated count, with one it comes back earlier
+        # stays out for the tolerated count, with one it comes back earlier.
+        # Each step off the hull is taken from its pass's node
         states = np.linspace(0.3, 0.7, 41)
         control = np.full((60, states.size), 0.5)
         if turn is not None:
             control[turn:] = 1.5
         sol = flat_solution(60, states, 1.0 - 0.5 * states, control, pi_intensity=8.0)
+        calls = count_projections(monkeypatch)
         got = assert_same_outcome(sol, [], oracle_wealth_row(sol, 0)[5])
+        assert () not in calls
         if turn is None:
             assert isinstance(got, PathEscapeError) and "step 31," in str(got)
         else:
@@ -460,15 +466,15 @@ class TestStretchCuts:
         # the state drifts down at rho = 1.5 and the claim kick rho^c lifts
         # it onto s = 0.6, where wealth turns negative: that claim step is
         # the first regulated one, so the pass is cut exactly there. The
-        # next pass starts there and takes no step, the per-step rules
-        # take it, and a last pass runs from step 31 to the end
+        # per-step rules regulate it from the node that pass projected,
+        # and a second pass runs from step 31 to the end
         states = np.linspace(0.05, 0.95, 91)
         sol = flat_solution(60, states, (states - 0.6) ** 2, 1.5, pi_intensity=0.5)
         calls = count_projections(monkeypatch)
         path = assert_same_outcome(sol, times, oracle_wealth_row(sol, 0)[50])
         assert path.claim_flag[30] == len(times)
         assert path.regulator[29] == 1.0 and path.regulator[30] < 1.0
-        assert calls == [(59,), (30,), (), (29,), (60,)]
+        assert calls == [(59,), (29,), (60,)]
 
     def test_control_cuts_are_taken_by_the_next_pass(self, monkeypatch):
         # on the kappa = 3 surface the control changes along the paths, and
@@ -486,14 +492,16 @@ class TestStretchCuts:
         assert len(calls) > 3 * 20
 
     @pytest.mark.parametrize("count", [2, 3])
-    def test_claim_step_leaves_the_hull(self, count):
+    def test_claim_step_leaves_the_hull(self, count, monkeypatch):
         # the kick 0.5^c at step 2 drops the state below the hull; with two
         # claims it climbs back in after seven steps, with three it stays
         # out for the tolerated count
         states = np.linspace(0.2, 0.8, 61)
         sol = flat_solution(20, states, 1.0 - 0.5 * states, 0.5, pi_intensity=3.8)
         times = [0.1, 0.101, 0.102][:count]
+        calls = count_projections(monkeypatch)
         got = assert_same_outcome(sol, times, oracle_wealth_row(sol, 0)[10])
+        assert () not in calls
         if count == 2:
             assert isinstance(got, PolicyPath) and got.claim_flag[2] == 2
             outside = compactify(got.dual_state) < states[0]
