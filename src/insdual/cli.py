@@ -19,12 +19,13 @@ dropped (0.5 is ``0.5``), in exponent form from 1e17 up and below 1e-4
 identical runs produce byte-identical files.
 
 A rerun into the same directory removes all five earlier artifacts before
-it writes the first, then writes each as a new file: a hard link or an
-open handle to an old file keeps the old bytes, a read-only old artifact
-in a writable directory is replaced, and so is a symlink at an artifact
-path, by a regular file. A run that fails while writing leaves none of an
-earlier run's artifacts next to its own. (Writing over a truncated old
-file was slower: 1.1 against 0.6 ms for a 0.9 MB file on ext4.)
+it writes the first, then writes each as a new file (one that appeared in
+between is refused by name): a hard link or an open handle to an old file
+keeps the old bytes, a read-only old artifact in a writable directory is
+replaced, and so is a symlink at an artifact path, by a regular file. A
+run that fails while writing leaves none of an earlier run's artifacts
+next to its own. (Writing over a truncated old file was slower: 1.1
+against 0.6 ms for a 0.9 MB file on ext4.)
 """
 
 from __future__ import annotations
@@ -206,12 +207,9 @@ def _remove_artifact(path):
 
 @contextmanager
 def _open_artifact(path):
-    """A new text file at path, in place of any file there.
-
-    Any OSError, from the removal, the open or a write, is raised again
-    naming the path.
+    """A new text file at path; ``run`` removed any old one, so a file there
+    is refused. Any OSError, from the open or a write, names the path.
     """
-    _remove_artifact(path)
     try:
         with open(path, "x", newline="\n") as f:
             yield f

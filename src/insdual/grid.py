@@ -92,24 +92,21 @@ class Grid:
         """Read-only cut of each cell (a, b) = (states[j], states[j + 1]).
 
         The largest double c in [a, b) with c - a <= b - c, both sides
-        rounded as computed: the nearest-node rule itself, not (a + b) / 2.
-        Rounding keeps c - a rising and b - c falling in c, so the rule holds
-        on [a, c] and nowhere past it, and one-ulp steps from the rounded
-        midpoint find c exactly, also where a subtraction rounds.
+        rounded as computed: the nearest-node rule itself. Rounding is
+        monotone, so the rule holds on [a, c], at every double up to the
+        exact midpoint, and nowhere past c. So the rounded midpoint, the
+        exact one's nearest double, is at most one double above c, and it
+        is never below: (i) where both subtractions are exact (Sterbenz's
+        lemma, b / 2 <= c <= 2a), c is the exact midpoint rounded down;
+        (ii) where only c - a rounds (a < c / 2), by at most half an ulp of
+        c, c lies at most a quarter ulp above the exact midpoint; (iii)
+        subnormal cells subtract exactly. One step down where the rounded
+        midpoint fails the rule gives c.
         """
         a, b = self.states[:-1], self.states[1:]
         cuts = (a + b) / 2.0
-        while True:
-            far = cuts - a > b - cuts
-            if not far.any():
-                break
-            cuts[far] = np.nextafter(cuts[far], a[far])
-        while True:
-            up = np.nextafter(cuts, b)
-            near = (up < b) & (up - a <= b - up)
-            if not near.any():
-                break
-            cuts[near] = up[near]
+        far = cuts - a > b - cuts
+        cuts[far] = np.nextafter(cuts[far], a[far])
         cuts.setflags(write=False)
         return cuts
 
@@ -183,8 +180,9 @@ def project(grid: Grid, state):
 
     Ties break toward the lower index; values outside the node hull,
     +-inf included, clamp to the first or last node, and NaN gives the
-    last node. The index is the number of cell cuts (``Grid.cuts``) below
-    the state: one ``searchsorted``, which sorts NaN last. A scalar
+    last node. The index is the number of cell cuts below the state: one
+    ``searchsorted``, which sorts NaN last, over ``Grid.cuts``, each
+    cell's rounded midpoint or the double below it. A scalar
     (Python or numpy float, or a 0-d array) gives an int, an array an
     array of indices.
     """

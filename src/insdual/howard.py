@@ -166,7 +166,7 @@ class DiscreteSolution:
     def start_range(self) -> tuple[float, float]:
         """(min, max) of the starting layer's wealth row, as floats (0.0, not -0.0)."""
         row = self.wealth[0]
-        return float(row.min()) + 0.0, float(row.max())
+        return float(row.min()) + 0.0, float(row.max()) + 0.0
 
 
 def _wealth_table(solution: DiscreteSolution):

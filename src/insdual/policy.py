@@ -33,17 +33,21 @@ every later step under that node's control rho, claim steps included (the
 densities are one sequential product of the growth factors and kicks
 rho^c, the bits of the per-step update), up to its first cut: a step whose
 control is not rho, whose state is not positive and finite, leaves the
-node hull or needs regulation. A step cut by its control starts the next
-pass. Any other cut step takes the density, kick, state and node its pass
-computed, and the per-step rules do only the rest: they refuse a state
-that is not finite, regulate and count hull escapes; the next pass starts
-after it, and no pass is empty. A node's dual state is read off
-``Grid.dual_states``. A pass never raises, so a failing path
-fails with the error the per-step rules raise first. One read-off after
-the first phase then does the jumped states, coverage and wealth of
-every step with arrays, from the (n_steps, m) read-only wealth table
-that is read off once per solution (``DiscreteSolution.wealth``). The
-rules and the bits are those of the steps above.
+node hull or needs regulation. A pass writes every step it computed, its
+cut step included, and a step cut by its control starts the next pass,
+which rewrites it. At any other cut step the per-step rules do only the
+rest: they refuse a state that is not finite, regulate, writing only the
+regulator, dual state and settled node that regulation changes, and count
+hull escapes; the next pass starts after it, and no pass is empty. A
+node's dual state is read off ``Grid.dual_states``. A pass never raises,
+so a failing path fails with the error the per-step rules raise first.
+The jumped states are projected at one site, when the first phase ends,
+up to the failing step on a path that fails: the per-step rules project
+a step's jumped state before its new one. One read-off then does the
+coverage and wealth of every step with arrays, from the (n_steps, m)
+read-only wealth table that is read off once per solution
+(``DiscreteSolution.wealth``). The rules and the bits are those of the
+steps above.
 
 Claims act at the steps ``simulate.claim_steps`` gives them, each of the
 size delta the surface is solved for, and ``sde_residual`` checks the
@@ -227,24 +231,24 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
             # or, if regulated, within a few ulps of it, so projecting is redundant
             rho = control(i, jpp)
             m, dens, ys, js, ks = _stretch(solution, i, rho, d, y_init, reg, flags)
-            end = i + m
-            density[i:end] = dens[:m]
+            # every step up to the cut, the cut step included
+            end = i + m + 1
+            density[i:end] = dens[: m + 1]
             regulator[i:end] = reg
-            dual_state[i:end] = ys[:m]
-            kicks[i:end] = ks[:m]
-            settled[i:end] = js[:m]
+            dual_state[i:end] = ys[: m + 1]
+            kicks[i:end] = ks[: m + 1]
+            settled[i:end] = js[: m + 1]
             if m:
-                d, jpp, escapes, i = dens.item(m - 1), js.item(m - 1), 0, end
-            # a step cut by its control starts the next pass
+                d, jpp, escapes, i = dens.item(m - 1), js.item(m - 1), 0, i + m
+            # a step cut by its control starts the next pass, which rewrites it
             if i == n or control(i, jpp) != rho:
                 continue
 
-            # the per-step rules: the cut step as the pass computed it
-            d, y, kicks[i] = dens.item(m), ys.item(m), ks[m]
+            # the per-step rules: the cut step as its pass wrote it
+            d, y, jpp = density.item(i), dual_state.item(i), settled.item(i)
             if not np.isfinite(y):
                 raise PathEscapeError(f"policy: dual state {y} at step {i} is not finite")
             target = compactify(y)
-            jpp = unregulated = js.item(m)
             while w(i, jpp) < 0.0:
                 if jpp == 0:
                     raise PathEscapeError(
@@ -252,15 +256,10 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
                         f"(dual state {y:.6g})"
                     )
                 jpp -= 1
-            if jpp != unregulated:
+            if jpp != settled[i]:
                 # regulator shrinks so the dual state sits on the chosen node
                 reg = grid.dual_states.item(jpp) / (y_init * d)
-                y = y_init * d * reg
-
-            density[i] = d
-            regulator[i] = reg
-            dual_state[i] = y
-            settled[i] = jpp
+                regulator[i], dual_state[i], settled[i] = reg, y_init * d * reg, jpp
 
             escapes = escapes + 1 if (target < nodes[0] or target > nodes[-1]) else 0
             if escapes >= _MAX_HULL_ESCAPES:
@@ -270,17 +269,15 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
                     f"[{nodes[0]}, {nodes[-1]}])"
                 )
             i += 1
-    except PathEscapeError:
-        # the per-step rules project a step's jumped state before its new
-        # one: a jumped state that cannot be mapped fails first (inf maps to NaN)
+    finally:
+        # every step's jumped state, or those up to a failing step's: one
+        # that cannot be mapped fails first (inf maps to NaN)
         with np.errstate(invalid="ignore"):
-            _jump_nodes(grid, kicks[: i + 1], dual_state)
-        raise
+            jump_state_index = _jump_nodes(grid, kicks[: i + 1], dual_state)
 
     rows = np.arange(n)
     table = solution.wealth
     state_index = np.concatenate((settled[:1], settled[:-1]))
-    jump_state_index = _jump_nodes(grid, kicks, dual_state)
     # each of a step's claims is covered at the step's mean retention
     coverage = params.delta * np.maximum(flags, 1)
     theta = (table[rows, state_index] - table[rows, jump_state_index]) / coverage

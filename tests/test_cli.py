@@ -728,8 +728,22 @@ class TestWriteTable:
         cli._write_rows(path, "a,b\n", "%d,%s\n", columns)
         lines = "".join(f"{i},x{i}\n" for i in range(n_rows))
         assert path.read_bytes() == ("a,b\n" + lines).encode()
+        path = tmp_path / "t.dat"
         cli._write_rows(path, "", "%d %s\n", columns)
         assert path.read_bytes() == lines.replace(",", " ").encode()
+
+    @pytest.mark.parametrize("where", ["missing directory", "existing file"])
+    def test_unwritable_path_is_named(self, where, tmp_path):
+        if where == "existing file":
+            path = tmp_path / "t.dat"
+            path.write_text("kept\n")
+        else:
+            path = tmp_path / "missing" / "t.dat"
+        with pytest.raises(OSError) as err:
+            cli._write_rows(str(path), "", "%d\n", [[1, 2]])
+        assert str(err.value).startswith(f"cli: cannot write artifact '{path}': ")
+        if where == "existing file":
+            assert path.read_text() == "kept\n"
 
 
 def oracle_surface(solution):

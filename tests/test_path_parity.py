@@ -78,7 +78,7 @@ def oracle_find_initial_state(solution: DiscreteSolution, x: float):
     if x < 0.0:
         raise ValueError(f"policy: starting wealth must be nonnegative, got {x}")
     row = oracle_wealth_row(solution, 0)
-    lo, hi = float(row.min()) + 0.0, float(row.max())  # 0, never -0
+    lo, hi = float(row.min()) + 0.0, float(row.max()) + 0.0  # 0, never -0
     if not lo <= x <= hi:
         raise UnreachableWealthError(
             f"policy: starting wealth {x} outside the attainable range "
@@ -629,6 +629,33 @@ def irregular_grids(draw):
     return grid_module.Grid(1.0, 1, states)
 
 
+@st.composite
+def edge_cells(draw):
+    """One cell of a kind the one-step cut rests on: straddling a power of
+    two, with b within 3 ulps of 2a, with both ends subnormal, or with b / a
+    up to 1e20."""
+    kind = draw(st.sampled_from(["straddle", "double", "subnormal", "wide"]))
+    if kind == "straddle":
+        p = 2.0 ** draw(st.integers(-60, -1))
+        a = p * (1.0 - draw(st.floats(2.0 ** -53, 0.5)))
+        b = p * (1.0 + draw(st.floats(2.0 ** -52, 0.5)))
+    elif kind == "double":
+        a = draw(st.floats(1e-300, 0.49))
+        b = 2.0 * a
+        steps = draw(st.integers(-3, 3))
+        for _ in range(abs(steps)):
+            b = np.nextafter(b, np.inf if steps > 0 else 0.0)
+    elif kind == "subnormal":
+        low = draw(st.integers(1, 2**52 - 2))
+        a = low * 5e-324
+        b = draw(st.integers(low + 1, 2**52 - 1)) * 5e-324
+    else:
+        a = draw(st.floats(1e-300, 0.5))
+        b = min(a * 10.0 ** draw(st.floats(0.0, 20.0)), 0.999)
+        b = max(b, np.nextafter(a, 1.0))
+    return grid_module.Grid(1.0, 1, np.array([a, b]))
+
+
 def ulp_probes(g):
     """probes(g), and 1 to 4 ulps either side of each rounded midpoint."""
     s = g.states
@@ -670,7 +697,8 @@ class TestProjectOracle:
         g = grid_module.Grid(1.0, 1, np.array(states))
         self.assert_same_nodes(g)
 
-    @given(st.one_of(grids(), irregular_grids()))
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(grids(), irregular_grids(), edge_cells()))
     def test_cuts_are_the_last_doubles_of_the_lower_node(self, g):
         a, b = g.states[:-1], g.states[1:]
         c, after = g.cuts, np.nextafter(g.cuts, np.inf)

@@ -141,6 +141,18 @@ class TestFindInitialState:
         with pytest.raises(UnreachableWealthError, match=r"range \[0, "):
             find_initial_state(dear_coarse_solution, 2.0 * hi)
 
+    def test_flat_start_range_ends_are_positive_zero(self):
+        # a constant surface reads -0.0 at every node; both ends, and the
+        # message, report it as 0
+        rows = np.ones((3, 5))
+        sol = make_solution(2, np.linspace(0.2, 0.8, 5), rows, 1.0, make_params(r=0.0))
+        assert math.copysign(1.0, sol.wealth[0].max()) == -1.0
+        lo, hi = sol.start_range
+        assert (lo, hi) == (0.0, 0.0)
+        assert math.copysign(1.0, lo) == math.copysign(1.0, hi) == 1.0
+        with pytest.raises(UnreachableWealthError, match=r"range \[0, 0\] of"):
+            find_initial_state(sol, 1.0)
+
     @pytest.mark.parametrize("side", ["above", "below"])
     def test_unreachable_message(self, cheap_solution, side):
         row = cheap_solution.wealth[0]
