@@ -115,10 +115,11 @@ def build_uniform(n_time: int, n_state: int, horizon: float) -> Grid:
     """Uniform mesh: times i*horizon/n_time, states j/n_state for interior j.
 
     The state endpoints 0 and 1 are never stored; the mesh holds the
-    n_state - 1 interior nodes j/n_state, j = 1 .. n_state - 1.
+    n_state - 1 interior nodes j/n_state, j = 1 .. n_state - 1, for an
+    integer n_state >= 3 (a numpy integer included).
     """
-    if n_state < 3:
-        raise ValueError(f"grid: n_state must be >= 3, got {n_state}")
+    if not (isinstance(n_state, Integral) and n_state >= 3):
+        raise ValueError(f"grid: n_state must be an integer >= 3, got {n_state!r}")
     return Grid(horizon, n_time, np.arange(1, n_state) / n_state)
 
 

@@ -18,9 +18,9 @@ Per step i >= 1 the evolution is
   3. density *= exp(-pi * h_t * (rho - 1)), and *= rho once per claim
      acting at this step,
   4. dual state = y_init * density * regulator, a PathEscapeError when it
-     is not finite; project it (node j''_i) and project the jumped state
-     rho^c * Y_{i-1} (node j'_i), with c the number of claims acting at
-     this step (rho * Y_{i-1} when c = 0),
+     is not positive and finite; project it (node j''_i) and project the
+     jumped state rho^c * Y_{i-1} (node j'_i), with c the number of claims
+     acting at this step (rho * Y_{i-1} when c = 0),
   5. while wealth at node j''_i is negative, step j''_i down one node and
      shrink the regulator so the dual state sits on that node,
   6. coverage theta_i = (wealth(j_i) - wealth(j'_i)) / (max(c, 1) * delta),
@@ -36,18 +36,17 @@ control is not rho, whose state is not positive and finite, leaves the
 node hull or needs regulation. A pass writes every step it computed, its
 cut step included, and a step cut by its control starts the next pass,
 which rewrites it. At any other cut step the per-step rules do only the
-rest: they refuse a state that is not finite, regulate, writing only the
-regulator, dual state and settled node that regulation changes, and count
-hull escapes; the next pass starts after it, and no pass is empty. A
-node's dual state is read off ``Grid.dual_states``. A pass never raises,
-so a failing path fails with the error the per-step rules raise first.
-The jumped states are projected at one site, when the first phase ends,
-up to the failing step on a path that fails: the per-step rules project
-a step's jumped state before its new one. One read-off then does the
-coverage and wealth of every step with arrays, from the (n_steps, m)
-read-only wealth table that is read off once per solution
-(``DiscreteSolution.wealth``). The rules and the bits are those of the
-steps above.
+rest: they refuse a state that is not positive and finite, regulate,
+writing only the regulator, dual state and settled node that regulation
+changes, and count hull escapes; the next pass starts after it, and no
+pass is empty. A node's dual state is read off ``Grid.dual_states``. A
+pass never raises, so a failing path fails with the error the per-step
+rules raise first. A path that succeeds then goes to one read-off, which
+projects every step's jumped state (one past the largest double maps to
+the last node) and does the coverage and wealth of every step with
+arrays, from the (n_steps, m) read-only wealth table that is read off
+once per solution (``DiscreteSolution.wealth``). The rules and the bits
+are those of the steps above.
 
 Claims act at the steps ``simulate.claim_steps`` gives them, each of the
 size delta the surface is solved for, and ``sde_residual`` checks the
@@ -142,16 +141,6 @@ def find_initial_state(solution: DiscreteSolution, x: float):
     return j_init, solution.grid.dual_states.item(j_init)
 
 
-def _jump_nodes(grid, kicks, dual_state):
-    """Nodes of the jumped states kicks[i] * dual_state[i - 1], i >= 0.
-
-    Step 0 jumps from dual_state[0]. Both are float arrays; ``kicks`` may
-    be the shorter, and no state past the last jump's is read.
-    """
-    prev = np.concatenate((dual_state[:1], dual_state[: kicks.size - 1]))
-    return project(grid, compactify(kicks * prev))
-
-
 def _kick(rho, c):
     """rho ** c, the per-step power, or inf where the per-step rules overflow."""
     try:
@@ -225,59 +214,60 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
     jpp = j_init
     escapes = 0
     i = 1
-    try:
-        while i < n:
-            # the previous step settled on node jpp: its state is that node's
-            # or, if regulated, within a few ulps of it, so projecting is redundant
-            rho = control(i, jpp)
-            m, dens, ys, js, ks = _stretch(solution, i, rho, d, y_init, reg, flags)
-            # every step up to the cut, the cut step included
-            end = i + m + 1
-            density[i:end] = dens[: m + 1]
-            regulator[i:end] = reg
-            dual_state[i:end] = ys[: m + 1]
-            kicks[i:end] = ks[: m + 1]
-            settled[i:end] = js[: m + 1]
-            if m:
-                d, jpp, escapes, i = dens.item(m - 1), js.item(m - 1), 0, i + m
-            # a step cut by its control starts the next pass, which rewrites it
-            if i == n or control(i, jpp) != rho:
-                continue
+    while i < n:
+        # the previous step settled on node jpp: its state is that node's
+        # or, if regulated, within a few ulps of it, so projecting is redundant
+        rho = control(i, jpp)
+        m, dens, ys, js, ks = _stretch(solution, i, rho, d, y_init, reg, flags)
+        # every step up to the cut, the cut step included
+        end = i + m + 1
+        density[i:end] = dens[: m + 1]
+        regulator[i:end] = reg
+        dual_state[i:end] = ys[: m + 1]
+        kicks[i:end] = ks[: m + 1]
+        settled[i:end] = js[: m + 1]
+        if m:
+            d, jpp, escapes, i = dens.item(m - 1), js.item(m - 1), 0, i + m
+        # a step cut by its control starts the next pass, which rewrites it
+        if i == n or control(i, jpp) != rho:
+            continue
 
-            # the per-step rules: the cut step as its pass wrote it
-            d, y, jpp = density.item(i), dual_state.item(i), settled.item(i)
-            if not np.isfinite(y):
-                raise PathEscapeError(f"policy: dual state {y} at step {i} is not finite")
-            target = compactify(y)
-            while w(i, jpp) < 0.0:
-                if jpp == 0:
-                    raise PathEscapeError(
-                        f"policy: wealth regulation hit the lowest node at step {i} "
-                        f"(dual state {y:.6g})"
-                    )
-                jpp -= 1
-            if jpp != settled[i]:
-                # regulator shrinks so the dual state sits on the chosen node
-                reg = grid.dual_states.item(jpp) / (y_init * d)
-                regulator[i], dual_state[i], settled[i] = reg, y_init * d * reg, jpp
-
-            escapes = escapes + 1 if (target < nodes[0] or target > nodes[-1]) else 0
-            if escapes >= _MAX_HULL_ESCAPES:
+        # the per-step rules: the cut step as its pass wrote it
+        d, y, jpp = density.item(i), dual_state.item(i), settled.item(i)
+        if not 0.0 < y < np.inf:
+            raise PathEscapeError(
+                f"policy: dual state {y} at step {i} is not positive and finite"
+            )
+        target = compactify(y)
+        while w(i, jpp) < 0.0:
+            if jpp == 0:
                 raise PathEscapeError(
-                    f"policy: dual state left the mesh hull for {escapes} consecutive "
-                    f"steps (step {i}, state {target:.6g} outside "
-                    f"[{nodes[0]}, {nodes[-1]}])"
+                    f"policy: wealth regulation hit the lowest node at step {i} "
+                    f"(dual state {y:.6g})"
                 )
-            i += 1
-    finally:
-        # every step's jumped state, or those up to a failing step's: one
-        # that cannot be mapped fails first (inf maps to NaN)
-        with np.errstate(invalid="ignore"):
-            jump_state_index = _jump_nodes(grid, kicks[: i + 1], dual_state)
+            jpp -= 1
+        if jpp != settled[i]:
+            # regulator shrinks so the dual state sits on the chosen node
+            reg = grid.dual_states.item(jpp) / (y_init * d)
+            regulator[i], dual_state[i], settled[i] = reg, y_init * d * reg, jpp
+
+        escapes = escapes + 1 if (target < nodes[0] or target > nodes[-1]) else 0
+        if escapes >= _MAX_HULL_ESCAPES:
+            raise PathEscapeError(
+                f"policy: dual state left the mesh hull for {escapes} consecutive "
+                f"steps (step {i}, state {target:.6g} outside "
+                f"[{nodes[0]}, {nodes[-1]}])"
+            )
+        i += 1
 
     rows = np.arange(n)
     table = solution.wealth
     state_index = np.concatenate((settled[:1], settled[:-1]))
+    # step i jumps from dual_state[i - 1], step 0 from dual_state[0]; a
+    # jumped state past the largest double maps to the last node
+    prev = np.concatenate((dual_state[:1], dual_state[:-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        jump_state_index = project(grid, compactify(kicks * prev))
     # each of a step's claims is covered at the step's mean retention
     coverage = params.delta * np.maximum(flags, 1)
     theta = (table[rows, state_index] - table[rows, jump_state_index]) / coverage

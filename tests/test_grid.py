@@ -31,18 +31,29 @@ class TestBuildUniform:
         "nt,ns,T,named",
         [
             (0, 10, 1.0, "n_steps must be an integer >= 1, got 0"),
-            (10, 2, 1.0, "n_state must be >= 3, got 2"),
+            (10, 2, 1.0, "n_state must be an integer >= 3, got 2"),
+            # 100.7 would make the 100 nodes j / 100.7, not the mesh j / n_state
+            (10, 100.7, 1.0, "n_state must be an integer >= 3, got 100.7"),
+            (10, 100.0, 1.0, "n_state must be an integer >= 3, got 100.0"),
+            (10, np.nan, 1.0, "n_state must be an integer >= 3, got nan"),
             (10, 10, 0.0, "horizon must be finite and positive, got 0.0"),
             # 2.5 steps would make times 0, 0.4, 0.8, 1.2, past the horizon
             (2.5, 10, 1.0, "n_steps must be an integer >= 1, got 2.5"),
             (2.0, 10, 1.0, "n_steps must be an integer >= 1, got 2.0"),
             (50, 10, np.nan, "horizon must be finite and positive, got nan"),
         ],
-        ids=["0-10-1.0", "10-2-1.0", "10-10-0.0", "2.5-10-1.0", "2.0-10-1.0", "50-10-nan"],
+        ids=[
+            "0-10-1.0", "10-2-1.0", "10-100.7-1.0", "10-100.0-1.0", "10-nan-1.0",
+            "10-10-0.0", "2.5-10-1.0", "2.0-10-1.0", "50-10-nan",
+        ],
     )
     def test_rejects(self, nt, ns, T, named):
         with pytest.raises(ValueError, match=f"grid: {re.escape(named)}"):
             build_uniform(nt, ns, T)
+
+    def test_numpy_integer_state_count(self):
+        g = build_uniform(10, np.int64(100), 1.0)
+        assert np.array_equal(g.states, build_uniform(10, 100, 1.0).states)
 
 
 class TestGridValidation:

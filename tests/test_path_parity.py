@@ -13,9 +13,12 @@ Its density takes one factor rho per claim acting at a step (rho ** 0 is
 1.0 and rho ** 1 is rho, so a step with at most one claim keeps the bits
 of its first form), and a step with c >= 2 claims jumps by rho ** c and
 divides its coverage by c (the same bits as before for c <= 1). A dual
-state that is not finite, as when rho ** c overflows, is a
-PathEscapeError. Every array of the path must agree bit for bit, and a
-failing reconstruction must fail with the same exception and message.
+state that is not positive and finite, as when rho ** c overflows or the
+state underflows, is a PathEscapeError. A jumped state that cannot be
+compactified fails the path only once its loop finishes: a path that
+fails otherwise fails with its own error. Every array of the path must
+agree bit for bit, and a failing reconstruction must fail with the same
+exception and message.
 """
 
 import dataclasses
@@ -98,6 +101,17 @@ def oracle_evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPa
     flags = claim_steps(claims, ht, n)
 
     j_init, y_init = oracle_find_initial_state(solution, x)
+    unmappable = []  # ValueErrors of jumped states compactify refuses
+
+    def jump_node(kick, y):
+        # a jumped state past the largest double (or of inf) maps to the
+        # last node
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return project(grid, compactify(kick * y))
+        except ValueError as exc:
+            unmappable.append(exc)
+            return 0
 
     density = np.ones(n)
     regulator = np.ones(n)
@@ -111,7 +125,7 @@ def oracle_evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPa
     dual_state[0] = y_init * density[0] * regulator[0]
     state_index[0] = j_init
     rho0 = float(solution.control[0][j_init])
-    jump_state_index[0] = project(grid, compactify(rho0 * dual_state[0]))
+    jump_state_index[0] = jump_node(rho0, dual_state[0])
     regulated_state_index[0] = j_init
     w = oracle_wealth_row(solution, 0)
     theta[0] = (w[j_init] - w[jump_state_index[0]]) / params.delta
@@ -133,14 +147,12 @@ def oracle_evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPa
         dual_state[i] = y_init * density[i] * regulator[i]
 
         # a step with c >= 1 claims jumps by rho ** c and covers each claim
-        # at the mean retention over the c claims; a jumped state of inf
-        # maps to NaN, and the state after it fails by name
-        kick = power if claims_here else rho
-        with np.errstate(invalid="ignore"):
-            jp = project(grid, compactify(kick * dual_state[i - 1]))
-        if not np.isfinite(dual_state[i]):
+        # at the mean retention over the c claims
+        jp = jump_node(power if claims_here else rho, dual_state[i - 1])
+        if not 0.0 < dual_state[i] < np.inf:
             raise PathEscapeError(
-                f"policy: dual state {dual_state[i]} at step {i} is not finite"
+                f"policy: dual state {dual_state[i]} at step {i} "
+                "is not positive and finite"
             )
         target = compactify(dual_state[i])
         jpp = project(grid, target)
@@ -171,6 +183,8 @@ def oracle_evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPa
                 f"policy: dual state left the mesh hull for {escapes} consecutive "
                 f"steps (step {i}, state {target:.6g} outside [{s[0]}, {s[-1]}])"
             )
+    if unmappable:
+        raise unmappable[0]
 
     return PolicyPath(
         times=grid.times[:n].copy(),
@@ -291,20 +305,29 @@ class TestPathParity:
             path = assert_same_outcome(sol, schedule, 1.0)
             assert sorted(path.claim_flag[path.claim_flag > 0].tolist()) == [2, 3]
 
-    def test_unmappable_jumped_state_fails_before_a_later_escape(self):
+    @pytest.mark.parametrize("fails", [True, False])
+    def test_unmappable_jump_fails_only_a_succeeding_path(self, fails):
         # a zero control at step 1 makes that step's jumped state 0, which
-        # cannot be compactified; the per-step rules fail on it before the
-        # regulation of the same step walks off the lowest node
+        # cannot be compactified. Where the regulation of the same step
+        # walks off the lowest node the path fails with that escape; where
+        # every wealth is positive the path runs to its end, and the
+        # read-off of its jumped states refuses the zero
         p = make_params(r=0.0)
         states = np.linspace(0.2, 0.8, 6)
-        rows = np.vstack([1.0 - 0.5 * states] + [1.0 + 0.5 * states] * 4)
+        later = 1.0 + 0.5 * states if fails else 1.0 - 0.5 * states
+        rows = np.vstack([1.0 - 0.5 * states] + [later] * 4)
         sol = make_solution(4, states, rows, 1.0, p)
         control = sol.control.copy()
         control[1] = 0.0
         sol = dataclasses.replace(sol, control=control)
         x = oracle_wealth_row(sol, 0)[3]
         exc = assert_same_outcome(sol, [], x)
-        assert isinstance(exc, ValueError) and "y > 0" in str(exc)
+        if fails:
+            assert isinstance(exc, PathEscapeError)
+            assert "hit the lowest node at step 1 " in str(exc)
+        else:
+            assert type(exc) is ValueError
+            assert str(exc) == "model: compactify requires y > 0"
 
 
 def flat_solution(n_time, states, v, control, **params):
@@ -425,6 +448,34 @@ class TestStretchCuts:
             exc = assert_same_outcome(sol, [], x)
         assert isinstance(exc, PathEscapeError) and "step 10," in str(exc)
 
+    def test_state_that_underflows_to_zero_fails_by_name(self):
+        # a growth of about e^-667 a step takes the state below the hull, to
+        # 1e-290, at step 1 and to 0 at step 2: the per-step rules refuse
+        # the zero as an escape before compactify sees it
+        states = np.array([0.3, 0.5, 0.7])
+        sol = flat_solution(3, states, 1.0 - 0.5 * states, 1.5, pi_intensity=4000.0)
+        exc = assert_same_outcome(sol, [], oracle_wealth_row(sol, 0)[1])
+        assert isinstance(exc, PathEscapeError)
+        assert str(exc) == (
+            "policy: dual state 0.0 at step 2 is not positive and finite"
+        )
+
+    def test_jumped_state_past_the_largest_double_maps_to_the_last_node(self):
+        # two claims under a control of 1e150 kick the state of 1e10 by
+        # 1e300, past the largest double, while the growth factor e^-690
+        # keeps the new state at 2e10, on the top cell: the path is made,
+        # and the overflowing jumped state maps to the last node quietly
+        states = np.array([0.5, 1.0 - 1e-9, 1.0 - 1e-10])
+        sol = flat_solution(
+            2, states, 1.0 - 0.5 * states, 1e150, pi_intensity=1380.0 / 1e150
+        )
+        x = oracle_wealth_row(sol, 0)[2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = assert_same_outcome(sol, [0.5, 0.5001], x)
+        assert isinstance(path, PolicyPath) and path.claim_flag.tolist() == [0, 2]
+        assert path.jump_state_index.tolist() == [2, 2]
+
     @pytest.mark.parametrize(
         "fixture", ["dear_refined_solution", "obstacle_regime_solution"]
     )
@@ -527,19 +578,22 @@ class TestStretchCuts:
         got = assert_same_outcome(sol, [8 / 12, 8.001 / 12], x)
         if turn is None:
             assert isinstance(got, PathEscapeError)
-            assert str(got) == "policy: dual state inf at step 8 is not finite"
+            assert str(got) == (
+                "policy: dual state inf at step 8 is not positive and finite"
+            )
         else:
             assert isinstance(got, PolicyPath) and got.claim_flag[8] == 2
 
-    def test_unmappable_jump_at_a_claim_step_fails_before_a_later_escape(self):
+    def test_escape_wins_over_an_unmappable_claim_jump(self):
         # the states span 300 decades, and a control of 1e-100 with a growth
         # of e^60 a step keeps the state inside them. At step 2 the two
         # claims' jump 1e-200 * Y_1 underflows to 0, while the state, one
         # growth factor larger, stays on the hull: the pass goes past it. At
         # step 3 the control turns to 1 (a mappable jump) and every node
-        # needs regulation; the per-step rules fail on the jumped state of
-        # step 2 before that escape. make_solution puts the control 1e-100
-        # in the table over the ladder {1}
+        # needs regulation; the path fails with that escape, and the jumped
+        # state of step 2, which it never returns, is not read off.
+        # make_solution puts the control 1e-100 in the table over the
+        # ladder {1}
         states = np.geomspace(1e-300, 0.5, 61)
         v = np.concatenate(([0.0], np.cumsum(-np.arange(1, 61) * np.diff(states))))
         n = 6
@@ -552,10 +606,10 @@ class TestStretchCuts:
         control[3:] = 1.0
         sol = dataclasses.replace(sol, control=control)
         x = oracle_wealth_row(sol, 0)[30]
-        escape = assert_same_outcome(sol, [], x)
-        assert isinstance(escape, PathEscapeError) and "step 3 " in str(escape)
-        exc = assert_same_outcome(sol, [2.0 / n, 2.0001 / n], x)
-        assert isinstance(exc, ValueError) and "y > 0" in str(exc)
+        for claims in ([], [2.0 / n, 2.0001 / n]):
+            exc = assert_same_outcome(sol, claims, x)
+            assert isinstance(exc, PathEscapeError)
+            assert "hit the lowest node at step 3 " in str(exc)
 
     @settings(max_examples=40, deadline=None)
     @given(schedules(), st.sampled_from([0.5, 1.0, 2.0]))

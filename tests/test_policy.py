@@ -280,7 +280,9 @@ class TestClaimSnapping:
         times = 45 * sol.grid.h_t + 1e-7 * np.arange(12_000)
         with pytest.raises(PathEscapeError) as exc:
             evolve_path(sol, ClaimSchedule(times=times), x)
-        assert str(exc.value) == "policy: dual state inf at step 45 is not finite"
+        assert str(exc.value) == (
+            "policy: dual state inf at step 45 is not positive and finite"
+        )
 
     def test_flags_follow_the_shared_rule(self, cheap_solution):
         # the path places claims exactly where the primal side does
