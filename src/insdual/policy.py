@@ -33,13 +33,16 @@ every later step under that node's control rho, claim steps included (the
 densities are one sequential product of the growth factors and kicks
 rho^c, the bits of the per-step update), up to its first cut: a step whose
 control is not rho, whose state is not positive and finite, leaves the
-node hull or needs regulation. A pass writes every step it computed, its
-cut step included, and a step cut by its control starts the next pass,
-which rewrites it. At any other cut step the per-step rules do only the
-rest: they refuse a state that is not positive and finite, regulate,
-writing only the regulator, dual state and settled node that regulation
-changes, and count hull escapes; the next pass starts after it, and no
-pass is empty. A node's dual state is read off ``Grid.dual_states``. A
+node hull or needs regulation. The five path arrays (density, regulator,
+dual state, jump factor, settled node) are the only record of the path
+state: a pass starts from step i - 1's entries, writes every step from i
+on in place, past its cut too, and returns only its cut. A step cut by
+its control starts the next pass. At any other cut step the per-step
+rules do only the rest: they refuse a state that is not positive and
+finite, regulate, writing only the regulator, dual state and settled node
+that regulation changes, and count hull escapes; the next pass starts
+after it, and no pass is empty. Either way the next pass rewrites every
+step past the cut. A node's dual state is read off ``Grid.dual_states``. A
 pass never raises, so a failing path fails with the error the per-step
 rules raise first. A path that succeeds then goes to one read-off, which
 projects every step's jumped state (one past the largest double maps to
@@ -141,48 +144,47 @@ def find_initial_state(solution: DiscreteSolution, x: float):
     return j_init, solution.grid.dual_states.item(j_init)
 
 
-def _kick(rho, c):
-    """rho ** c, the per-step power, or inf where the per-step rules overflow."""
-    try:
-        return rho ** c
-    except OverflowError:
-        return np.inf
-
-
-def _stretch(solution, i, rho, d, y_init, reg, flags):
+def _stretch(solution, i, rho, y_init, flags, path):
     """One pass over steps i .. n - 1 under the control rho.
 
-    One array pass does what the per-step rules would, claim steps
-    included. The densities are one sequential product of d and, per
-    step, the growth factor and the kick rho ** c of a step with c claims
-    (the per-step power; 1.0, which keeps the bits, elsewhere). A step is
-    cut where its control is no longer rho, where its state is not
-    positive and finite, leaves the node hull or needs regulation.
-    Returns the index of the first cut (the pass's length if none) and
-    the densities, dual states, nodes and jump factors (rho, or rho ** c)
-    of every step, the cut step's included; nothing here raises, so a
-    failing step fails under the per-step rules.
+    ``path`` is (density, regulator, dual_state, kicks, settled), the
+    path's arrays; the pass starts from step i - 1's density and
+    regulator and writes steps i .. n - 1 of all five in place, its cut
+    step and the steps after it included. One array pass does what the
+    per-step rules would, claim steps included. The densities are one
+    sequential product of the previous density and, per step, the growth
+    factor and the kick rho ** c of a step with c claims (the per-step
+    power, inf where it overflows; 1.0, which keeps the bits, elsewhere).
+    A step is cut where its control is no longer rho, where its state is
+    not positive and finite, leaves the node hull or needs regulation.
+    Returns the index of the first cut (the pass's length if none);
+    nothing here raises, so a failing step fails under the per-step rules.
     """
+    density, regulator, dual_state, kicks, settled = path
     at = flags[i:].nonzero()[0]
-    kicks = np.full(flags.size - i, rho)
-    kicks[at] = [_kick(rho, c) for c in flags[i + at].tolist()]
-    factors = np.ones(2 * kicks.size + 1)
+    factors = np.ones(2 * (flags.size - i) + 1)
     growth = np.exp(-solution.params.pi_intensity * solution.grid.h_t * (rho - 1.0))
-    factors[0], factors[1::2], factors[2 * at + 2] = d, growth, kicks[at]
+    factors[0], factors[1::2] = density[i - 1], growth
+    kicks[i:] = rho
+    regulator[i:] = reg = regulator.item(i - 1)
     # the pass runs past its cut, where the per-step rules never compute
     with np.errstate(over="ignore"):
-        dens = factors.cumprod()[2::2]
-        ys = y_init * dens * reg
+        # one scalar libm pow per claim step, as Python's rho ** c; numpy's
+        # array power may take a SIMD loop that rounds otherwise
+        kicks[i + at] = [np.float64(rho) ** c for c in flags[i + at].tolist()]
+        factors[2 * at + 2] = kicks[i + at]
+        density[i:] = factors.cumprod()[2::2]
+        dual_state[i:] = ys = y_init * density[i:] * reg
     ok = (ys > 0.0) & (ys < np.inf)
     # 1.0 stands in for a state compactify would reject: that step is cut
     target = compactify(np.where(ok, ys, 1.0))
-    nodes = project(solution.grid, target)
+    settled[i:] = nodes = project(solution.grid, target)
     states = solution.grid.states
     rows = np.arange(i, i + nodes.size)
     cut = ~ok | (target < states[0]) | (target > states[-1])
     cut |= solution.wealth[rows, nodes] < 0.0
     cut[1:] |= solution.control[rows[1:], nodes[:-1]] != rho
-    return (int(cut.argmax()) if cut.any() else nodes.size), dens, ys, nodes, kicks
+    return int(cut.argmax()) if cut.any() else nodes.size
 
 
 def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
@@ -210,26 +212,18 @@ def evolve_path(solution: DiscreteSolution, claims, x: float) -> PolicyPath:
     kicks[0] = control(0, j_init)
     settled[0] = j_init
 
-    d = reg = 1.0
-    jpp = j_init
+    path = (density, regulator, dual_state, kicks, settled)
     escapes = 0
     i = 1
     while i < n:
-        # the previous step settled on node jpp: its state is that node's
+        # the previous step settled on a node: its state is that node's
         # or, if regulated, within a few ulps of it, so projecting is redundant
-        rho = control(i, jpp)
-        m, dens, ys, js, ks = _stretch(solution, i, rho, d, y_init, reg, flags)
-        # every step up to the cut, the cut step included
-        end = i + m + 1
-        density[i:end] = dens[: m + 1]
-        regulator[i:end] = reg
-        dual_state[i:end] = ys[: m + 1]
-        kicks[i:end] = ks[: m + 1]
-        settled[i:end] = js[: m + 1]
+        rho = control(i, settled.item(i - 1))
+        m = _stretch(solution, i, rho, y_init, flags, path)
         if m:
-            d, jpp, escapes, i = dens.item(m - 1), js.item(m - 1), 0, i + m
+            escapes, i = 0, i + m
         # a step cut by its control starts the next pass, which rewrites it
-        if i == n or control(i, jpp) != rho:
+        if i == n or control(i, settled.item(i - 1)) != rho:
             continue
 
         # the per-step rules: the cut step as its pass wrote it

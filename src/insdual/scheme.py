@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 from scipy import sparse
@@ -121,8 +122,11 @@ def make_control_set(
             f"scheme: need 0 < low < high, control candidates must be finite, "
             f"got [{low}, {high}]"
         )
-    if count < 2:
-        raise ValueError(f"scheme: control count must be >= 2, got {count}")
+    # 2.5 or NaN would reach geomspace, which refuses them without a name
+    if not (isinstance(count, Integral) and count >= 2):
+        raise ValueError(
+            f"scheme: control count must be an integer >= 2, got {count!r}"
+        )
     base = np.geomspace(low, high, count)
     special = [1.0]
     kink = params.beta / (params.delta * params.pi_intensity)

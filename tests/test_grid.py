@@ -175,6 +175,20 @@ class TestRefineAround:
                 assert merge <= f.states[0] and f.states[-1] <= 1.0 - merge, (n, c)
                 assert np.all(np.isin(g.states, f.states)), (n, c)
 
+    def test_off_node_window_edges_become_nodes(self):
+        # on a nonuniform mesh the window edges s_3 -+ 2 * (s_3 - s_2),
+        # 0.15 and 0.75, fall between nodes: each is added as a node
+        s = np.array([0.1, 0.2, 0.3, 0.45, 0.6, 0.8])
+        step = 0.05
+        f = refine_around(Grid(1.0, 1, s), 3, step)
+        lo, hi = s[3] - 2 * (s[3] - s[2]), s[3] + 2 * (s[3] - s[2])
+        assert not np.any(np.isin([lo, hi], s))
+        assert np.all(np.isin([lo, hi], f.states))
+        assert np.all(np.isin(s, f.states))
+        assert np.all(np.diff(f.states) > 0.0)
+        window = f.states[(f.states >= lo) & (f.states <= hi)]
+        assert np.diff(window).max() <= step * (1.0 + 1e-9)
+
     def test_rejects_bad_step(self):
         g = build_uniform(10, 100, 1.0)
         with pytest.raises(ValueError, match="fine_step"):

@@ -131,6 +131,21 @@ class TestControlSet:
         with pytest.raises(ValueError, match="low < high"):
             make_control_set(make_params(), low=2.0, high=1.0)
 
+    @pytest.mark.parametrize(
+        "count",
+        [2.5, 101.0, float("nan"), "101", 1, np.int64(1)],
+        ids=["2.5", "101.0", "nan", "str-101", "1", "int64-1"],
+    )
+    def test_rejects_count_that_is_no_integer_ge_2_by_name(self, count):
+        # numpy would refuse a float count with a TypeError naming no argument
+        with pytest.raises(ValueError, match="control count must be an integer >= 2"):
+            make_control_set(make_params(), count=count)
+
+    def test_numpy_integer_count_is_a_count(self):
+        p = make_params()
+        got = make_control_set(p, count=np.int64(101)).candidates
+        np.testing.assert_array_equal(got, make_control_set(p, count=101).candidates)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "low, high", [(1e-3, np.inf), (-np.inf, 1.0), (np.nan, 1e3), (1e-3, np.nan)]
